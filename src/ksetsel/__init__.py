@@ -33,6 +33,7 @@ from .datasets import (
 from .errors import (
     ConfigError,
     DataError,
+    DivergenceError,
     IdxCountMismatchError,
     IdxMagicError,
     IdxTruncatedError,
@@ -68,9 +69,16 @@ from .selection import (
     hindsight_best,
     init_selection,
     sample_perturbation,
-    select_sequence,
     top_k_smallest,
 )
-from .training import EpochMetrics, TrainConfig, TrainResult, train_selective
+from .training import (
+    EpochMetrics,
+    OnlineSelector,
+    TrainConfig,
+    TrainResult,
+    run_epochs,
+    select_sequence,
+    train_selective,
+)
 
 __version__ = "0.1.0"

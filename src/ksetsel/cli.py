@@ -67,6 +67,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.eta_coef is not None:
         raw["eta_coefficient"] = repr(args.eta_coef)
     if args.k_frac is not None:
+        raw.pop("k", None)
         raw["k_frac"] = repr(args.k_frac)
     if args.noise is not None:
         raw["noise"] = args.noise

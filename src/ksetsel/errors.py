@@ -1,16 +1,18 @@
 """Exception types shared across the package.
 
 Parameter errors mean the caller asked for something out of range
-(bad k, negative eta, probabilities outside their domain).  Input
-errors mean the data itself is unusable (non-finite scores, shape
-mismatches).  Data errors cover malformed files on disk and carry
-enough detail to tell the failure modes apart.
+(bad k, negative eta, probabilities outside their domain, a learning
+rate so large that training diverges).  Input errors mean the data
+itself is unusable (non-finite scores, shape mismatches).  Data errors
+cover malformed files on disk and carry enough detail to tell the
+failure modes apart.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "ParameterError",
+    "DivergenceError",
     "InputError",
     "ConfigError",
     "DataError",
@@ -22,6 +24,10 @@ __all__ = [
 
 class ParameterError(ValueError):
     """A knob was set outside its documented range."""
+
+
+class DivergenceError(ParameterError):
+    """Training drove a model parameter to inf or nan; the learning rate is too large."""
 
 
 class InputError(ValueError):

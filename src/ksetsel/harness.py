@@ -18,19 +18,14 @@ across reruns of the same config.
 
 from __future__ import annotations
 
-import time
+import dataclasses
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .analytics import (
-    BoundReport,
-    avg_risk_bound,
-    label_precision,
-    regret_bound,
-)
+from .analytics import BoundReport, avg_risk_bound, regret_bound
 from .datasets import Dataset, LabelNoiseSpec, apply_label_noise, load_csv_dataset, load_idx, make_blobs
 from .errors import ConfigError, ParameterError
 from .feedback import (
@@ -43,19 +38,8 @@ from .feedback import (
     noise_risk_scores,
 )
 from .mlp import evaluate, init_mlp, predict_batch, train_epoch
-from .selection import (
-    CumulativeRisk,
-    KSetSelection,
-    SelectorConfig,
-    Strategy,
-    accumulate,
-    fpl_select,
-    ftl_select,
-    greedy_select,
-    init_selection,
-    top_k_smallest,
-)
-from .training import EpochMetrics, TrainConfig, train_selective
+from .selection import KSetSelection, RiskVector, SelectorConfig, Strategy, top_k_smallest
+from .training import EpochMetrics, OnlineSelector, TrainConfig, run_epochs, train_selective
 
 __all__ = [
     "METRICS_HEADER",
@@ -145,14 +129,6 @@ def resolve_eta(eta_coefficient: float, k: int, epochs: int) -> float:
     return eta_coefficient * float(np.sqrt(k * epochs))
 
 
-def _parse_int(v: str) -> int:
-    return int(v)
-
-
-def _parse_float(v: str) -> float:
-    return float(v)
-
-
 def _parse_int_list(v: str) -> tuple[int, ...]:
     return tuple(int(p.strip()) for p in v.split(",") if p.strip())
 
@@ -185,40 +161,19 @@ def parse_noise(v: str) -> tuple[str, float]:
     return parts[0], rate
 
 
+# One parser per ExperimentConfig field, chosen by its annotation.  The
+# noise fields are set together through the `noise` key only.
+_TYPE_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[int, ...]": _parse_int_list,
+    "tuple[Strategy, ...]": _parse_selectors,
+}
 _KEY_PARSERS = {
-    "mode": str,
-    "out": str,
-    "seeds": _parse_int_list,
-    "selectors": _parse_selectors,
-    "n": _parse_int,
-    "k": _parse_int,
-    "k_frac": _parse_float,
-    "epochs": _parse_int,
-    "eta_coefficient": _parse_float,
-    "dataset": str,
-    "dim": _parse_int,
-    "classes": _parse_int,
-    "separation": _parse_float,
-    "data_seed": _parse_int,
-    "test_n": _parse_int,
-    "idx_images": str,
-    "idx_labels": str,
-    "idx_test_images": str,
-    "idx_test_labels": str,
-    "csv_path": str,
-    "csv_test_path": str,
-    "hidden": _parse_int,
-    "lr": _parse_float,
-    "batch_size": _parse_int,
-    "stream": str,
-    "clean_fraction": _parse_float,
-    "noise_scale": _parse_float,
-    "drift_period": _parse_int,
-    "stream_csv": str,
-    "dump_stream": str,
-    "noise_rate_estimate": _parse_float,
-    "validation_fraction": _parse_float,
-    "alpha": _parse_float,
+    f.name: _TYPE_PARSERS[f.type.removesuffix(" | None")]
+    for f in dataclasses.fields(ExperimentConfig)
+    if f.name not in ("noise_kind", "noise_rate")
 }
 
 
@@ -227,7 +182,7 @@ def parse_config_file(path) -> dict[str, str]:
     raw: dict[str, str] = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -261,6 +216,8 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from None
     cfg = ExperimentConfig(**fields)
+    if cfg.k is not None and cfg.k_frac is not None:
+        raise ConfigError("set only one of k and k_frac")
     if cfg.mode not in _MODES:
         raise ConfigError(f"unknown mode {cfg.mode!r}; valid: {', '.join(_MODES)}")
     if not cfg.seeds:
@@ -281,22 +238,8 @@ def _fmt(value) -> str:
 
 
 def _metrics_rows(run_seed: int, metrics: list[EpochMetrics]) -> list[str]:
-    return [
-        ",".join(
-            _fmt(v)
-            for v in (
-                run_seed,
-                m.epoch,
-                m.selection_risk,
-                m.cum_regret,
-                m.label_precision,
-                m.train_acc,
-                m.test_acc,
-                m.wall_ms,
-            )
-        )
-        for m in metrics
-    ]
+    # EpochMetrics fields are in METRICS_HEADER order after run_seed.
+    return [",".join(_fmt(v) for v in (run_seed, *dataclasses.astuple(m))) for m in metrics]
 
 
 def _write_csv(path, header: str, rows: list[str]) -> None:
@@ -346,47 +289,18 @@ def _stream_for_seed(cfg: ExperimentConfig, seed: int) -> RiskStream:
 
 def _simulate_one(
     stream: RiskStream, strategy: Strategy, k: int, eta: float, seed: int
-) -> tuple[list[EpochMetrics], float, float]:
-    """Run one selector over one stream; returns (metrics, regret, best_total)."""
-    n = stream.n
-    rng = np.random.default_rng(seed)
-    cum = CumulativeRisk.zeros(n)
-    spent = 0.0
-    metrics: list[EpochMetrics] = []
-    for t, theta in enumerate(stream.risks):
-        t0 = time.perf_counter()
-        if strategy is Strategy.FPL:
-            sel = fpl_select(cum, k, eta, rng)
-        elif strategy is Strategy.NAIVE:
-            sel = ftl_select(cum, k)
-        elif strategy is Strategy.GREEDY:
-            sel = greedy_select(stream.risks[t - 1], k) if t > 0 else init_selection(n, k, seed)
-        else:
-            idx = rng.choice(n, size=k, replace=False)
-            idx.sort()
-            sel = KSetSelection(idx.astype(np.int64))
-        risk = float(theta.values[sel.indices].sum())
-        spent += risk
-        cum = accumulate(cum, theta)
-        best_prefix = top_k_smallest(cum.sums, k)
-        prefix_regret = spent - float(cum.sums[best_prefix.indices].sum())
-        if stream.clean_masks is not None:
-            precision = label_precision(sel, stream.clean_masks[t])
-        else:
-            precision = float("nan")
-        metrics.append(
-            EpochMetrics(
-                epoch=t + 1,
-                selection_risk=risk,
-                cum_regret=prefix_regret,
-                label_precision=precision,
-                train_acc=float("nan"),
-                test_acc=float("nan"),
-                wall_ms=(time.perf_counter() - t0) * 1000.0,
-            )
-        )
-    best_total = float(cum.sums[top_k_smallest(cum.sums, k).indices].sum())
-    return metrics, spent - best_total, best_total
+) -> tuple[list[EpochMetrics], float]:
+    """Run one selector over one stream; returns (metrics, best fixed k-set's total risk)."""
+    selector = OnlineSelector(SelectorConfig(strategy=strategy, k=k, eta=eta, seed=seed), stream.n)
+    masks = stream.clean_masks
+    nan = float("nan")
+
+    def feedback(epoch: int, selection: KSetSelection):
+        return stream.risks[epoch - 1], None if masks is None else masks[epoch - 1], nan, nan
+
+    metrics = run_epochs(selector, None, len(stream.risks), feedback)
+    sums = selector.cum.sums
+    return metrics, float(sums[top_k_smallest(sums, k).indices].sum())
 
 
 @dataclass
@@ -402,7 +316,6 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
     n = first_stream.n
     k = cfg.resolve_k(n)
     eta = resolve_eta(cfg.eta_coefficient, k, cfg.epochs)
-    SelectorConfig(strategy=Strategy.FPL, k=k, eta=eta).check_n(n)
     if cfg.dump_stream:
         dump_stream_csv(first_stream, cfg.dump_stream)
 
@@ -421,9 +334,9 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
         rows: list[str] = []
         regrets, asrs, alphas = [], [], []
         for seed in cfg.seeds:
-            metrics, run_regret, best_total = _simulate_one(streams[seed], strategy, k, eta, seed)
+            metrics, best_total = _simulate_one(streams[seed], strategy, k, eta, seed)
             rows.extend(_metrics_rows(seed, metrics))
-            regrets.append(run_regret)
+            regrets.append(metrics[-1].cum_regret)
             asrs.append(sum(m.selection_risk for m in metrics) / cfg.epochs)
             alphas.append(best_total / (k * cfg.epochs))
         alpha = float(np.mean(alphas))
@@ -465,11 +378,16 @@ def _load_base_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset | None]
         test = None
         if cfg.idx_test_images and cfg.idx_test_labels:
             test = load_idx(cfg.idx_test_images, cfg.idx_test_labels)
-        return train, test
-    if not cfg.csv_path:
-        raise ConfigError("dataset = csv needs csv_path")
-    train = load_csv_dataset(cfg.csv_path)
-    test = load_csv_dataset(cfg.csv_test_path) if cfg.csv_test_path else None
+    else:
+        if not cfg.csv_path:
+            raise ConfigError("dataset = csv needs csv_path")
+        train = load_csv_dataset(cfg.csv_path)
+        test = load_csv_dataset(cfg.csv_test_path) if cfg.csv_test_path else None
+    # Each file counts its own classes; a test file may lack the top training class.
+    if test is not None and test.num_classes != train.num_classes:
+        classes = max(train.num_classes, test.num_classes)
+        train = dataclasses.replace(train, num_classes=classes)
+        test = dataclasses.replace(test, num_classes=classes)
     return train, test
 
 
@@ -695,6 +613,17 @@ def run_grid_search(cfg: ExperimentConfig) -> GridResult:
 # ----------------------------------------------------------- validate-risk
 
 
+class _FixedSelector(OnlineSelector):
+    """Keeps one k-set every epoch; the strategy it is built with is never consulted."""
+
+    def __init__(self, selection: KSetSelection, n: int):
+        super().__init__(SelectorConfig(strategy=Strategy.NAIVE, k=selection.k), n)
+        self.selection = selection
+
+    def select(self) -> KSetSelection:
+        return self.selection
+
+
 @dataclass
 class ValidateRiskResult:
     csv_path: str
@@ -738,14 +667,17 @@ def run_validate_risk(cfg: ExperimentConfig) -> ValidateRiskResult:
 
             model = init_mlp(noisy.dim, cfg.hidden, noisy.num_classes, seed=seed)
             shuffle_rng = np.random.default_rng(seed)
-            cum_risk = 0.0
-            for epoch in range(1, cfg.epochs + 1):
-                train_epoch(model, noisy, fixed, cfg.lr, cfg.batch_size, shuffle_rng)
+
+            def feedback(epoch: int, selection: KSetSelection):
+                train_epoch(model, noisy, selection, cfg.lr, cfg.batch_size, shuffle_rng)
                 predicted, conf = predict_batch(model, noisy.samples)
-                theta = noise_risk_scores(predicted, conf, noisy.assigned_labels)
-                risk = float(theta[fixed.indices].sum())
-                cum_risk += risk
-                rows.append(f"{_fmt(frac)},{seed},{epoch},{_fmt(risk)},{_fmt(cum_risk)}")
+                theta = RiskVector(noise_risk_scores(predicted, conf, noisy.assigned_labels))
+                return theta, None, float("nan"), float("nan")
+
+            cum_risk = 0.0
+            for m in run_epochs(_FixedSelector(fixed, noisy.n), None, cfg.epochs, feedback):
+                cum_risk += m.selection_risk
+                rows.append(f"{_fmt(frac)},{seed},{m.epoch},{_fmt(m.selection_risk)},{_fmt(cum_risk)}")
             totals[frac].append(cum_risk)
 
     _write_csv(out, "clean_fraction,run_seed,epoch,selection_risk,cum_selection_risk", rows)

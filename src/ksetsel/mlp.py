@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset
-from .errors import InputError, ParameterError
+from .errors import DivergenceError, InputError, ParameterError
 from .feedback import Prediction
 from .selection import KSetSelection
 
@@ -163,7 +163,8 @@ def train_epoch(
     The selected indices are shuffled, then visited exactly once in
     batches of batch_size (last batch may be short).  Labels are the
     assigned ones; the learner never sees true labels.  lr = 0 leaves
-    the model bitwise unchanged.
+    the model bitwise unchanged.  Raises DivergenceError if a parameter
+    is no longer finite at the end of the pass.
     """
     if batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
@@ -174,6 +175,9 @@ def train_epoch(
         batch = order[start : start + batch_size]
         grads = batch_gradients(model, dataset.samples[batch], dataset.assigned_labels[batch])
         sgd_step(model, grads, lr)
+    for name in ("w1", "b1", "w2", "b2"):
+        if not np.isfinite(getattr(model, name)).all():
+            raise DivergenceError(f"training diverged: {name} is no longer finite at learning rate {lr}")
     return model
 
 

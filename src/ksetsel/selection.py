@@ -36,7 +36,6 @@ __all__ = [
     "hindsight_best",
     "init_selection",
     "accumulate",
-    "select_sequence",
 ]
 
 
@@ -247,38 +246,3 @@ def accumulate(cum: CumulativeRisk, theta: RiskVector) -> CumulativeRisk:
         raise InputError(f"dimension mismatch: cumulative n={cum.n}, risk n={theta.n}")
     return CumulativeRisk(sums=cum.sums + theta.values, epochs_seen=cum.epochs_seen + 1)
 
-
-def select_sequence(risks, cfg: SelectorConfig) -> list[KSetSelection]:
-    """Run a selector over a prerecorded risk stream.
-
-    risks is a sequence of RiskVector, one per epoch.  Epoch t's
-    selection is made before theta_t is revealed: FPL and Naive start
-    from zero sums (for FPL that first pick is a uniformly random
-    k-set by symmetry of the perturbation), Greedy and Random fall
-    back to a seeded random k-set for epoch 1.
-    """
-    if len(risks) == 0:
-        raise InputError("risk stream is empty")
-    n = risks[0].n
-    cfg.check_n(n)
-    rng = np.random.default_rng(cfg.seed)
-    cum = CumulativeRisk.zeros(n)
-    selections: list[KSetSelection] = []
-    for t, theta in enumerate(risks):
-        if theta.n != n:
-            raise InputError(f"risk vector at epoch {t + 1} has n={theta.n}, expected {n}")
-        if cfg.strategy is Strategy.FPL:
-            sel = fpl_select(cum, cfg.k, cfg.eta, rng)
-        elif cfg.strategy is Strategy.NAIVE:
-            sel = ftl_select(cum, cfg.k)
-        elif cfg.strategy is Strategy.GREEDY:
-            sel = greedy_select(risks[t - 1], cfg.k) if t > 0 else init_selection(n, cfg.k, cfg.seed)
-        elif cfg.strategy is Strategy.RANDOM:
-            idx = rng.choice(n, size=cfg.k, replace=False)
-            idx.sort()
-            sel = KSetSelection(idx.astype(np.int64))
-        else:  # pragma: no cover - enum is closed
-            raise ParameterError(f"unknown strategy {cfg.strategy!r}")
-        selections.append(sel)
-        cum = accumulate(cum, theta)
-    return selections

@@ -1,14 +1,18 @@
-"""The online selection training loop.
+"""The online selection engine and the one epoch loop every mode drives.
 
-Per epoch: train the model on the currently selected k samples, score
-every training sample's noise-risk from a full forward pass, fold the
-risk vector into the running sums, then let the selector pick the
-next epoch's k-set.  Epoch 1 trains on a seeded uniformly random
-k-set because no feedback exists yet.
+An OnlineSelector holds one strategy's state across epochs: the
+running risk sums, the last risk vector and the selection RNG.
+run_epochs drives it: each epoch it picks a k-set, asks the caller's
+feedback function for that epoch's risk vector theta_t, folds theta_t
+into the sums, and records the prefix regret against the best fixed
+k-set over epochs 1..t.
 
-Metrics are recorded every epoch; cumulative regret compares risk
-spent so far against the best fixed k-set over the same prefix.  Wall
-time is recorded but is the one column outside the determinism
+train_selective plugs the learner in as feedback: train the model on
+the selected k samples, then score every training sample's
+noise-risk from a full forward pass.  Epoch 1 trains on a seeded
+uniformly random k-set because no feedback exists yet.
+
+Wall time is recorded but is the one column outside the determinism
 contract: with a fixed config and seed everything else is
 reproducible bit for bit.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +44,15 @@ from .selection import (
     top_k_smallest,
 )
 
-__all__ = ["TrainConfig", "EpochMetrics", "TrainResult", "train_selective"]
+__all__ = [
+    "TrainConfig",
+    "EpochMetrics",
+    "TrainResult",
+    "OnlineSelector",
+    "run_epochs",
+    "select_sequence",
+    "train_selective",
+]
 
 
 @dataclass(frozen=True)
@@ -89,25 +102,98 @@ class TrainResult:
     cum: CumulativeRisk
 
 
-def _next_selection(
-    strategy: Strategy,
-    cum: CumulativeRisk,
-    last_theta: RiskVector,
-    k: int,
-    eta: float,
-    rng: np.random.Generator,
-) -> KSetSelection:
-    if strategy is Strategy.FPL:
-        return fpl_select(cum, k, eta, rng)
-    if strategy is Strategy.NAIVE:
-        return ftl_select(cum, k)
-    if strategy is Strategy.GREEDY:
-        return greedy_select(last_theta, k)
-    if strategy is Strategy.RANDOM:
-        idx = rng.choice(cum.n, size=k, replace=False)
-        idx.sort()
-        return KSetSelection(idx.astype(np.int64))
-    raise ParameterError(f"unknown strategy {strategy!r}")  # pragma: no cover
+class OnlineSelector:
+    """One selector's state: running sums, last risk vector and RNG.
+
+    select() picks the coming epoch's k-set before its risk vector is
+    revealed; observe(theta) reveals it.  Before any feedback, FPL and
+    naive pick from zero sums (for FPL a uniformly random k-set by
+    symmetry of the perturbation), greedy picks init_selection(n, k,
+    seed) and random draws from the RNG.  The RNG defaults to one
+    seeded from cfg.seed.
+    """
+
+    def __init__(self, cfg: SelectorConfig, n: int, rng: np.random.Generator | None = None):
+        cfg.check_n(n)
+        self.cfg = cfg
+        self.n = n
+        self.rng = np.random.default_rng(cfg.seed) if rng is None else rng
+        self.cum = CumulativeRisk.zeros(n)
+        self.last: RiskVector | None = None
+
+    def select(self) -> KSetSelection:
+        cfg = self.cfg
+        if cfg.strategy is Strategy.FPL:
+            return fpl_select(self.cum, cfg.k, cfg.eta, self.rng)
+        if cfg.strategy is Strategy.NAIVE:
+            return ftl_select(self.cum, cfg.k)
+        if cfg.strategy is Strategy.GREEDY:
+            if self.last is None:
+                return init_selection(self.n, cfg.k, cfg.seed)
+            return greedy_select(self.last, cfg.k)
+        if cfg.strategy is Strategy.RANDOM:
+            idx = self.rng.choice(self.n, size=cfg.k, replace=False)
+            idx.sort()
+            return KSetSelection(idx.astype(np.int64))
+        raise ParameterError(f"unknown strategy {cfg.strategy!r}")  # pragma: no cover
+
+    def observe(self, theta: RiskVector) -> None:
+        self.cum = accumulate(self.cum, theta)
+        self.last = theta
+
+
+def run_epochs(
+    selector: OnlineSelector, first: KSetSelection | None, epochs: int, feedback: Callable
+) -> list[EpochMetrics]:
+    """The epoch loop: select, reveal theta_t, observe, then prefix regret.
+
+    feedback(epoch, selection) returns (theta_t as a RiskVector, the
+    clean mask or None, train accuracy, test accuracy).  Epoch 1 uses
+    `first` when given, otherwise the selector's own pick.  Label
+    precision is nan without a clean mask.  Selections are not kept; a
+    caller that needs them records them in its feedback.
+    """
+    spent = 0.0
+    metrics: list[EpochMetrics] = []
+    for epoch in range(1, epochs + 1):
+        t0 = time.perf_counter()
+        selection = first if epoch == 1 and first is not None else selector.select()
+        theta, clean_mask, train_acc, test_acc = feedback(epoch, selection)
+        selector.observe(theta)  # first: it rejects a theta of the wrong length
+        risk = float(theta.values[selection.indices].sum())
+        spent += risk
+        sums = selector.cum.sums
+        cum_regret = spent - float(sums[top_k_smallest(sums, selection.k).indices].sum())
+        metrics.append(
+            EpochMetrics(
+                epoch=epoch,
+                selection_risk=risk,
+                cum_regret=cum_regret,
+                label_precision=float("nan") if clean_mask is None else label_precision(selection, clean_mask),
+                train_acc=train_acc,
+                test_acc=test_acc,
+                wall_ms=(time.perf_counter() - t0) * 1000.0,
+            )
+        )
+    return metrics
+
+
+def select_sequence(risks, cfg: SelectorConfig) -> list[KSetSelection]:
+    """Run a selector over a prerecorded risk stream.
+
+    risks is a sequence of RiskVector, one per epoch; epoch t's
+    selection is made before theta_t is revealed.
+    """
+    if len(risks) == 0:
+        raise InputError("risk stream is empty")
+    selections: list[KSetSelection] = []
+
+    def feedback(epoch: int, selection: KSetSelection):
+        selections.append(selection)
+        return risks[epoch - 1], None, float("nan"), float("nan")
+
+    run_epochs(OnlineSelector(cfg, risks[0].n), None, len(risks), feedback)
+    return selections
 
 
 def train_selective(dataset: Dataset, test_set: Dataset | None, cfg: TrainConfig) -> TrainResult:
@@ -117,28 +203,25 @@ def train_selective(dataset: Dataset, test_set: Dataset | None, cfg: TrainConfig
     nan.  The test set must share the dataset's feature width and
     class count.
     """
-    n = dataset.n
-    SelectorConfig(strategy=cfg.strategy, k=cfg.k, eta=cfg.eta, seed=cfg.seed).check_n(n)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(4)
+    selector = OnlineSelector(
+        SelectorConfig(strategy=cfg.strategy, k=cfg.k, eta=cfg.eta, seed=cfg.seed),
+        dataset.n,
+        rng=np.random.default_rng(seeds[2]),
+    )
     if test_set is not None and (test_set.dim != dataset.dim or test_set.num_classes != dataset.num_classes):
         raise InputError("test set shape or class count does not match the training set")
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(4)
     init_seed = int(seeds[0].generate_state(1)[0])
     model = init_mlp(dataset.dim, cfg.hidden, dataset.num_classes, seed=init_seed)
     shuffle_rng = np.random.default_rng(seeds[1])
-    select_rng = np.random.default_rng(seeds[2])
-    selection = init_selection(n, cfg.k, seed=int(seeds[3].generate_state(1)[0]))
-
+    first = init_selection(dataset.n, cfg.k, seed=int(seeds[3].generate_state(1)[0]))
     clean_mask = dataset.clean_mask
-    cum = CumulativeRisk.zeros(n)
-    spent = 0.0
-    metrics: list[EpochMetrics] = []
     selections: list[KSetSelection] = []
 
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
+    def feedback(epoch: int, selection: KSetSelection):
+        selections.append(selection)
         train_epoch(model, dataset, selection, cfg.lr, cfg.batch_size, shuffle_rng)
-
         predicted, conf = predict_batch(model, dataset.samples)
         theta = RiskVector(noise_risk_scores(predicted, conf, dataset.assigned_labels))
         train_acc = float((predicted == dataset.assigned_labels).mean())
@@ -147,25 +230,7 @@ def train_selective(dataset: Dataset, test_set: Dataset | None, cfg: TrainConfig
             test_acc = float((test_pred == test_set.true_labels).mean())
         else:
             test_acc = float("nan")
+        return theta, clean_mask, train_acc, test_acc
 
-        risk = float(theta.values[selection.indices].sum())
-        spent += risk
-        cum = accumulate(cum, theta)
-        best_prefix = top_k_smallest(cum.sums, cfg.k)
-        cum_regret = spent - float(cum.sums[best_prefix.indices].sum())
-
-        selections.append(selection)
-        metrics.append(
-            EpochMetrics(
-                epoch=epoch,
-                selection_risk=risk,
-                cum_regret=cum_regret,
-                label_precision=label_precision(selection, clean_mask),
-                train_acc=train_acc,
-                test_acc=test_acc,
-                wall_ms=(time.perf_counter() - t0) * 1000.0,
-            )
-        )
-        selection = _next_selection(cfg.strategy, cum, theta, cfg.k, cfg.eta, select_rng)
-
-    return TrainResult(model=model, metrics=metrics, selections=selections, cum=cum)
+    metrics = run_epochs(selector, first, cfg.epochs, feedback)
+    return TrainResult(model=model, metrics=metrics, selections=selections, cum=selector.cum)

@@ -24,7 +24,8 @@ from ksetsel.feedback import (
     planted_stream,
     uniform_random_stream,
 )
-from ksetsel.selection import SelectorConfig, Strategy, select_sequence, top_k_smallest
+from ksetsel.selection import SelectorConfig, Strategy, top_k_smallest
+from ksetsel.training import select_sequence
 
 
 class TestNoiseRisk:

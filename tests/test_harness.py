@@ -1,12 +1,22 @@
 """Experiment harness: config parsing, run modes, CSV outputs, CLI."""
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import ksetsel
 from ksetsel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from ksetsel.datasets import make_blobs, save_csv_dataset
 from ksetsel.errors import ConfigError
+from ksetsel.feedback import load_stream_csv
 from ksetsel.harness import (
     ETA_COEFFICIENT_GRID,
     METRICS_HEADER,
@@ -25,7 +35,10 @@ from ksetsel.harness import (
     run_validate_risk,
     stratified_split,
 )
-from ksetsel.selection import Strategy
+from ksetsel.selection import SelectorConfig, Strategy
+from ksetsel.training import select_sequence
+
+FIELD_NAMES = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def read_rows(path):
@@ -60,14 +73,23 @@ class TestConfigParsing:
             "k_frac = 0.3   # selection size\n"
             "\n"
             "noise = sym:0.5\n"
+            "selectors = greedy, RANDOM\n"
+            "test_n = 40\n"
+            "lr = 1\n"
+            "idx_images = a.idx\n"
         )
         raw = parse_config_file(path)
-        assert raw == {"mode": "train", "seeds": "1, 2, 3", "k_frac": "0.3", "noise": "sym:0.5"}
+        assert raw == {
+            "mode": "train", "seeds": "1, 2, 3", "k_frac": "0.3", "noise": "sym:0.5",
+            "selectors": "greedy, RANDOM", "test_n": "40", "lr": "1", "idx_images": "a.idx",
+        }
         cfg = build_config(raw)
         assert cfg.mode == "train"
         assert cfg.seeds == (1, 2, 3)
         assert cfg.k_frac == 0.3
         assert cfg.noise_kind == "sym" and cfg.noise_rate == 0.5
+        assert cfg.selectors == (Strategy.GREEDY, Strategy.RANDOM)
+        assert cfg.test_n == 40 and type(cfg.lr) is float and cfg.idx_images == "a.idx"
 
     def test_duplicate_key_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -84,14 +106,58 @@ class TestConfigParsing:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config_file(tmp_path / "nope.cfg")
+        undecodable = tmp_path / "latin1.cfg"
+        undecodable.write_bytes(b"mode = train\nout = \xff\xfe.csv\n")
+        with pytest.raises(ConfigError):
+            parse_config_file(undecodable)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             build_config({"mode": "train", "zeta": "1"})
+        # the noise fields are settable through `noise` only
+        with pytest.raises(ConfigError, match="unknown config key"):
+            build_config({"noise_kind": "sym"})
 
     def test_bad_selector_listed(self):
         with pytest.raises(ConfigError, match="valid:"):
             build_config({"mode": "train", "selectors": "fpl, ftrl"})
+
+    def test_accepted_keys_are_the_config_fields(self):
+        def accepted(key):
+            try:
+                build_config({key: "1"})
+            except ConfigError as exc:
+                return "unknown config key" not in str(exc)
+            return True
+
+        candidates = FIELD_NAMES | {"noise", "zeta"}
+        expected = (FIELD_NAMES - {"noise_kind", "noise_rate"}) | {"noise"}
+        assert {key for key in candidates if accepted(key)} == expected
+
+    _VALUES = st.one_of(
+        st.text(max_size=12),
+        st.integers().map(str),
+        st.floats().map(repr),
+        st.sampled_from([
+            "0", "-1", "1e9", "nan", "inf", "train", "blobs", "csv", "fpl, naive", "ftrl", ",",
+            "sym:0.5", "asym:2", "sym", "1, 2", "1,,x", "9" * 5000,
+        ]),
+    )
+    _LINES = st.one_of(
+        st.tuples(st.sampled_from(sorted(FIELD_NAMES | {"noise", "zeta"})), _VALUES).map(" = ".join),
+        st.text(max_size=20),
+    )
+
+    @given(st.lists(_LINES, max_size=8))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_files_fail_only_with_config_error(self, tmp_path, lines):
+        path = tmp_path / "fuzz.cfg"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            cfg = build_config(parse_config_file(path))
+        except ConfigError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
 
     def test_resolve_k(self):
         assert ExperimentConfig(k=5).resolve_k(10) == 5
@@ -196,6 +262,17 @@ class TestRunTrain:
         with pytest.raises(ConfigError):
             run_train(cfg)
 
+    def test_csv_test_file_may_lack_the_top_class(self, tmp_path):
+        data = make_blobs(150, 4, 3, separation=8.0, seed=0)
+        save_csv_dataset(data, tmp_path / "train.csv")
+        save_csv_dataset(data.subset(np.flatnonzero(data.true_labels < 2)), tmp_path / "test.csv")
+        cfg = tiny_train_cfg(
+            tmp_path, dataset="csv", csv_path=str(tmp_path / "train.csv"),
+            csv_test_path=str(tmp_path / "test.csv"), seeds=(0,),
+        )
+        result = run_train(cfg)
+        assert 0.0 <= result.mean_test_acc <= 1.0
+
 
 class TestRunSimulate:
     def test_adversary_separates_naive_from_fpl(self, tmp_path):
@@ -218,6 +295,21 @@ class TestRunSimulate:
         assert fpl.empirical_regret <= fpl.regret_ceiling
         assert (tmp_path / "sim_naive.csv").exists()
         assert (tmp_path / "sim_fpl.csv").exists()
+
+    def test_selection_risk_matches_select_sequence(self, tmp_path):
+        dump = tmp_path / "stream.csv"
+        cfg = ExperimentConfig(
+            mode="simulate", out=str(tmp_path / "sim.csv"), seeds=(4,), selectors=tuple(Strategy),
+            stream="planted", n=40, k=10, epochs=12, eta_coefficient=0.05, dump_stream=str(dump),
+        )
+        run_simulate(cfg)
+        risks = load_stream_csv(dump).risks
+        eta = resolve_eta(0.05, 10, 12)
+        for strategy in Strategy:
+            sels = select_sequence(risks, SelectorConfig(strategy=strategy, k=10, eta=eta, seed=4))
+            expected = [format(float(r.values[s.indices].sum()), ".10g") for s, r in zip(sels, risks)]
+            _, rows = read_rows(tmp_path / f"sim_{strategy.value}.csv")
+            assert [row.split(",")[2] for row in rows] == expected, strategy
 
     def test_single_selector_uses_out_directly(self, tmp_path):
         cfg = ExperimentConfig(
@@ -445,6 +537,50 @@ class TestCli:
         assert len(rows) == 2  # one seed, two epochs
         assert all(r.startswith("7,") for r in rows)
         assert not (tmp_path / "file.csv").exists()
+
+    def test_k_frac_flag_overrides_file_k(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("n = 200\nk = 50\n")
+        assert main(["bounds", "--config", str(path), "--k-frac", "0.3"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == "n=200 k=60 T=100"
+
+    def test_file_setting_k_and_k_frac_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("n = 200\nk = 50\nk_frac = 0.3\n")
+        assert main(["bounds", "--config", str(path)]) == EXIT_CONFIG
+        assert "only one of k and k_frac" in capsys.readouterr().err
+
+    def test_divergence_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "n = 120\ndim = 4\nclasses = 3\ntest_n = 40\nhidden = 8\nepochs = 2\nk_frac = 0.5\n"
+            f"lr = 1e200\nout = {tmp_path / 'm.csv'}\n"
+        )
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: training diverged")
+        assert "1e+200" in err
+
+    def test_train_columns_match_across_blas_thread_counts(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "n = 1500\ndim = 32\nclasses = 4\ntest_n = 300\nhidden = 64\nepochs = 3\n"
+            "k_frac = 0.3\nnoise = sym:0.4\nseeds = 0, 1\n"
+        )
+        src = str(Path(ksetsel.__file__).resolve().parents[1])
+        columns = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"m{threads}.csv"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            subprocess.run(
+                [sys.executable, "-m", "ksetsel.cli", "train", "--config", str(path), "--out", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            columns.append(drop_wall(read_rows(out)[1]))
+        assert len(columns[0]) == 6
+        assert columns[0] == columns[1]
 
     def test_simulate_cli_prints_report(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ksetsel.datasets import make_blobs
-from ksetsel.errors import InputError, ParameterError
+from ksetsel.errors import DivergenceError, InputError, ParameterError
 from ksetsel.mlp import (
     MlpModel,
     backward,
@@ -193,6 +193,13 @@ class TestTrainEpoch:
         model = init_mlp(2, 4, 2, seed=0)
         with pytest.raises(ParameterError):
             train_epoch(model, data, KSetSelection(np.array([0])), 0.1, 0, np.random.default_rng(0))
+
+    def test_divergence_names_parameter_and_learning_rate(self):
+        data = make_blobs(40, 3, 2, separation=5.0, seed=0)
+        model = init_mlp(3, 8, 2, seed=1)
+        sel = init_selection(40, 20, seed=2)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match=r"(w1|b1|w2|b2) .*1e\+200"):
+            train_epoch(model, data, sel, lr=1e200, batch_size=4, rng=np.random.default_rng(3))
 
 
 class TestEvaluate:

@@ -24,9 +24,9 @@ from ksetsel.selection import (
     hindsight_best,
     init_selection,
     sample_perturbation,
-    select_sequence,
     top_k_smallest,
 )
+from ksetsel.training import select_sequence
 
 
 def sorted_topk_oracle(scores, k):
@@ -328,3 +328,9 @@ class TestSelectSequence:
     def test_empty_stream_rejected(self):
         with pytest.raises(InputError):
             select_sequence([], SelectorConfig(strategy=Strategy.NAIVE, k=1))
+
+    def test_ragged_stream_rejected(self):
+        # a shorter vector would otherwise be indexed past its end
+        ragged = self._stream(6, 3, 0) + [RiskVector(np.full(5, 0.5))]
+        with pytest.raises(InputError):
+            select_sequence(ragged, SelectorConfig(strategy=Strategy.NAIVE, k=5))

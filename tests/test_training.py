@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from ksetsel.datasets import LabelNoiseSpec, apply_label_noise, make_blobs
-from ksetsel.errors import ParameterError
-from ksetsel.selection import Strategy
-from ksetsel.training import TrainConfig, train_selective
+from ksetsel.analytics import SelectionTrace, regret
+from ksetsel.errors import InputError, ParameterError
+from ksetsel.selection import CumulativeRisk, RiskVector, SelectorConfig, Strategy, fpl_select, init_selection
+from ksetsel.training import OnlineSelector, TrainConfig, run_epochs, train_selective
 
 
 def small_noisy_dataset(seed=0):
@@ -88,8 +89,6 @@ class TestTrainSelective:
         assert all(np.isnan(m.test_acc) for m in result.metrics)
 
     def test_mismatched_test_set_rejected(self):
-        from ksetsel.errors import InputError
-
         data = small_noisy_dataset()
         wrong_dim = make_blobs(30, 5, 3, separation=8.0, seed=1)
         with pytest.raises(InputError):
@@ -146,3 +145,66 @@ class TestTrainSelective:
     def test_negative_eta_rejected(self):
         with pytest.raises(ParameterError):
             TrainConfig(strategy=Strategy.FPL, k=10, epochs=2, eta=-1.0, seed=0)
+
+
+def uniform_risks(n, epochs, seed):
+    rng = np.random.default_rng(seed)
+    return [RiskVector(rng.uniform(size=n)) for _ in range(epochs)]
+
+
+class TestOnlineSelector:
+    def test_first_pick_of_each_strategy(self):
+        n, k, seed = 12, 4, 5
+        first = {
+            s: OnlineSelector(SelectorConfig(strategy=s, k=k, eta=0.7, seed=seed), n).select() for s in Strategy
+        }
+        # zero sums tie everywhere, so the leader takes the smallest indices
+        assert first[Strategy.NAIVE].indices.tolist() == [0, 1, 2, 3]
+        fpl = fpl_select(CumulativeRisk.zeros(n), k, 0.7, np.random.default_rng(seed))
+        assert first[Strategy.FPL].indices.tolist() == fpl.indices.tolist()
+        greedy = init_selection(n, k, seed)
+        assert first[Strategy.GREEDY].indices.tolist() == greedy.indices.tolist()
+        drawn = np.sort(np.random.default_rng(seed).choice(n, size=k, replace=False))
+        assert first[Strategy.RANDOM].indices.tolist() == drawn.tolist()
+
+    def test_greedy_follows_the_last_observed_vector(self):
+        selector = OnlineSelector(SelectorConfig(strategy=Strategy.GREEDY, k=2), 4)
+        selector.observe(RiskVector(np.array([0.9, 0.1, 0.5, 0.2])))
+        selector.observe(RiskVector(np.array([0.1, 0.9, 0.2, 0.5])))
+        assert selector.select().indices.tolist() == [0, 2]
+        assert selector.cum.epochs_seen == 2
+
+
+
+class TestRunEpochs:
+    def test_prefix_regret_matches_the_trace_oracle(self):
+        risks = uniform_risks(15, 10, 1)
+        for strategy in Strategy:
+            cfg = SelectorConfig(strategy=strategy, k=4, eta=1.5, seed=2)
+            seen = []
+
+            def feedback(epoch, selection):
+                seen.append(selection)
+                return risks[epoch - 1], None, float("nan"), float("nan")
+
+            metrics = run_epochs(OnlineSelector(cfg, 15), None, len(risks), feedback)
+            assert [m.epoch for m in metrics] == list(range(1, 11))
+            assert all(np.isnan(m.label_precision) for m in metrics)
+            for t, m in enumerate(metrics, start=1):
+                assert m.cum_regret == pytest.approx(regret(SelectionTrace(seen[:t], risks[:t])), abs=1e-12)
+
+    def test_first_selection_is_used_for_epoch_one_only(self):
+        risks = uniform_risks(10, 3, 4)
+        first = init_selection(10, 3, seed=9)
+        selector = OnlineSelector(SelectorConfig(strategy=Strategy.NAIVE, k=3), 10)
+        seen = []
+
+        def feedback(epoch, selection):
+            seen.append(selection.indices.tolist())
+            return risks[epoch - 1], np.ones(10, dtype=bool), 0.5, 0.25
+
+        metrics = run_epochs(selector, first, 3, feedback)
+        assert seen[0] == first.indices.tolist()
+        # epoch 2 is the selector's own pick: the leader over epoch 1's risks
+        assert seen[1] == sorted(np.argsort(risks[0].values, kind="stable")[:3].tolist())
+        assert [(m.label_precision, m.train_acc, m.test_acc) for m in metrics] == [(1.0, 0.5, 0.25)] * 3
