@@ -7,7 +7,10 @@ cross-entropy loss -ln p[assigned]; for the softmax layer that is the
 familiar (probs - onehot) error signal pushed back through the relu.
 
 Everything is float64 and seeded; two runs from the same seed produce
-bitwise-identical parameters.
+bitwise-identical parameters.  The forward pass writes each step into
+the array the step before made, so scoring holds at most one
+hidden-sized (chunk, h) temporary per chunk; training checks its
+inputs once per epoch, not once per batch.
 """
 
 from __future__ import annotations
@@ -83,19 +86,49 @@ def init_mlp(dim: int, hidden: int, num_classes: int, seed: int) -> MlpModel:
     )
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+def _check_rows(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.dim:
+        raise InputError(f"expected inputs of shape (m, {model.dim}), got {x.shape}")
+    return x
+
+
+def _check_labels(model: MlpModel, labels: np.ndarray) -> None:
+    if labels.min() < 0 or labels.max() >= model.num_classes:
+        raise InputError(f"labels must lie in [0, {model.num_classes - 1}]")
+
+
+def _check_lr(lr: float) -> None:
+    if not (np.isfinite(lr) and lr >= 0.0):
+        raise ParameterError(f"learning rate must be finite and >= 0, got {lr}")
+
+
+def _softmax(z: np.ndarray) -> None:
+    """Turn the (m, C) logits z into probabilities, in place."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+
+
+def _forward(model: MlpModel, x: np.ndarray, keep_pre: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pre-activation, hidden, probabilities) for checked float64 rows x.
+
+    Each step writes into the array the previous one made.  The relu
+    overwrites the pre-activation unless keep_pre, which the gradient
+    path needs for the relu mask.
+    """
+    pre = x @ model.w1
+    pre += model.b1
+    hidden = np.maximum(pre, 0.0, out=None if keep_pre else pre)
+    probs = hidden @ model.w2
+    probs += model.b2
+    _softmax(probs)
+    return pre, hidden, probs
 
 
 def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """(m, d) inputs -> (m, C) class probabilities."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.dim:
-        raise InputError(f"expected inputs of shape (m, {model.dim}), got {x.shape}")
-    hidden = np.maximum(x @ model.w1 + model.b1, 0.0)
-    return _softmax(hidden @ model.w2 + model.b2)
+    return _forward(model, _check_rows(model, x))[2]
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -106,21 +139,10 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return forward_batch(model, x[None, :])[0]
 
 
-def batch_gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> Gradients:
-    """Mean cross-entropy gradient over a batch of assigned labels."""
-    x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if x.ndim != 2 or x.shape[1] != model.dim:
-        raise InputError(f"expected inputs of shape (m, {model.dim}), got {x.shape}")
-    if labels.shape != (x.shape[0],):
-        raise InputError("labels must be one per input row")
-    if labels.min() < 0 or labels.max() >= model.num_classes:
-        raise InputError(f"labels must lie in [0, {model.num_classes - 1}]")
+def _gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> Gradients:
+    """batch_gradients without its checks: x float64 (m >= 1, d), int64 labels in range."""
     m = x.shape[0]
-    pre = x @ model.w1 + model.b1
-    hidden = np.maximum(pre, 0.0)
-    probs = _softmax(hidden @ model.w2 + model.b2)
-    err = probs
+    pre, hidden, err = _forward(model, x, keep_pre=True)
     err[np.arange(m), labels] -= 1.0
     err /= m
     d_hidden = err @ model.w2.T
@@ -133,6 +155,18 @@ def batch_gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> Gradi
     )
 
 
+def batch_gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> Gradients:
+    """Mean cross-entropy gradient over a batch of assigned labels."""
+    x = _check_rows(model, x)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (x.shape[0],):
+        raise InputError("labels must be one per input row")
+    if x.shape[0] == 0:
+        raise InputError("batch is empty")
+    _check_labels(model, labels)
+    return _gradients(model, x, labels)
+
+
 def backward(model: MlpModel, x: np.ndarray, label: int) -> Gradients:
     """Exact gradient of -ln p[label] for one sample."""
     x = np.asarray(x, dtype=np.float64)
@@ -142,8 +176,7 @@ def backward(model: MlpModel, x: np.ndarray, label: int) -> Gradients:
 
 
 def sgd_step(model: MlpModel, grads: Gradients, lr: float) -> None:
-    if not (np.isfinite(lr) and lr >= 0.0):
-        raise ParameterError(f"learning rate must be finite and >= 0, got {lr}")
+    _check_lr(lr)
     model.w1 -= lr * grads.w1
     model.b1 -= lr * grads.b1
     model.w2 -= lr * grads.w2
@@ -163,17 +196,24 @@ def train_epoch(
     The selected indices are shuffled, then visited exactly once in
     batches of batch_size (last batch may be short).  Labels are the
     assigned ones; the learner never sees true labels.  lr = 0 leaves
-    the model bitwise unchanged.  Raises DivergenceError if a parameter
-    is no longer finite at the end of the pass.
+    the model bitwise unchanged.  The learning rate, feature width and
+    label range are checked once, before the first batch.  Raises
+    DivergenceError if a parameter is no longer finite at the end of
+    the pass.
     """
     if batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
+    _check_lr(lr)
     if selection.indices[-1] >= dataset.n:
         raise InputError(f"selection index {selection.indices[-1]} out of range for n={dataset.n}")
+    if dataset.dim != model.dim:
+        raise InputError(f"expected inputs of shape (m, {model.dim}), got {dataset.samples.shape}")
     order = selection.indices[rng.permutation(selection.k)]
+    labels = dataset.assigned_labels[order]
+    _check_labels(model, labels)
     for start in range(0, order.shape[0], batch_size):
         batch = order[start : start + batch_size]
-        grads = batch_gradients(model, dataset.samples[batch], dataset.assigned_labels[batch])
+        grads = _gradients(model, dataset.samples[batch], labels[start : start + batch_size])
         sgd_step(model, grads, lr)
     for name in ("w1", "b1", "w2", "b2"):
         if not np.isfinite(getattr(model, name)).all():
@@ -183,13 +223,13 @@ def train_epoch(
 
 def predict_batch(model: MlpModel, x: np.ndarray, chunk: int = 4096) -> tuple[np.ndarray, np.ndarray]:
     """Argmax labels and their probabilities; ties go to the smaller class."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.dim:
-        raise InputError(f"expected inputs of shape (m, {model.dim}), got {x.shape}")
+    if chunk < 1:
+        raise ParameterError(f"chunk must be >= 1, got {chunk}")
+    x = _check_rows(model, x)
     labels = np.empty(x.shape[0], dtype=np.int64)
     conf = np.empty(x.shape[0], dtype=np.float64)
     for start in range(0, x.shape[0], chunk):
-        probs = forward_batch(model, x[start : start + chunk])
+        probs = _forward(model, x[start : start + chunk])[2]
         part = probs.argmax(axis=1)
         labels[start : start + chunk] = part
         conf[start : start + chunk] = probs[np.arange(probs.shape[0]), part]

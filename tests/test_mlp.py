@@ -2,8 +2,11 @@
 
 The backward pass is checked against central finite differences on
 the scalar loss -ln p[label]; that oracle is independent of the
-analytic derivation.
+analytic derivation.  The in-place forward pass is checked bitwise
+against the out-of-place formulas kept below as the reference.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +26,37 @@ from ksetsel.mlp import (
     train_epoch,
 )
 from ksetsel.selection import KSetSelection, init_selection
+
+
+def ref_forward(model, x):
+    """Out-of-place forward pass: (pre-activation, hidden, probabilities)."""
+    pre = x @ model.w1 + model.b1
+    hidden = np.maximum(pre, 0.0)
+    logits = hidden @ model.w2 + model.b2
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return pre, hidden, exp / exp.sum(axis=-1, keepdims=True)
+
+
+def ref_predict_batch(model, x, chunk):
+    labels = np.empty(x.shape[0], dtype=np.int64)
+    conf = np.empty(x.shape[0], dtype=np.float64)
+    for start in range(0, x.shape[0], chunk):
+        probs = ref_forward(model, x[start : start + chunk])[2]
+        part = probs.argmax(axis=1)
+        labels[start : start + chunk] = part
+        conf[start : start + chunk] = probs[np.arange(probs.shape[0]), part]
+    return labels, conf
+
+
+def ref_batch_gradients(model, x, labels):
+    m = x.shape[0]
+    pre, hidden, err = ref_forward(model, x)
+    err[np.arange(m), labels] -= 1.0
+    err /= m
+    d_hidden = err @ model.w2.T
+    d_hidden[pre <= 0.0] = 0.0
+    return {"w1": x.T @ d_hidden, "b1": d_hidden.sum(axis=0), "w2": hidden.T @ err, "b2": err.sum(axis=0)}
 
 
 def loss_at(model, x, label):
@@ -88,6 +122,75 @@ class TestForward:
             forward_batch(model, np.zeros((2, 5)))
 
 
+class TestInPlaceMatchesReference:
+    """The in-place pass runs the reference's ufuncs in the same order, so results are bitwise equal."""
+
+    @staticmethod
+    def model_and_inputs(seed, m, scale):
+        rng = np.random.default_rng(seed)
+        model = init_mlp(5, 12, 4, seed=seed)
+        model.w2 *= scale  # large scales push logits far apart and confidences to 1.0
+        return model, rng.normal(size=(m, 5)) * scale
+
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 300.0])
+    def test_forward_batch(self, scale):
+        model, x = self.model_and_inputs(0, 30, scale)
+        np.testing.assert_array_equal(forward_batch(model, x), ref_forward(model, x)[2])
+
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 300.0])
+    def test_predict_batch_across_chunk_boundaries(self, scale):
+        model, x = self.model_and_inputs(1, 200, scale)
+        for chunk in (1, 7, 200, 4096):
+            labels, conf = predict_batch(model, x, chunk=chunk)
+            ref_labels, ref_conf = ref_predict_batch(model, x, chunk)
+            np.testing.assert_array_equal(labels, ref_labels)
+            np.testing.assert_array_equal(conf, ref_conf)
+
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 300.0])
+    def test_batch_gradients(self, scale):
+        model, x = self.model_and_inputs(2, 9, scale)
+        labels = np.random.default_rng(3).integers(0, 4, size=9)
+        grads = batch_gradients(model, x, labels)
+        for name, ref in ref_batch_gradients(model, x, labels).items():
+            np.testing.assert_array_equal(getattr(grads, name), ref)
+
+    def test_train_epoch_matches_batch_gradients_loop(self):
+        data = make_blobs(60, 4, 3, separation=4.0, seed=4)
+        sel = init_selection(60, 23, seed=5)  # batches of 5: four full, one of 3
+        model = init_mlp(4, 10, 3, seed=6)
+        reference = model.copy()
+        for epoch in range(3):
+            train_epoch(model, data, sel, lr=0.1, batch_size=5, rng=np.random.default_rng(epoch))
+            order = sel.indices[np.random.default_rng(epoch).permutation(sel.k)]
+            for start in range(0, order.shape[0], 5):
+                batch = order[start : start + 5]
+                grads = batch_gradients(reference, data.samples[batch], data.assigned_labels[batch])
+                sgd_step(reference, grads, 0.1)
+        for name in ("w1", "b1", "w2", "b2"):
+            np.testing.assert_array_equal(getattr(model, name), getattr(reference, name))
+
+
+class TestPredictBatch:
+    def test_scoring_holds_one_hidden_sized_temporary(self):
+        m, hidden = 2000, 128
+        model = init_mlp(16, hidden, 10, seed=0)
+        x = np.random.default_rng(1).normal(size=(m, 16))
+        predict_batch(model, x)
+        tracemalloc.start()
+        try:
+            predict_batch(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * m * hidden * 8
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_is_rejected(self, chunk):
+        model = init_mlp(3, 4, 2, seed=0)
+        with pytest.raises(ParameterError, match="chunk"):
+            predict_batch(model, np.zeros((5, 3)), chunk=chunk)
+
+
 class TestInit:
     def test_deterministic(self):
         a, b = init_mlp(7, 5, 3, seed=9), init_mlp(7, 5, 3, seed=9)
@@ -138,6 +241,11 @@ class TestBackward:
         model = init_mlp(3, 4, 2, seed=0)
         with pytest.raises(InputError):
             backward(model, np.zeros(3), 5)
+
+    def test_empty_batch_is_rejected(self):
+        model = init_mlp(3, 4, 2, seed=0)
+        with pytest.raises(InputError, match="batch is empty"):
+            batch_gradients(model, np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
 
 
 class TestTrainEpoch:
@@ -193,6 +301,32 @@ class TestTrainEpoch:
         model = init_mlp(2, 4, 2, seed=0)
         with pytest.raises(ParameterError):
             train_epoch(model, data, KSetSelection(np.array([0])), 0.1, 0, np.random.default_rng(0))
+
+    def test_label_range_checked_before_any_update(self):
+        # Only the last of the three batches holds a label the 2-class model lacks.
+        data = make_blobs(30, 3, 3, separation=5.0, seed=0)
+        bad = np.flatnonzero(data.assigned_labels == 2)[:1]
+        good = np.flatnonzero(data.assigned_labels < 2)[:8]
+        sel = KSetSelection(np.sort(np.concatenate([good, bad])))
+        model = init_mlp(3, 4, 2, seed=1)
+        before = model.copy()
+        with pytest.raises(InputError, match=r"\[0, 1\]"):
+            train_epoch(model, data, sel, lr=0.1, batch_size=3, rng=np.random.default_rng(0))
+        for name in ("w1", "b1", "w2", "b2"):
+            np.testing.assert_array_equal(getattr(model, name), getattr(before, name))
+
+    def test_feature_width_mismatch(self):
+        data = make_blobs(10, 3, 2, separation=5.0, seed=0)
+        with pytest.raises(InputError, match=r"\(m, 4\)"):
+            train_epoch(init_mlp(4, 4, 2, seed=0), data, KSetSelection(np.arange(4)), 0.1, 2, np.random.default_rng(0))
+
+    def test_bad_learning_rate_rejected_before_shuffle(self):
+        data = make_blobs(10, 3, 2, separation=5.0, seed=0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError, match="learning rate"):
+            train_epoch(init_mlp(3, 4, 2, seed=0), data, KSetSelection(np.arange(4)), float("nan"), 2, rng)
+        assert rng.bit_generator.state == state
 
     def test_divergence_names_parameter_and_learning_rate(self):
         data = make_blobs(40, 3, 2, separation=5.0, seed=0)
