@@ -109,7 +109,6 @@ class LabelNoiseSpec:
     kind: str
     rate: float
     seed: int = 0
-    pair_map: dict[int, int] | None = None
 
     def __post_init__(self):
         if self.kind not in ("sym", "asym"):
@@ -231,9 +230,7 @@ def apply_label_noise(dataset: Dataset, spec: LabelNoiseSpec) -> Dataset:
     if spec.kind == "sym":
         assigned = inject_symmetric_noise(dataset.true_labels, dataset.num_classes, spec.rate, spec.seed)
     else:
-        assigned = inject_asymmetric_noise(
-            dataset.true_labels, dataset.num_classes, spec.rate, spec.seed, spec.pair_map
-        )
+        assigned = inject_asymmetric_noise(dataset.true_labels, dataset.num_classes, spec.rate, spec.seed)
     return Dataset(
         samples=dataset.samples,
         true_labels=dataset.true_labels,
@@ -285,7 +282,8 @@ def load_idx(images_path, labels_path) -> Dataset:
     if count == 0:
         raise DataError(f"{images_path}: empty dataset")
     pixels = np.frombuffer(raw_images, dtype=np.uint8, offset=offset)
-    samples = pixels.astype(np.float64).reshape(count, rows * cols) / 255.0
+    samples = pixels.astype(np.float64).reshape(count, rows * cols)
+    samples /= 255.0  # in place: one float64 copy of the images, not two
     labels = np.frombuffer(raw_labels, dtype=np.uint8, offset=label_offset).astype(np.int64)
     num_classes = int(labels.max()) + 1
     return Dataset(samples=samples, true_labels=labels, assigned_labels=labels.copy(), num_classes=num_classes)

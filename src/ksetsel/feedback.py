@@ -239,7 +239,10 @@ def load_stream_csv(path) -> RiskStream:
         parts = ln.split(",")
         if len(parts) != n + 1:
             raise InputError(f"{path}: row {row_no} has {len(parts) - 1} values, expected {n}")
-        risks.append(RiskVector(np.array([float(v) for v in parts[1:]], dtype=np.float64)))
+        try:
+            risks.append(RiskVector(np.array([float(v) for v in parts[1:]], dtype=np.float64)))
+        except ValueError as exc:
+            raise InputError(f"{path}: row {row_no}: {exc}") from exc
     if not risks:
         raise InputError(f"{path}: stream has no epochs")
     return RiskStream(risks=risks, clean_masks=None)

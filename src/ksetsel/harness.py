@@ -222,10 +222,16 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         raise ConfigError(f"unknown mode {cfg.mode!r}; valid: {', '.join(_MODES)}")
     if not cfg.seeds:
         raise ConfigError("seeds list is empty")
+    if min(cfg.seeds) < 0 or cfg.data_seed < 0:
+        raise ConfigError(f"seeds must be >= 0, got seeds {list(cfg.seeds)} and data_seed {cfg.data_seed}")
+    if len(set(cfg.seeds)) != len(cfg.seeds):
+        raise ConfigError(f"seeds must be distinct, got {list(cfg.seeds)}")
     if not cfg.selectors:
         raise ConfigError("selector list is empty")
     if cfg.epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
+    if cfg.test_n is not None and cfg.test_n < 1:
+        raise ConfigError(f"test_n must be >= 1, got {cfg.test_n}")
     if cfg.dataset not in ("blobs", "idx", "csv"):
         raise ConfigError(f"dataset must be blobs, idx, or csv, got {cfg.dataset!r}")
     return cfg
@@ -260,6 +266,29 @@ def _require_out(cfg: ExperimentConfig) -> str:
     return cfg.out
 
 
+def _run_seeds(cfg: ExperimentConfig, out: str, inputs_for, run_one):
+    """Run every selector on one seed's inputs at a time, then write each selector's metrics CSV.
+
+    inputs_for(seed) builds a seed's inputs, dropped before the next
+    seed's.  run_one(inputs, strategy, seed) returns (metrics, extra),
+    seeded by (strategy, seed) alone.  The CSV is `out` for one
+    selector, `out_<selector>.csv` for several.  Returns
+    ({strategy: [(metrics, extra) per seed]}, {strategy: path}).
+    """
+    runs: dict[Strategy, list] = {strategy: [] for strategy in cfg.selectors}  # a repeated selector runs once
+    for seed in cfg.seeds:
+        inputs = inputs_for(seed)
+        for strategy, seed_runs in runs.items():
+            seed_runs.append(run_one(inputs, strategy, seed))
+        del inputs
+    paths = {}
+    for strategy, seed_runs in runs.items():
+        paths[strategy] = out if len(cfg.selectors) == 1 else _suffixed(out, strategy.value)
+        rows = [row for seed, (metrics, _) in zip(cfg.seeds, seed_runs) for row in _metrics_rows(seed, metrics)]
+        _write_csv(paths[strategy], METRICS_HEADER, rows)
+    return runs, paths
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -287,22 +316,6 @@ def _stream_for_seed(cfg: ExperimentConfig, seed: int) -> RiskStream:
     return generate_stream(spec)
 
 
-def _simulate_one(
-    stream: RiskStream, strategy: Strategy, k: int, eta: float, seed: int
-) -> tuple[list[EpochMetrics], float]:
-    """Run one selector over one stream; returns (metrics, best fixed k-set's total risk)."""
-    selector = OnlineSelector(SelectorConfig(strategy=strategy, k=k, eta=eta, seed=seed), stream.n)
-    masks = stream.clean_masks
-    nan = float("nan")
-
-    def feedback(epoch: int, selection: KSetSelection):
-        return stream.risks[epoch - 1], None if masks is None else masks[epoch - 1], nan, nan
-
-    metrics = run_epochs(selector, None, len(stream.risks), feedback)
-    sums = selector.cum.sums
-    return metrics, float(sums[top_k_smallest(sums, k).indices].sum())
-
-
 @dataclass
 class SimulateResult:
     reports: dict[Strategy, BoundReport]
@@ -312,34 +325,36 @@ class SimulateResult:
 def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
     """Replay each selector over identical streams and report bounds."""
     out = _require_out(cfg)
-    first_stream = _stream_for_seed(cfg, cfg.seeds[0])
-    n = first_stream.n
+    pending = [_stream_for_seed(cfg, cfg.seeds[0])]  # sizes the run; _run_seeds pops it for seed 0
+    n = pending[0].n
     k = cfg.resolve_k(n)
     eta = resolve_eta(cfg.eta_coefficient, k, cfg.epochs)
     if cfg.dump_stream:
-        dump_stream_csv(first_stream, cfg.dump_stream)
-
-    reports: dict[Strategy, BoundReport] = {}
-    paths: dict[Strategy, str] = {}
-    streams = {cfg.seeds[0]: first_stream}
-    for seed in cfg.seeds[1:]:
-        streams[seed] = _stream_for_seed(cfg, seed)
-
+        dump_stream_csv(pending[0], cfg.dump_stream)
     try:
         ceiling = regret_bound(n, k, cfg.epochs)
     except ParameterError:
         ceiling = float("nan")  # k = n: guarantee void
 
-    for strategy in cfg.selectors:
-        rows: list[str] = []
-        regrets, asrs, alphas = [], [], []
-        for seed in cfg.seeds:
-            metrics, best_total = _simulate_one(streams[seed], strategy, k, eta, seed)
-            rows.extend(_metrics_rows(seed, metrics))
-            regrets.append(metrics[-1].cum_regret)
-            asrs.append(sum(m.selection_risk for m in metrics) / cfg.epochs)
-            alphas.append(best_total / (k * cfg.epochs))
-        alpha = float(np.mean(alphas))
+    def run_one(stream: RiskStream, strategy: Strategy, seed: int) -> tuple[list[EpochMetrics], float]:
+        selector = OnlineSelector(SelectorConfig(strategy=strategy, k=k, eta=eta, seed=seed), stream.n)
+        masks = stream.clean_masks
+        nan = float("nan")
+
+        def feedback(epoch: int, selection: KSetSelection):
+            return stream.risks[epoch - 1], None if masks is None else masks[epoch - 1], nan, nan
+
+        metrics = run_epochs(selector, None, len(stream.risks), feedback)
+        sums = selector.cum.sums  # the best fixed k-set's total risk, from the exact final sums
+        return metrics, float(sums[top_k_smallest(sums, k).indices].sum())
+
+    runs, paths = _run_seeds(
+        cfg, out, lambda seed: pending.pop() if pending else _stream_for_seed(cfg, seed), run_one
+    )
+    reports: dict[Strategy, BoundReport] = {}
+    for strategy, seed_runs in runs.items():
+        metrics_by_seed, best_totals = zip(*seed_runs)
+        alpha = float(np.mean([total / (k * cfg.epochs) for total in best_totals]))
         try:
             risk_ceiling = avg_risk_bound(n, k, cfg.epochs, alpha)
         except ParameterError:
@@ -348,15 +363,14 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
             n=n,
             k=k,
             epochs=cfg.epochs,
-            empirical_regret=float(np.mean(regrets)),
-            empirical_avg_risk=float(np.mean(asrs)),
+            empirical_regret=float(np.mean([metrics[-1].cum_regret for metrics in metrics_by_seed])),
+            empirical_avg_risk=float(
+                np.mean([sum(m.selection_risk for m in metrics) / cfg.epochs for metrics in metrics_by_seed])
+            ),
             regret_ceiling=ceiling,
             alpha=alpha,
             avg_risk_ceiling=risk_ceiling,
         )
-        path = out if len(cfg.selectors) == 1 else _suffixed(out, strategy.value)
-        _write_csv(path, METRICS_HEADER, rows)
-        paths[strategy] = path
     return SimulateResult(reports=reports, csv_paths=paths)
 
 
@@ -410,9 +424,23 @@ def _train_cfg(cfg: ExperimentConfig, strategy: Strategy, k: int, eta: float, se
     )
 
 
+def _train_seeds(cfg: ExperimentConfig, out: str):
+    """Train every selector per seed; returns ({strategy: [last-10 (test acc, precision) per seed]}, paths)."""
+    train_base, test_set = _load_base_datasets(cfg)
+    k = cfg.resolve_k(train_base.n)
+    eta = resolve_eta(cfg.eta_coefficient, k, cfg.epochs)
+
+    def run_one(noisy: Dataset, strategy: Strategy, seed: int):
+        metrics = train_selective(noisy, test_set, _train_cfg(cfg, strategy, k, eta, seed)).metrics
+        last10 = _last10_mean([m.test_acc for m in metrics]), _last10_mean([m.label_precision for m in metrics])
+        return metrics, last10
+
+    runs, paths = _run_seeds(cfg, out, lambda seed: _noisy_copy(train_base, cfg, seed), run_one)
+    return {strategy: [last10 for _, last10 in seed_runs] for strategy, seed_runs in runs.items()}, paths
+
+
 def _last10_mean(values: list[float]) -> float:
-    tail = values[-10:] if len(values) >= 10 else values
-    return float(np.mean(tail))
+    return float(np.mean(values[-10:]))
 
 
 @dataclass
@@ -429,26 +457,10 @@ def run_train(cfg: ExperimentConfig) -> TrainModeResult:
     out = _require_out(cfg)
     if len(cfg.selectors) != 1:
         raise ConfigError("train mode takes exactly one selector")
-    strategy = cfg.selectors[0]
-    train_base, test_set = _load_base_datasets(cfg)
-    k = cfg.resolve_k(train_base.n)
-    eta = resolve_eta(cfg.eta_coefficient, k, cfg.epochs)
-
-    rows: list[str] = []
-    summary: dict[int, tuple[float, float]] = {}
-    for seed in cfg.seeds:
-        noisy = _noisy_copy(train_base, cfg, seed)
-        result = train_selective(noisy, test_set, _train_cfg(cfg, strategy, k, eta, seed))
-        rows.extend(_metrics_rows(seed, result.metrics))
-        summary[seed] = (
-            _last10_mean([m.test_acc for m in result.metrics]),
-            _last10_mean([m.label_precision for m in result.metrics]),
-        )
-    _write_csv(out, METRICS_HEADER, rows)
+    last10, _ = _train_seeds(cfg, out)
+    summary = dict(zip(cfg.seeds, last10[cfg.selectors[0]]))
     summary_path = _suffixed(out, "summary")
-    summary_rows = [
-        f"{seed},{_fmt(acc)},{_fmt(prec)}" for seed, (acc, prec) in sorted(summary.items())
-    ]
+    summary_rows = [f"{seed},{_fmt(acc)},{_fmt(prec)}" for seed, (acc, prec) in sorted(summary.items())]
     _write_csv(summary_path, "run_seed,last10_test_acc,last10_label_precision", summary_rows)
     return TrainModeResult(
         csv_path=out,
@@ -477,27 +489,9 @@ def run_ablate(cfg: ExperimentConfig) -> AblateResult:
     out = _require_out(cfg)
     if len(cfg.selectors) < 2:
         raise ConfigError("ablate mode needs at least two selectors")
-    train_base, test_set = _load_base_datasets(cfg)
-    k = cfg.resolve_k(train_base.n)
-    eta = resolve_eta(cfg.eta_coefficient, k, cfg.epochs)
-
-    noisy_by_seed = {seed: _noisy_copy(train_base, cfg, seed) for seed in cfg.seeds}
-    mean_acc: dict[Strategy, float] = {}
-    mean_prec: dict[Strategy, float] = {}
-    metric_paths: dict[Strategy, str] = {}
-    for strategy in cfg.selectors:
-        rows: list[str] = []
-        accs, precs = [], []
-        for seed in cfg.seeds:
-            result = train_selective(noisy_by_seed[seed], test_set, _train_cfg(cfg, strategy, k, eta, seed))
-            rows.extend(_metrics_rows(seed, result.metrics))
-            accs.append(_last10_mean([m.test_acc for m in result.metrics]))
-            precs.append(_last10_mean([m.label_precision for m in result.metrics]))
-        mean_acc[strategy] = float(np.mean(accs))
-        mean_prec[strategy] = float(np.mean(precs))
-        path = _suffixed(out, strategy.value)
-        _write_csv(path, METRICS_HEADER, rows)
-        metric_paths[strategy] = path
+    last10, metric_paths = _train_seeds(cfg, out)
+    mean_acc = {s: float(np.mean([acc for acc, _ in last10[s]])) for s in cfg.selectors}
+    mean_prec = {s: float(np.mean([prec for _, prec in last10[s]])) for s in cfg.selectors}
 
     best = max(cfg.selectors, key=lambda s: mean_acc[s])
     others = [s for s in cfg.selectors if s is not Strategy.FPL]

@@ -1,6 +1,7 @@
 """Datasets, label-noise injection, and IDX/CSV ingestion."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,22 @@ class TestLoadIdx:
         np.testing.assert_array_equal(data.true_labels, labels)
         np.testing.assert_array_equal(data.assigned_labels, labels)
         assert data.num_classes == int(labels.max()) + 1
+
+    def test_scaling_matches_out_of_place_division(self, tmp_path):
+        ipath, lpath, images, _ = self.make_pair(tmp_path, count=2000, rows=28, cols=28)
+        data = load_idx(ipath, lpath)
+        np.testing.assert_array_equal(data.samples, images.reshape(2000, 784) / 255.0)
+
+    def test_peak_memory_is_one_float_copy(self, tmp_path):
+        ipath, lpath, *_ = self.make_pair(tmp_path, count=2000, rows=28, cols=28)
+        tracemalloc.start()
+        try:
+            data = load_idx(ipath, lpath)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The float64 samples plus the raw u8 bytes (1/8 of them); no second float copy.
+        assert peak <= 1.25 * data.samples.nbytes
 
     def test_wrong_image_magic(self, tmp_path):
         ipath, lpath, *_ = self.make_pair(tmp_path)

@@ -247,6 +247,12 @@ class TestStreamCsv:
         with pytest.raises(InputError):
             load_stream_csv(path)
 
+    def test_non_numeric_value_names_file_and_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("epoch,theta_0,theta_1\n1,0.5,0.5\n2,abc,0.5\n")
+        with pytest.raises(InputError, match=r"bad\.csv: row 3: .*abc"):
+            load_stream_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -1,10 +1,12 @@
 """Experiment harness: config parsing, run modes, CSV outputs, CLI."""
 
 import dataclasses
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ksetsel
+from ksetsel import harness
 from ksetsel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from ksetsel.datasets import make_blobs, save_csv_dataset
 from ksetsel.errors import ConfigError
@@ -404,6 +407,74 @@ class TestRunAblate:
             run_ablate(cfg)
 
 
+def sim_cfg(tmp_path, **over):
+    base = dict(
+        mode="simulate", out=str(tmp_path / "sim.csv"), seeds=(0, 1, 2), selectors=tuple(Strategy),
+        stream="planted", n=60, k=12, epochs=6, eta_coefficient=0.05,
+    )
+    base.update(over)
+    return ExperimentConfig(**base)
+
+
+def ablate_cfg(tmp_path, **over):
+    base = dict(mode="ablate", out=str(tmp_path / "cmp.csv"), seeds=(0, 1, 2), selectors=tuple(Strategy))
+    base.update(over)
+    return tiny_train_cfg(tmp_path, **base)
+
+
+class TestSeedBySeedRuns:
+    """simulate, train and ablate run seed by seed through `_run_seeds`."""
+
+    @pytest.mark.parametrize(
+        "builder, make_cfg, run",
+        [("_stream_for_seed", sim_cfg, run_simulate), ("_noisy_copy", ablate_cfg, run_ablate)],
+    )
+    def test_one_seed_inputs_alive_at_a_time(self, tmp_path, monkeypatch, builder, make_cfg, run):
+        real = getattr(harness, builder)
+        refs, alive_at_build = [], []
+
+        def tracked(*args):
+            gc.collect()
+            alive_at_build.append(sum(ref() is not None for ref in refs))
+            inputs = real(*args)
+            refs.append(weakref.ref(inputs))
+            return inputs
+
+        monkeypatch.setattr(harness, builder, tracked)
+        run(make_cfg(tmp_path))
+        assert alive_at_build == [0, 0, 0]
+
+    @pytest.mark.parametrize("make_cfg, run", [(sim_cfg, run_simulate), (ablate_cfg, run_ablate)])
+    def test_multi_seed_rows_equal_single_seed_runs(self, tmp_path, make_cfg, run):
+        dirs = {seeds: tmp_path / "_".join(map(str, seeds)) for seeds in ((0, 1, 2), (0,), (1,), (2,))}
+        for seeds, out_dir in dirs.items():
+            out_dir.mkdir()
+            run(make_cfg(out_dir, seeds=seeds))
+        for strategy in Strategy:
+            name = Path(make_cfg(tmp_path).out).stem + f"_{strategy.value}.csv"
+            joined = [row for seed in (0, 1, 2) for row in read_rows(dirs[(seed,)] / name)[1]]
+            assert drop_wall(read_rows(dirs[(0, 1, 2)] / name)[1]) == drop_wall(joined), strategy
+
+    @pytest.mark.parametrize(
+        "runner, make_cfg, run",
+        [("run_epochs", sim_cfg, run_simulate), ("train_selective", ablate_cfg, run_ablate)],
+    )
+    def test_failed_run_writes_no_metrics(self, tmp_path, monkeypatch, runner, make_cfg, run):
+        real = getattr(harness, runner)
+        calls = []
+
+        def fails_second(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ConfigError("second run fails")
+            return real(*args)
+
+        monkeypatch.setattr(harness, runner, fails_second)
+        with pytest.raises(ConfigError, match="second run fails"):
+            run(make_cfg(tmp_path, seeds=(0,)))
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRunGrid:
     def test_scans_full_grid_and_picks_max(self, tmp_path):
         cfg = tiny_train_cfg(
@@ -592,6 +663,34 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[fpl]" in out
         assert "metrics:" in out
+
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            ("seeds = 0, -1\n", [], "seeds must be >= 0"),
+            ("", ["--seed", "-3"], "seeds must be >= 0"),
+            ("data_seed = -1\n", [], "seeds must be >= 0"),
+            ("seeds = 0, 0\n", [], "seeds must be distinct"),
+            ("test_n = 0\n", [], "test_n must be >= 1"),
+        ],
+    )
+    def test_bad_seeds_and_test_n_exit_one(self, tmp_path, capsys, text, flags, message):
+        path = tmp_path / "run.cfg"
+        path.write_text("n = 120\ndim = 4\nclasses = 3\nhidden = 8\nepochs = 2\nk_frac = 0.5\n" + text)
+        for mode in ("simulate", "train"):
+            code = main([mode, "--config", str(path), "--out", str(tmp_path / "m.csv"), *flags])
+            assert code == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_non_numeric_stream_csv_exit_two(self, tmp_path, capsys):
+        stream = tmp_path / "stream.csv"
+        stream.write_text("epoch,theta_0,theta_1\n1,0.5,abc\n")
+        path = tmp_path / "run.cfg"
+        path.write_text(f"stream = csv\nstream_csv = {stream}\nk = 1\nepochs = 1\nout = {tmp_path / 'm.csv'}\n")
+        assert main(["simulate", "--config", str(path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "stream.csv: row 2" in err
 
     def test_bad_noise_flag_exit_one(self, capsys):
         assert main(["train", "--noise", "weird:1", "--k-frac", "0.3"]) == EXIT_CONFIG
