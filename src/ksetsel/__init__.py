@@ -45,15 +45,11 @@ from .feedback import (
     RiskStream,
     StreamKind,
     StreamSpec,
-    drifting_stream,
     dump_stream_csv,
-    ftl_adversary,
     generate_stream,
     load_stream_csv,
     noise_risk,
     noise_risk_scores,
-    planted_stream,
-    uniform_random_stream,
 )
 from .mlp import MlpModel, backward, evaluate, forward, init_mlp, train_epoch
 from .selection import (

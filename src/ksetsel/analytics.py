@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, ParameterError
-from .selection import CumulativeRisk, KSetSelection, RiskVector, top_k_smallest
+from .selection import CumulativeRisk, KSetSelection, RiskVector, hindsight_best
 
 __all__ = [
     "SelectionTrace",
@@ -123,7 +123,7 @@ def total_selection_risk(trace: SelectionTrace) -> float:
 def regret(trace: SelectionTrace) -> float:
     """Total selection risk minus the best fixed k-set's total risk."""
     cum = trace.summed_risks()
-    best = top_k_smallest(cum.sums, trace.k)
+    best = hindsight_best(cum, trace.k)
     return total_selection_risk(trace) - float(cum.sums[best.indices].sum())
 
 

@@ -32,10 +32,6 @@ __all__ = [
     "StreamKind",
     "StreamSpec",
     "RiskStream",
-    "planted_stream",
-    "drifting_stream",
-    "uniform_random_stream",
-    "ftl_adversary",
     "generate_stream",
     "dump_stream_csv",
     "load_stream_csv",
@@ -156,57 +152,26 @@ def _planted(spec: StreamSpec, drift_period: int | None) -> RiskStream:
     return RiskStream(risks=risks, clean_masks=masks)
 
 
-def planted_stream(spec: StreamSpec) -> RiskStream:
-    """Stream with a fixed low-risk subset of round(clean_fraction * n) indices."""
-    return _planted(spec, drift_period=None)
-
-
-def drifting_stream(spec: StreamSpec) -> RiskStream:
-    """Planted stream whose low-risk subset is re-drawn every drift_period epochs.
-
-    With drift_period >= epochs the subset is drawn once and the
-    output is identical to planted_stream under the same spec.
-    """
-    if spec.drift_period is None or spec.drift_period < 1:
-        raise ParameterError("drifting stream needs drift_period >= 1")
-    return _planted(spec, drift_period=spec.drift_period)
-
-
-def uniform_random_stream(n: int, epochs: int, seed: int) -> RiskStream:
-    """iid Uniform[0, 1] risks; no structure for a selector to find."""
-    if n < 1 or epochs < 1:
-        raise ParameterError(f"need n >= 1 and epochs >= 1, got n={n}, epochs={epochs}")
-    rng = np.random.default_rng(seed)
-    risks = [RiskVector(rng.uniform(0.0, 1.0, size=n)) for _ in range(epochs)]
-    return RiskStream(risks=risks, clean_masks=None)
-
-
-def ftl_adversary(epochs: int) -> RiskStream:
-    """Two-index stream that defeats the unperturbed leader.
-
-    theta_1 = (0.5, 0), then even epochs charge index 1 and odd epochs
-    charge index 0.  Under the smaller-index tie rule the leader flips
-    onto the charged index every epoch and accrues risk linear in the
-    horizon, while the best fixed index stays near half of it.
-    """
-    if epochs < 1:
-        raise ParameterError(f"epochs must be >= 1, got {epochs}")
-    risks = [RiskVector(np.array([0.5, 0.0]))]
-    for t in range(2, epochs + 1):
-        risks.append(RiskVector(np.array([0.0, 1.0]) if t % 2 == 0 else np.array([1.0, 0.0])))
-    return RiskStream(risks=risks, clean_masks=None)
-
-
 def generate_stream(spec: StreamSpec) -> RiskStream:
-    """Build the stream described by spec."""
+    """Build the stream described by spec; StreamSpec has checked its parameters.
+
+    A drifting stream with drift_period >= epochs equals the planted
+    stream of the same spec.  The adversary starts at theta_1 = (0.5, 0),
+    then charges index 1 on even epochs and index 0 on odd ones: under
+    the smaller-index tie rule the leader flips onto the charged index
+    every epoch and accrues risk linear in the horizon, while the best
+    fixed index stays near half of it.
+    """
     if spec.kind is StreamKind.UNIFORM:
-        return uniform_random_stream(spec.n, spec.epochs, spec.seed)
+        rng = np.random.default_rng(spec.seed)
+        return RiskStream(risks=[RiskVector(rng.uniform(0.0, 1.0, size=spec.n)) for _ in range(spec.epochs)])
     if spec.kind is StreamKind.PLANTED:
-        return planted_stream(spec)
+        return _planted(spec, drift_period=None)
     if spec.kind is StreamKind.DRIFTING:
-        return drifting_stream(spec)
+        return _planted(spec, drift_period=spec.drift_period)
     if spec.kind is StreamKind.ADVERSARY:
-        return ftl_adversary(spec.epochs)
+        thetas = [[0.5, 0.0]] + [[0.0, 1.0] if t % 2 == 0 else [1.0, 0.0] for t in range(2, spec.epochs + 1)]
+        return RiskStream(risks=[RiskVector(np.array(theta)) for theta in thetas])
     raise ParameterError(f"unknown stream kind {spec.kind!r}")  # pragma: no cover
 
 

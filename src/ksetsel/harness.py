@@ -38,7 +38,7 @@ from .feedback import (
     noise_risk_scores,
 )
 from .mlp import evaluate, init_mlp, predict_batch, train_epoch
-from .selection import KSetSelection, RiskVector, SelectorConfig, Strategy, top_k_smallest
+from .selection import KSetSelection, RiskVector, SelectorConfig, Strategy
 from .training import EpochMetrics, OnlineSelector, TrainConfig, run_epochs, train_selective
 
 __all__ = [
@@ -57,7 +57,7 @@ __all__ = [
     "run_bounds",
 ]
 
-METRICS_HEADER = "run_seed,epoch,selection_risk,cum_regret,label_precision,train_acc,test_acc,wall_ms"
+METRICS_HEADER = ",".join(["run_seed"] + [f.name for f in dataclasses.fields(EpochMetrics)])
 ETA_COEFFICIENT_GRID = (1e-4, 5e-4, 1e-3, 5e-3)
 VALIDATE_RISK_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
 _MODES = ("simulate", "train", "ablate", "grid", "validate-risk", "bounds")
@@ -244,7 +244,6 @@ def _fmt(value) -> str:
 
 
 def _metrics_rows(run_seed: int, metrics: list[EpochMetrics]) -> list[str]:
-    # EpochMetrics fields are in METRICS_HEADER order after run_seed.
     return [",".join(_fmt(v) for v in (run_seed, *dataclasses.astuple(m))) for m in metrics]
 
 
@@ -293,10 +292,6 @@ def _run_seeds(cfg: ExperimentConfig, out: str, inputs_for, run_one):
 
 
 def _stream_for_seed(cfg: ExperimentConfig, seed: int) -> RiskStream:
-    if cfg.stream == "csv":
-        if not cfg.stream_csv:
-            raise ConfigError("stream = csv needs stream_csv = PATH")
-        return load_stream_csv(cfg.stream_csv)
     try:
         kind = StreamKind(cfg.stream)
     except ValueError:
@@ -323,16 +318,25 @@ class SimulateResult:
 
 
 def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
-    """Replay each selector over identical streams and report bounds."""
+    """Replay each selector over identical streams and report bounds.
+
+    n and T are the stream's: a replayed csv stream sets both and is
+    read once for every seed; a generated stream is built per seed.
+    """
     out = _require_out(cfg)
-    pending = [_stream_for_seed(cfg, cfg.seeds[0])]  # sizes the run; _run_seeds pops it for seed 0
-    n = pending[0].n
+    if cfg.stream == "csv":
+        if not cfg.stream_csv:
+            raise ConfigError("stream = csv needs stream_csv = PATH")
+        pending = [load_stream_csv(cfg.stream_csv)] * len(cfg.seeds)  # one read; each seed pops the same stream
+    else:
+        pending = [_stream_for_seed(cfg, cfg.seeds[0])]  # sizes the run; _run_seeds pops it for seed 0
+    n, epochs = pending[0].n, pending[0].epochs
     k = cfg.resolve_k(n)
-    eta = resolve_eta(cfg.eta_coefficient, k, cfg.epochs)
+    eta = resolve_eta(cfg.eta_coefficient, k, epochs)
     if cfg.dump_stream:
         dump_stream_csv(pending[0], cfg.dump_stream)
     try:
-        ceiling = regret_bound(n, k, cfg.epochs)
+        ceiling = regret_bound(n, k, epochs)
     except ParameterError:
         ceiling = float("nan")  # k = n: guarantee void
 
@@ -344,9 +348,7 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
         def feedback(epoch: int, selection: KSetSelection):
             return stream.risks[epoch - 1], None if masks is None else masks[epoch - 1], nan, nan
 
-        metrics = run_epochs(selector, None, len(stream.risks), feedback)
-        sums = selector.cum.sums  # the best fixed k-set's total risk, from the exact final sums
-        return metrics, float(sums[top_k_smallest(sums, k).indices].sum())
+        return run_epochs(selector, None, epochs, feedback), selector.best_total
 
     runs, paths = _run_seeds(
         cfg, out, lambda seed: pending.pop() if pending else _stream_for_seed(cfg, seed), run_one
@@ -354,18 +356,18 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
     reports: dict[Strategy, BoundReport] = {}
     for strategy, seed_runs in runs.items():
         metrics_by_seed, best_totals = zip(*seed_runs)
-        alpha = float(np.mean([total / (k * cfg.epochs) for total in best_totals]))
+        alpha = float(np.mean([total / (k * epochs) for total in best_totals]))
         try:
-            risk_ceiling = avg_risk_bound(n, k, cfg.epochs, alpha)
+            risk_ceiling = avg_risk_bound(n, k, epochs, alpha)
         except ParameterError:
             alpha, risk_ceiling = None, None
         reports[strategy] = BoundReport(
             n=n,
             k=k,
-            epochs=cfg.epochs,
+            epochs=epochs,
             empirical_regret=float(np.mean([metrics[-1].cum_regret for metrics in metrics_by_seed])),
             empirical_avg_risk=float(
-                np.mean([sum(m.selection_risk for m in metrics) / cfg.epochs for metrics in metrics_by_seed])
+                np.mean([sum(m.selection_risk for m in metrics) / epochs for metrics in metrics_by_seed])
             ),
             regret_ceiling=ceiling,
             alpha=alpha,

@@ -206,8 +206,16 @@ def fpl_select(cum: CumulativeRisk, k: int, eta: float, rng: np.random.Generator
 
 
 def ftl_select(cum: CumulativeRisk, k: int) -> KSetSelection:
-    """Plain leader: k smallest cumulative sums, no perturbation."""
+    """Plain leader: k smallest cumulative sums, no perturbation.
+
+    This is also the best fixed k-set in hindsight (hindsight_best):
+    the objective is linear in the selection, so the optimum over all
+    C(n, k) subsets is just the bottom-k of the cumulative sums.
+    """
     return top_k_smallest(cum.sums, k)
+
+
+hindsight_best = ftl_select
 
 
 def greedy_select(last: RiskVector, k: int) -> KSetSelection:
@@ -219,17 +227,8 @@ def greedy_select(last: RiskVector, k: int) -> KSetSelection:
     return top_k_smallest(last.values, k)
 
 
-def hindsight_best(cum: CumulativeRisk, k: int) -> KSetSelection:
-    """Best fixed k-set in hindsight.
-
-    The objective is linear in the selection, so the optimum over all
-    C(n, k) subsets is just the bottom-k of the cumulative sums.
-    """
-    return top_k_smallest(cum.sums, k)
-
-
-def init_selection(n: int, k: int, seed: int) -> KSetSelection:
-    """Uniformly random k-subset of [0, n), used before any feedback."""
+def init_selection(n: int, k: int, seed: int | np.random.Generator) -> KSetSelection:
+    """Uniformly random k-subset of [0, n); a Generator seed is drawn from in place."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if not 1 <= k <= n:

@@ -41,7 +41,6 @@ from .selection import (
     ftl_select,
     greedy_select,
     init_selection,
-    top_k_smallest,
 )
 
 __all__ = [
@@ -57,7 +56,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for one training run."""
+    """Knobs for one training run; SelectorConfig holds the k and eta rules."""
 
     strategy: Strategy
     k: int
@@ -69,16 +68,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
+        self.selector_config()
         if self.epochs < 1:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
-        if not (np.isfinite(self.eta) and self.eta >= 0.0):
-            raise ParameterError(f"eta must be finite and >= 0, got {self.eta}")
         if self.hidden < 1 or self.batch_size < 1:
             raise ParameterError("hidden and batch_size must be >= 1")
         if not (np.isfinite(self.lr) and self.lr >= 0.0):
             raise ParameterError(f"lr must be finite and >= 0, got {self.lr}")
+
+    def selector_config(self) -> SelectorConfig:
+        return SelectorConfig(strategy=self.strategy, k=self.k, eta=self.eta, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -111,6 +110,10 @@ class OnlineSelector:
     symmetry of the perturbation), greedy picks init_selection(n, k,
     seed) and random draws from the RNG.  The RNG defaults to one
     seeded from cfg.seed.
+
+    best_total is the total risk of the best fixed k-set in hindsight
+    over the epochs observed so far, i.e. of the leader's k-set; only
+    the float is kept, not the set.
     """
 
     def __init__(self, cfg: SelectorConfig, n: int, rng: np.random.Generator | None = None):
@@ -120,6 +123,7 @@ class OnlineSelector:
         self.rng = np.random.default_rng(cfg.seed) if rng is None else rng
         self.cum = CumulativeRisk.zeros(n)
         self.last: RiskVector | None = None
+        self.best_total = 0.0
 
     def select(self) -> KSetSelection:
         cfg = self.cfg
@@ -132,20 +136,19 @@ class OnlineSelector:
                 return init_selection(self.n, cfg.k, cfg.seed)
             return greedy_select(self.last, cfg.k)
         if cfg.strategy is Strategy.RANDOM:
-            idx = self.rng.choice(self.n, size=cfg.k, replace=False)
-            idx.sort()
-            return KSetSelection(idx.astype(np.int64))
+            return init_selection(self.n, cfg.k, self.rng)
         raise ParameterError(f"unknown strategy {cfg.strategy!r}")  # pragma: no cover
 
     def observe(self, theta: RiskVector) -> None:
         self.cum = accumulate(self.cum, theta)
         self.last = theta
+        self.best_total = float(self.cum.sums[ftl_select(self.cum, self.cfg.k).indices].sum())
 
 
 def run_epochs(
     selector: OnlineSelector, first: KSetSelection | None, epochs: int, feedback: Callable
 ) -> list[EpochMetrics]:
-    """The epoch loop: select, reveal theta_t, observe, then prefix regret.
+    """The epoch loop: select, reveal theta_t, observe, then prefix regret against best_total.
 
     feedback(epoch, selection) returns (theta_t as a RiskVector, the
     clean mask or None, train accuracy, test accuracy).  Epoch 1 uses
@@ -162,13 +165,11 @@ def run_epochs(
         selector.observe(theta)  # first: it rejects a theta of the wrong length
         risk = float(theta.values[selection.indices].sum())
         spent += risk
-        sums = selector.cum.sums
-        cum_regret = spent - float(sums[top_k_smallest(sums, selection.k).indices].sum())
         metrics.append(
             EpochMetrics(
                 epoch=epoch,
                 selection_risk=risk,
-                cum_regret=cum_regret,
+                cum_regret=spent - selector.best_total,
                 label_precision=float("nan") if clean_mask is None else label_precision(selection, clean_mask),
                 train_acc=train_acc,
                 test_acc=test_acc,
@@ -204,11 +205,7 @@ def train_selective(dataset: Dataset, test_set: Dataset | None, cfg: TrainConfig
     class count.
     """
     seeds = np.random.SeedSequence(cfg.seed).spawn(4)
-    selector = OnlineSelector(
-        SelectorConfig(strategy=cfg.strategy, k=cfg.k, eta=cfg.eta, seed=cfg.seed),
-        dataset.n,
-        rng=np.random.default_rng(seeds[2]),
-    )
+    selector = OnlineSelector(cfg.selector_config(), dataset.n, rng=np.random.default_rng(seeds[2]))
     if test_set is not None and (test_set.dim != dataset.dim or test_set.num_classes != dataset.num_classes):
         raise InputError("test set shape or class count does not match the training set")
 

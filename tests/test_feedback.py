@@ -14,15 +14,11 @@ from ksetsel.feedback import (
     RiskStream,
     StreamKind,
     StreamSpec,
-    drifting_stream,
     dump_stream_csv,
-    ftl_adversary,
     generate_stream,
     load_stream_csv,
     noise_risk,
     noise_risk_scores,
-    planted_stream,
-    uniform_random_stream,
 )
 from ksetsel.selection import SelectorConfig, Strategy, top_k_smallest
 from ksetsel.training import select_sequence
@@ -79,27 +75,27 @@ class TestNoiseRisk:
 class TestPlantedStream:
     def test_deterministic(self):
         spec = StreamSpec(kind=StreamKind.PLANTED, n=30, epochs=20, seed=9)
-        a, b = planted_stream(spec), planted_stream(spec)
+        a, b = generate_stream(spec), generate_stream(spec)
         for ra, rb in zip(a.risks, b.risks):
             np.testing.assert_array_equal(ra.values, rb.values)
         np.testing.assert_array_equal(a.clean_masks, b.clean_masks)
 
     def test_clean_count_and_constant_mask(self):
         spec = StreamSpec(kind=StreamKind.PLANTED, n=40, epochs=12, seed=3, clean_fraction=0.25)
-        stream = planted_stream(spec)
+        stream = generate_stream(spec)
         assert stream.clean_masks.shape == (12, 40)
         assert (stream.clean_masks.sum(axis=1) == 10).all()
         assert (stream.clean_masks == stream.clean_masks[0]).all()
 
     def test_clean_fraction_one_tracks_low_mean(self):
         spec = StreamSpec(kind=StreamKind.PLANTED, n=50, epochs=100, seed=5, clean_fraction=1.0)
-        stream = planted_stream(spec)
+        stream = generate_stream(spec)
         late = np.mean([r.values.mean() for r in stream.risks[-20:]])
         assert late < 0.12  # mean has converged near 0.05
 
     def test_means_separate_after_warmup(self):
         spec = StreamSpec(kind=StreamKind.PLANTED, n=200, epochs=80, seed=6, clean_fraction=0.5)
-        stream = planted_stream(spec)
+        stream = generate_stream(spec)
         mask = stream.clean_masks[0]
         late = np.mean([r.values[mask].mean() for r in stream.risks[-20:]])
         late_noisy = np.mean([r.values[~mask].mean() for r in stream.risks[-20:]])
@@ -107,12 +103,12 @@ class TestPlantedStream:
 
     def test_values_in_unit_interval(self):
         spec = StreamSpec(kind=StreamKind.PLANTED, n=64, epochs=40, seed=7, noise_scale=0.5)
-        for theta in planted_stream(spec).risks:
+        for theta in generate_stream(spec).risks:
             assert theta.values.min() >= 0.0 and theta.values.max() <= 1.0
 
     def test_hindsight_prefers_planted_indices(self):
         spec = StreamSpec(kind=StreamKind.PLANTED, n=100, epochs=200, seed=8, clean_fraction=0.5)
-        stream = planted_stream(spec)
+        stream = generate_stream(spec)
         totals = np.sum([r.values for r in stream.risks], axis=0)
         best = top_k_smallest(totals, 50)
         overlap = stream.clean_masks[0][best.indices].mean()
@@ -122,15 +118,15 @@ class TestPlantedStream:
 class TestDriftingStream:
     def test_period_beyond_horizon_equals_planted(self):
         base = dict(n=30, epochs=25, seed=4, clean_fraction=0.4)
-        planted = planted_stream(StreamSpec(kind=StreamKind.PLANTED, **base))
-        drifting = drifting_stream(StreamSpec(kind=StreamKind.DRIFTING, drift_period=25, **base))
+        planted = generate_stream(StreamSpec(kind=StreamKind.PLANTED, **base))
+        drifting = generate_stream(StreamSpec(kind=StreamKind.DRIFTING, drift_period=25, **base))
         for ra, rb in zip(planted.risks, drifting.risks):
             np.testing.assert_array_equal(ra.values, rb.values)
         np.testing.assert_array_equal(planted.clean_masks, drifting.clean_masks)
 
     def test_mask_redraws_on_period(self):
         spec = StreamSpec(kind=StreamKind.DRIFTING, n=100, epochs=30, seed=4, drift_period=10)
-        stream = drifting_stream(spec)
+        stream = generate_stream(spec)
         masks = stream.clean_masks
         assert (masks[0] == masks[9]).all()
         assert not (masks[9] == masks[10]).all()  # redraw boundary
@@ -138,10 +134,10 @@ class TestDriftingStream:
     def test_fast_drift_flattens_hindsight_advantage(self):
         # With per-epoch redraws no fixed selection stays lucky for long.
         n, epochs, k = 100, 200, 30
-        fast = drifting_stream(
+        fast = generate_stream(
             StreamSpec(kind=StreamKind.DRIFTING, n=n, epochs=epochs, seed=2, drift_period=1)
         )
-        slow = planted_stream(StreamSpec(kind=StreamKind.PLANTED, n=n, epochs=epochs, seed=2))
+        slow = generate_stream(StreamSpec(kind=StreamKind.PLANTED, n=n, epochs=epochs, seed=2))
         def best_ratio(stream):
             totals = np.sum([r.values for r in stream.risks], axis=0)
             best = totals[top_k_smallest(totals, k).indices].sum()
@@ -157,37 +153,37 @@ class TestDriftingStream:
 
 class TestUniformStream:
     def test_deterministic(self):
-        a = uniform_random_stream(20, 10, seed=1)
-        b = uniform_random_stream(20, 10, seed=1)
+        a = generate_stream(StreamSpec(kind=StreamKind.UNIFORM, n=20, epochs=10, seed=1))
+        b = generate_stream(StreamSpec(kind=StreamKind.UNIFORM, n=20, epochs=10, seed=1))
         for ra, rb in zip(a.risks, b.risks):
             np.testing.assert_array_equal(ra.values, rb.values)
 
     def test_concentration(self):
-        stream = uniform_random_stream(1000, 1000, seed=2)
+        stream = generate_stream(StreamSpec(kind=StreamKind.UNIFORM, n=1000, epochs=1000, seed=2))
         values = np.stack([r.values for r in stream.risks])
         assert abs(values.mean() - 0.5) < 0.005
         assert abs(values.var() - 1.0 / 12.0) < 0.005
 
     def test_no_clean_mask(self):
-        assert uniform_random_stream(5, 5, seed=0).clean_masks is None
+        assert generate_stream(StreamSpec(kind=StreamKind.UNIFORM, n=5, epochs=5, seed=0)).clean_masks is None
 
     def test_bad_sizes(self):
         with pytest.raises(ParameterError):
-            uniform_random_stream(0, 5, seed=0)
+            generate_stream(StreamSpec(kind=StreamKind.UNIFORM, n=0, epochs=5, seed=0))
         with pytest.raises(ParameterError):
-            uniform_random_stream(5, 0, seed=0)
+            generate_stream(StreamSpec(kind=StreamKind.UNIFORM, n=5, epochs=0, seed=0))
 
 
 class TestFtlAdversary:
     def test_first_and_alternating_vectors(self):
-        stream = ftl_adversary(5)
+        stream = generate_stream(StreamSpec(kind=StreamKind.ADVERSARY, n=2, epochs=5))
         assert stream.risks[0].values.tolist() == [0.5, 0.0]
         assert stream.risks[1].values.tolist() == [0.0, 1.0]
         assert stream.risks[2].values.tolist() == [1.0, 0.0]
         assert stream.risks[3].values.tolist() == [0.0, 1.0]
 
     def test_leader_flips_every_epoch_and_pays(self):
-        stream = ftl_adversary(100)
+        stream = generate_stream(StreamSpec(kind=StreamKind.ADVERSARY, n=2, epochs=100))
         cfg = SelectorConfig(strategy=Strategy.NAIVE, k=1)
         sels = select_sequence(stream.risks, cfg)
         per_epoch = [float(r.values[s.indices].sum()) for s, r in zip(sels, stream.risks)]
@@ -195,7 +191,7 @@ class TestFtlAdversary:
         assert all(v == 1.0 for v in per_epoch[1:])
 
     def test_leader_regret_grows_linearly(self):
-        stream = ftl_adversary(500)
+        stream = generate_stream(StreamSpec(kind=StreamKind.ADVERSARY, n=2, epochs=500))
         cfg = SelectorConfig(strategy=Strategy.NAIVE, k=1)
         trace = SelectionTrace(select_sequence(stream.risks, cfg), stream.risks)
         assert regret(trace) >= 0.4 * 500
@@ -221,7 +217,7 @@ class TestGenerateStream:
 
 class TestStreamCsv:
     def test_roundtrip_is_exact(self, tmp_path):
-        stream = planted_stream(StreamSpec(kind=StreamKind.PLANTED, n=13, epochs=9, seed=12))
+        stream = generate_stream(StreamSpec(kind=StreamKind.PLANTED, n=13, epochs=9, seed=12))
         path = tmp_path / "stream.csv"
         dump_stream_csv(stream, path)
         loaded = load_stream_csv(path)
@@ -230,7 +226,7 @@ class TestStreamCsv:
             np.testing.assert_array_equal(ra.values, rb.values)
 
     def test_header_format(self, tmp_path):
-        stream = uniform_random_stream(3, 2, seed=0)
+        stream = generate_stream(StreamSpec(kind=StreamKind.UNIFORM, n=3, epochs=2, seed=0))
         path = tmp_path / "s.csv"
         dump_stream_csv(stream, path)
         assert path.read_text().splitlines()[0] == "epoch,theta_0,theta_1,theta_2"

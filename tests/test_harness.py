@@ -366,6 +366,34 @@ class TestRunSimulate:
         b = second.reports[Strategy.NAIVE]
         assert a.empirical_regret == pytest.approx(b.empirical_regret, abs=1e-12)
 
+    def test_replay_takes_n_and_epochs_from_the_file(self, tmp_path):
+        dump = tmp_path / "stream.csv"
+        base = dict(mode="simulate", seeds=(3,), selectors=tuple(Strategy), k_frac=0.2, eta_coefficient=0.05)
+        first = run_simulate(ExperimentConfig(
+            out=str(tmp_path / "a.csv"), stream="planted", n=30, epochs=10, dump_stream=str(dump), **base
+        ))
+        # n and epochs keep their defaults (2000 and 100); the 30 x 10 file decides both
+        second = run_simulate(ExperimentConfig(out=str(tmp_path / "b.csv"), stream="csv", stream_csv=str(dump), **base))
+        for strategy in Strategy:
+            assert second.reports[strategy].lines() == first.reports[strategy].lines(), strategy
+            _, a_rows = read_rows(Path(first.csv_paths[strategy]))
+            _, b_rows = read_rows(Path(second.csv_paths[strategy]))
+            assert [r.split(",")[:4] for r in b_rows] == [r.split(",")[:4] for r in a_rows], strategy
+        assert "T=10" in first.reports[Strategy.FPL].lines()[0]
+
+    def test_replayed_file_is_read_once_per_run(self, tmp_path, monkeypatch):
+        dump = tmp_path / "stream.csv"
+        run_simulate(sim_cfg(tmp_path, seeds=(0,), dump_stream=str(dump)))
+        calls = []
+
+        def counted(path):
+            calls.append(path)
+            return load_stream_csv(path)
+
+        monkeypatch.setattr(harness, "load_stream_csv", counted)
+        run_simulate(sim_cfg(tmp_path, stream="csv", stream_csv=str(dump)))
+        assert calls == [str(dump)]
+
 
 class TestRunAblate:
     def test_winner_flag_matches_accuracy(self, tmp_path):

@@ -1,6 +1,7 @@
 """End-to-end selective training loop."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -208,3 +209,25 @@ class TestRunEpochs:
         # epoch 2 is the selector's own pick: the leader over epoch 1's risks
         assert seen[1] == sorted(np.argsort(risks[0].values, kind="stable")[:3].tolist())
         assert [(m.label_precision, m.train_acc, m.test_acc) for m in metrics] == [(1.0, 0.5, 0.25)] * 3
+
+    @pytest.mark.parametrize("strategy", [Strategy.FPL, Strategy.NAIVE])
+    def test_long_horizon_regret_matches_an_fsum_oracle(self, strategy):
+        n, k, epochs = 64, 16, 5000
+        risks = uniform_risks(n, epochs, 11)
+        charged = []
+
+        def feedback(epoch, selection):
+            charged.append(risks[epoch - 1].values[selection.indices])
+            return risks[epoch - 1], None, float("nan"), float("nan")
+
+        cfg = SelectorConfig(strategy=strategy, k=k, eta=math.sqrt(k * epochs), seed=3)
+        final = run_epochs(OnlineSelector(cfg, n), None, epochs, feedback)[-1].cum_regret
+        spent = math.fsum(float(v) for values in charged for v in values)
+        index_totals = sorted(math.fsum(float(r.values[i]) for r in risks) for i in range(n))
+        best = math.fsum(index_totals[:k])
+        # Recursive summation of m non-negative terms errs by at most about
+        # m * eps/2 times their sum; every total here has at most epochs + k
+        # terms, and picking a rounding-tied set costs at most twice that.
+        bound = (epochs + k) * np.finfo(np.float64).eps * (spent + best)
+        assert abs(final - (spent - best)) <= bound
+        assert bound < 1e-6
