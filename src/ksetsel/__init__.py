@@ -50,6 +50,7 @@ from .feedback import (
     load_stream_csv,
     noise_risk,
     noise_risk_scores,
+    stream_epochs,
 )
 from .mlp import MlpModel, backward, evaluate, forward, init_mlp, train_epoch
 from .selection import (
@@ -69,6 +70,7 @@ from .selection import (
 )
 from .training import (
     EpochMetrics,
+    Hindsight,
     OnlineSelector,
     TrainConfig,
     TrainResult,

@@ -12,12 +12,14 @@ stream gives a known low-risk subset whose advantage grows over the
 first quarter of the horizon, a drifting variant re-draws that subset
 periodically, a uniform stream is pure iid noise, and the adversary
 stream is the classic two-arm construction that forces the
-unperturbed leader into linear regret.
+unperturbed leader into linear regret.  stream_epochs builds a stream
+one epoch at a time; generate_stream materialises the same floats.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,7 @@ __all__ = [
     "StreamKind",
     "StreamSpec",
     "RiskStream",
+    "stream_epochs",
     "generate_stream",
     "dump_stream_csv",
     "load_stream_csv",
@@ -133,11 +136,9 @@ def _plant_means(t: int, epochs: int) -> tuple[float, float]:
     return 0.5 - 0.45 * ramp, 0.5 + 0.45 * ramp
 
 
-def _planted(spec: StreamSpec, drift_period: int | None) -> RiskStream:
+def _planted(spec: StreamSpec, drift_period: int | None) -> Iterator[tuple[RiskVector, np.ndarray]]:
     rng = np.random.default_rng(spec.seed)
     n_clean = int(round(spec.clean_fraction * spec.n))
-    risks: list[RiskVector] = []
-    masks = np.zeros((spec.epochs, spec.n), dtype=bool)
     mask = None
     for t in range(1, spec.epochs + 1):
         if mask is None or (drift_period is not None and (t - 1) % drift_period == 0):
@@ -147,16 +148,15 @@ def _planted(spec: StreamSpec, drift_period: int | None) -> RiskStream:
         mu_clean, mu_noisy = _plant_means(t, spec.epochs)
         mu = np.where(mask, mu_clean, mu_noisy)
         theta = np.clip(mu + spec.noise_scale * rng.standard_normal(spec.n), 0.0, 1.0)
-        masks[t - 1] = mask
-        risks.append(RiskVector(theta))
-    return RiskStream(risks=risks, clean_masks=masks)
+        yield RiskVector(theta), mask
 
 
-def generate_stream(spec: StreamSpec) -> RiskStream:
-    """Build the stream described by spec; StreamSpec has checked its parameters.
+def stream_epochs(spec: StreamSpec) -> Iterator[tuple[RiskVector, np.ndarray | None]]:
+    """Yield (theta_t, clean mask or None) one epoch at a time; StreamSpec has checked spec.
 
-    A drifting stream with drift_period >= epochs equals the planted
-    stream of the same spec.  The adversary starts at theta_1 = (0.5, 0),
+    A mask is shared by the epochs up to its next redraw.  A drifting
+    stream with drift_period >= epochs equals the planted stream of the
+    same spec.  The adversary starts at theta_1 = (0.5, 0),
     then charges index 1 on even epochs and index 0 on odd ones: under
     the smaller-index tie rule the leader flips onto the charged index
     every epoch and accrues risk linear in the horizon, while the best
@@ -164,15 +164,21 @@ def generate_stream(spec: StreamSpec) -> RiskStream:
     """
     if spec.kind is StreamKind.UNIFORM:
         rng = np.random.default_rng(spec.seed)
-        return RiskStream(risks=[RiskVector(rng.uniform(0.0, 1.0, size=spec.n)) for _ in range(spec.epochs)])
+        return ((RiskVector(rng.uniform(0.0, 1.0, size=spec.n)), None) for _ in range(spec.epochs))
     if spec.kind is StreamKind.PLANTED:
         return _planted(spec, drift_period=None)
     if spec.kind is StreamKind.DRIFTING:
         return _planted(spec, drift_period=spec.drift_period)
     if spec.kind is StreamKind.ADVERSARY:
         thetas = [[0.5, 0.0]] + [[0.0, 1.0] if t % 2 == 0 else [1.0, 0.0] for t in range(2, spec.epochs + 1)]
-        return RiskStream(risks=[RiskVector(np.array(theta)) for theta in thetas])
+        return ((RiskVector(np.array(theta)), None) for theta in thetas)
     raise ParameterError(f"unknown stream kind {spec.kind!r}")  # pragma: no cover
+
+
+def generate_stream(spec: StreamSpec) -> RiskStream:
+    """The stream of stream_epochs(spec), materialised: the same floats."""
+    risks, masks = zip(*stream_epochs(spec))
+    return RiskStream(risks=list(risks), clean_masks=None if masks[0] is None else np.stack(masks))
 
 
 def dump_stream_csv(stream: RiskStream, path) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,13 +30,13 @@ from .analytics import BoundReport, avg_risk_bound, regret_bound
 from .datasets import Dataset, LabelNoiseSpec, apply_label_noise, load_csv_dataset, load_idx, make_blobs
 from .errors import ConfigError, ParameterError
 from .feedback import (
-    RiskStream,
     StreamKind,
     StreamSpec,
     dump_stream_csv,
     generate_stream,
     load_stream_csv,
     noise_risk_scores,
+    stream_epochs,
 )
 from .mlp import evaluate, init_mlp, predict_batch, train_epoch
 from .selection import KSetSelection, RiskVector, SelectorConfig, Strategy
@@ -265,25 +266,23 @@ def _require_out(cfg: ExperimentConfig) -> str:
     return cfg.out
 
 
-def _run_seeds(cfg: ExperimentConfig, out: str, inputs_for, run_one):
-    """Run every selector on one seed's inputs at a time, then write each selector's metrics CSV.
+def _run_seeds(cfg: ExperimentConfig, out: str, run_seed):
+    """Run every selector one seed at a time, then write each selector's metrics CSV.
 
-    inputs_for(seed) builds a seed's inputs, dropped before the next
-    seed's.  run_one(inputs, strategy, seed) returns (metrics, extra),
-    seeded by (strategy, seed) alone.  The CSV is `out` for one
-    selector, `out_<selector>.csv` for several.  Returns
-    ({strategy: [(metrics, extra) per seed]}, {strategy: path}).
+    run_seed(seed, strategies) builds the seed's inputs, runs every
+    strategy on them and returns each one's metrics, seeded by
+    (strategy, seed) alone; the inputs die when it returns.  The CSV is
+    `out` for one selector, `out_<selector>.csv` for several.  Returns
+    ({strategy: [metrics per seed]}, {strategy: path}).
     """
     runs: dict[Strategy, list] = {strategy: [] for strategy in cfg.selectors}  # a repeated selector runs once
     for seed in cfg.seeds:
-        inputs = inputs_for(seed)
-        for strategy, seed_runs in runs.items():
-            seed_runs.append(run_one(inputs, strategy, seed))
-        del inputs
+        for seed_runs, metrics in zip(runs.values(), run_seed(seed, list(runs))):
+            seed_runs.append(metrics)
     paths = {}
     for strategy, seed_runs in runs.items():
         paths[strategy] = out if len(cfg.selectors) == 1 else _suffixed(out, strategy.value)
-        rows = [row for seed, (metrics, _) in zip(cfg.seeds, seed_runs) for row in _metrics_rows(seed, metrics)]
+        rows = [row for seed, metrics in zip(cfg.seeds, seed_runs) for row in _metrics_rows(seed, metrics)]
         _write_csv(paths[strategy], METRICS_HEADER, rows)
     return runs, paths
 
@@ -291,7 +290,7 @@ def _run_seeds(cfg: ExperimentConfig, out: str, inputs_for, run_one):
 # ---------------------------------------------------------------- simulate
 
 
-def _stream_for_seed(cfg: ExperimentConfig, seed: int) -> RiskStream:
+def _stream_spec(cfg: ExperimentConfig, seed: int) -> StreamSpec:
     try:
         kind = StreamKind(cfg.stream)
     except ValueError:
@@ -299,7 +298,7 @@ def _stream_for_seed(cfg: ExperimentConfig, seed: int) -> RiskStream:
             f"unknown stream {cfg.stream!r}; valid: uniform, planted, drifting, adversary, csv"
         ) from None
     n = 2 if kind is StreamKind.ADVERSARY else cfg.n
-    spec = StreamSpec(
+    return StreamSpec(
         kind=kind,
         n=n,
         epochs=cfg.epochs,
@@ -308,7 +307,10 @@ def _stream_for_seed(cfg: ExperimentConfig, seed: int) -> RiskStream:
         noise_scale=cfg.noise_scale,
         drift_period=cfg.drift_period if kind is StreamKind.DRIFTING else None,
     )
-    return generate_stream(spec)
+
+
+def _stream_for_seed(cfg: ExperimentConfig, seed: int) -> Iterator[tuple[RiskVector, np.ndarray | None]]:
+    return stream_epochs(_stream_spec(cfg, seed))
 
 
 @dataclass
@@ -318,49 +320,54 @@ class SimulateResult:
 
 
 def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
-    """Replay each selector over identical streams and report bounds.
+    """Run every selector in lockstep over each seed's stream and report bounds.
 
     n and T are the stream's: a replayed csv stream sets both and is
-    read once for every seed; a generated stream is built per seed.
+    read once for every seed; a generated stream is built one epoch at
+    a time, so one seed holds at most two of its risk vectors at once.
     """
     out = _require_out(cfg)
     if cfg.stream == "csv":
         if not cfg.stream_csv:
             raise ConfigError("stream = csv needs stream_csv = PATH")
-        pending = [load_stream_csv(cfg.stream_csv)] * len(cfg.seeds)  # one read; each seed pops the same stream
+        replay = load_stream_csv(cfg.stream_csv)
+        n, epochs = replay.n, replay.epochs
     else:
-        pending = [_stream_for_seed(cfg, cfg.seeds[0])]  # sizes the run; _run_seeds pops it for seed 0
-    n, epochs = pending[0].n, pending[0].epochs
+        replay = None
+        spec = _stream_spec(cfg, cfg.seeds[0])  # checks the stream parameters before k
+        n, epochs = spec.n, spec.epochs
     k = cfg.resolve_k(n)
     eta = resolve_eta(cfg.eta_coefficient, k, epochs)
     if cfg.dump_stream:
-        dump_stream_csv(pending[0], cfg.dump_stream)
+        dump_stream_csv(generate_stream(spec) if replay is None else replay, cfg.dump_stream)
     try:
         ceiling = regret_bound(n, k, epochs)
     except ParameterError:
         ceiling = float("nan")  # k = n: guarantee void
 
-    def run_one(stream: RiskStream, strategy: Strategy, seed: int) -> tuple[list[EpochMetrics], float]:
-        selector = OnlineSelector(SelectorConfig(strategy=strategy, k=k, eta=eta, seed=seed), stream.n)
-        masks = stream.clean_masks
+    best_totals: list[float] = []  # per seed; every selector on a seed's stream shares it
+
+    def run_seed(seed: int, strategies: list[Strategy]) -> list[list[EpochMetrics]]:
+        stream = _stream_for_seed(cfg, seed) if replay is None else ((theta, None) for theta in replay.risks)
+        selectors = [OnlineSelector(SelectorConfig(strategy=s, k=k, eta=eta, seed=seed), n) for s in strategies]
         nan = float("nan")
 
-        def feedback(epoch: int, selection: KSetSelection):
-            return stream.risks[epoch - 1], None if masks is None else masks[epoch - 1], nan, nan
+        def feedback(epoch: int, picks: list[KSetSelection]):
+            theta, mask = next(stream)
+            return theta, mask, nan, nan
 
-        return run_epochs(selector, None, epochs, feedback), selector.best_total
+        metrics, seen = run_epochs(selectors, None, epochs, feedback)
+        best_totals.append(seen.best_total)
+        return metrics
 
-    runs, paths = _run_seeds(
-        cfg, out, lambda seed: pending.pop() if pending else _stream_for_seed(cfg, seed), run_one
-    )
+    runs, paths = _run_seeds(cfg, out, run_seed)
+    alpha = float(np.mean([total / (k * epochs) for total in best_totals]))
+    try:
+        risk_ceiling = avg_risk_bound(n, k, epochs, alpha)
+    except ParameterError:
+        alpha, risk_ceiling = None, None
     reports: dict[Strategy, BoundReport] = {}
-    for strategy, seed_runs in runs.items():
-        metrics_by_seed, best_totals = zip(*seed_runs)
-        alpha = float(np.mean([total / (k * epochs) for total in best_totals]))
-        try:
-            risk_ceiling = avg_risk_bound(n, k, epochs, alpha)
-        except ParameterError:
-            alpha, risk_ceiling = None, None
+    for strategy, metrics_by_seed in runs.items():
         reports[strategy] = BoundReport(
             n=n,
             k=k,
@@ -432,17 +439,17 @@ def _train_seeds(cfg: ExperimentConfig, out: str):
     k = cfg.resolve_k(train_base.n)
     eta = resolve_eta(cfg.eta_coefficient, k, cfg.epochs)
 
-    def run_one(noisy: Dataset, strategy: Strategy, seed: int):
-        metrics = train_selective(noisy, test_set, _train_cfg(cfg, strategy, k, eta, seed)).metrics
-        last10 = _last10_mean([m.test_acc for m in metrics]), _last10_mean([m.label_precision for m in metrics])
-        return metrics, last10
+    def run_seed(seed: int, strategies: list[Strategy]) -> list[list[EpochMetrics]]:
+        noisy = _noisy_copy(train_base, cfg, seed)
+        return [train_selective(noisy, test_set, _train_cfg(cfg, s, k, eta, seed)).metrics for s in strategies]
 
-    runs, paths = _run_seeds(cfg, out, lambda seed: _noisy_copy(train_base, cfg, seed), run_one)
-    return {strategy: [last10 for _, last10 in seed_runs] for strategy, seed_runs in runs.items()}, paths
+    runs, paths = _run_seeds(cfg, out, run_seed)
+    return {strategy: [_last10(metrics) for metrics in seed_runs] for strategy, seed_runs in runs.items()}, paths
 
 
-def _last10_mean(values: list[float]) -> float:
-    return float(np.mean(values[-10:]))
+def _last10(metrics: list[EpochMetrics]) -> tuple[float, float]:
+    last = metrics[-10:]
+    return float(np.mean([m.test_acc for m in last])), float(np.mean([m.label_precision for m in last]))
 
 
 @dataclass
@@ -616,7 +623,7 @@ class _FixedSelector(OnlineSelector):
         super().__init__(SelectorConfig(strategy=Strategy.NAIVE, k=selection.k), n)
         self.selection = selection
 
-    def select(self) -> KSetSelection:
+    def select(self, seen) -> KSetSelection:
         return self.selection
 
 
@@ -664,14 +671,15 @@ def run_validate_risk(cfg: ExperimentConfig) -> ValidateRiskResult:
             model = init_mlp(noisy.dim, cfg.hidden, noisy.num_classes, seed=seed)
             shuffle_rng = np.random.default_rng(seed)
 
-            def feedback(epoch: int, selection: KSetSelection):
-                train_epoch(model, noisy, selection, cfg.lr, cfg.batch_size, shuffle_rng)
+            def feedback(epoch: int, picks: list[KSetSelection]):
+                train_epoch(model, noisy, picks[0], cfg.lr, cfg.batch_size, shuffle_rng)
                 predicted, conf = predict_batch(model, noisy.samples)
                 theta = RiskVector(noise_risk_scores(predicted, conf, noisy.assigned_labels))
                 return theta, None, float("nan"), float("nan")
 
             cum_risk = 0.0
-            for m in run_epochs(_FixedSelector(fixed, noisy.n), None, cfg.epochs, feedback):
+            (metrics,), _ = run_epochs([_FixedSelector(fixed, noisy.n)], None, cfg.epochs, feedback)
+            for m in metrics:
                 cum_risk += m.selection_risk
                 rows.append(f"{_fmt(frac)},{seed},{m.epoch},{_fmt(m.selection_risk)},{_fmt(cum_risk)}")
             totals[frac].append(cum_risk)

@@ -94,14 +94,6 @@ class KSetSelection:
     def k(self) -> int:
         return self.indices.shape[0]
 
-    def as_mask(self, n: int) -> np.ndarray:
-        """k-hot boolean mask of length n."""
-        if self.indices[-1] >= n:
-            raise InputError(f"selection index {self.indices[-1]} out of range for n={n}")
-        mask = np.zeros(n, dtype=bool)
-        mask[self.indices] = True
-        return mask
-
 
 @dataclass(frozen=True)
 class CumulativeRisk:

@@ -1,11 +1,11 @@
 """The online selection engine and the one epoch loop every mode drives.
 
-An OnlineSelector holds one strategy's state across epochs: the
-running risk sums, the last risk vector and the selection RNG.
-run_epochs drives it: each epoch it picks a k-set, asks the caller's
-feedback function for that epoch's risk vector theta_t, folds theta_t
-into the sums, and records the prefix regret against the best fixed
-k-set over epochs 1..t.
+An OnlineSelector holds one strategy and its RNG.  run_epochs drives
+a list of them in lockstep over one risk stream: each epoch every
+selector picks a k-set from the shared Hindsight ledger, the caller's
+feedback function reveals that epoch's risk vector theta_t, the ledger
+folds theta_t into its sums once, and each selector is charged its
+prefix regret against the best fixed k-set over epochs 1..t.
 
 train_selective plugs the learner in as feedback: train the model on
 the selected k samples, then score every training sample's
@@ -47,6 +47,7 @@ __all__ = [
     "TrainConfig",
     "EpochMetrics",
     "TrainResult",
+    "Hindsight",
     "OnlineSelector",
     "run_epochs",
     "select_sequence",
@@ -101,19 +102,34 @@ class TrainResult:
     cum: CumulativeRisk
 
 
+class Hindsight:
+    """What the selectors on one risk stream have seen: sums, last theta and leader.
+
+    The leader, the k smallest sums, is naive's next pick and the best
+    fixed k-set in hindsight; best_total is its total risk so far.
+    """
+
+    def __init__(self, n: int, k: int):
+        self.k = k
+        self.cum = CumulativeRisk.zeros(n)
+        self.last: RiskVector | None = None
+        self.leader = ftl_select(self.cum, k)
+        self.best_total = 0.0
+
+    def observe(self, theta: RiskVector) -> None:
+        self.cum = accumulate(self.cum, theta)
+        self.last = theta
+        self.leader = ftl_select(self.cum, self.k)
+        self.best_total = float(self.cum.sums[self.leader.indices].sum())
+
+
 class OnlineSelector:
-    """One selector's state: running sums, last risk vector and RNG.
+    """One strategy and its RNG; select(seen) picks from a Hindsight ledger.
 
-    select() picks the coming epoch's k-set before its risk vector is
-    revealed; observe(theta) reveals it.  Before any feedback, FPL and
-    naive pick from zero sums (for FPL a uniformly random k-set by
-    symmetry of the perturbation), greedy picks init_selection(n, k,
-    seed) and random draws from the RNG.  The RNG defaults to one
-    seeded from cfg.seed.
-
-    best_total is the total risk of the best fixed k-set in hindsight
-    over the epochs observed so far, i.e. of the leader's k-set; only
-    the float is kept, not the set.
+    Before any feedback, FPL picks from zero sums (a uniformly random
+    k-set by symmetry of the perturbation), naive takes the leader of
+    zero sums, greedy picks init_selection(n, k, seed) and random draws
+    from the RNG.  The RNG defaults to one seeded from cfg.seed.
     """
 
     def __init__(self, cfg: SelectorConfig, n: int, rng: np.random.Generator | None = None):
@@ -121,62 +137,61 @@ class OnlineSelector:
         self.cfg = cfg
         self.n = n
         self.rng = np.random.default_rng(cfg.seed) if rng is None else rng
-        self.cum = CumulativeRisk.zeros(n)
-        self.last: RiskVector | None = None
-        self.best_total = 0.0
 
-    def select(self) -> KSetSelection:
+    def select(self, seen: Hindsight) -> KSetSelection:
         cfg = self.cfg
         if cfg.strategy is Strategy.FPL:
-            return fpl_select(self.cum, cfg.k, cfg.eta, self.rng)
+            return fpl_select(seen.cum, cfg.k, cfg.eta, self.rng)
         if cfg.strategy is Strategy.NAIVE:
-            return ftl_select(self.cum, cfg.k)
+            return seen.leader
         if cfg.strategy is Strategy.GREEDY:
-            if self.last is None:
+            if seen.last is None:
                 return init_selection(self.n, cfg.k, cfg.seed)
-            return greedy_select(self.last, cfg.k)
+            return greedy_select(seen.last, cfg.k)
         if cfg.strategy is Strategy.RANDOM:
             return init_selection(self.n, cfg.k, self.rng)
         raise ParameterError(f"unknown strategy {cfg.strategy!r}")  # pragma: no cover
 
-    def observe(self, theta: RiskVector) -> None:
-        self.cum = accumulate(self.cum, theta)
-        self.last = theta
-        self.best_total = float(self.cum.sums[ftl_select(self.cum, self.cfg.k).indices].sum())
-
 
 def run_epochs(
-    selector: OnlineSelector, first: KSetSelection | None, epochs: int, feedback: Callable
-) -> list[EpochMetrics]:
-    """The epoch loop: select, reveal theta_t, observe, then prefix regret against best_total.
+    selectors: list[OnlineSelector], first: KSetSelection | None, epochs: int, feedback: Callable
+) -> tuple[list[list[EpochMetrics]], Hindsight]:
+    """The epoch loop over selectors sharing one stream, n and k; returns their metrics and the ledger.
 
-    feedback(epoch, selection) returns (theta_t as a RiskVector, the
-    clean mask or None, train accuracy, test accuracy).  Epoch 1 uses
-    `first` when given, otherwise the selector's own pick.  Label
-    precision is nan without a clean mask.  Selections are not kept; a
-    caller that needs them records them in its feedback.
+    feedback(epoch, picks) gets one selection per selector and returns
+    (theta_t as a RiskVector, the clean mask or None, train accuracy,
+    test accuracy).  Epoch 1 uses `first` when given, otherwise each
+    selector's own pick.  Label precision is nan without a clean mask.
+    wall_ms runs from the first pick to folding theta_t in, alike in
+    every selector's row.  Selections are not kept; a caller that needs
+    them records them in its feedback.
     """
-    spent = 0.0
-    metrics: list[EpochMetrics] = []
+    if len({(s.n, s.cfg.k) for s in selectors}) != 1:
+        raise ParameterError("selectors in one run must share n and k")
+    seen = Hindsight(selectors[0].n, selectors[0].cfg.k)
+    spent = [0.0] * len(selectors)
+    metrics: list[list[EpochMetrics]] = [[] for _ in selectors]
     for epoch in range(1, epochs + 1):
         t0 = time.perf_counter()
-        selection = first if epoch == 1 and first is not None else selector.select()
-        theta, clean_mask, train_acc, test_acc = feedback(epoch, selection)
-        selector.observe(theta)  # first: it rejects a theta of the wrong length
-        risk = float(theta.values[selection.indices].sum())
-        spent += risk
-        metrics.append(
-            EpochMetrics(
-                epoch=epoch,
-                selection_risk=risk,
-                cum_regret=spent - selector.best_total,
-                label_precision=float("nan") if clean_mask is None else label_precision(selection, clean_mask),
-                train_acc=train_acc,
-                test_acc=test_acc,
-                wall_ms=(time.perf_counter() - t0) * 1000.0,
+        picks = [first if epoch == 1 and first is not None else s.select(seen) for s in selectors]
+        theta, clean_mask, train_acc, test_acc = feedback(epoch, picks)
+        seen.observe(theta)  # first: it rejects a theta of the wrong length
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        for i, selection in enumerate(picks):
+            risk = float(theta.values[selection.indices].sum())
+            spent[i] += risk
+            metrics[i].append(
+                EpochMetrics(
+                    epoch=epoch,
+                    selection_risk=risk,
+                    cum_regret=spent[i] - seen.best_total,
+                    label_precision=float("nan") if clean_mask is None else label_precision(selection, clean_mask),
+                    train_acc=train_acc,
+                    test_acc=test_acc,
+                    wall_ms=wall_ms,
+                )
             )
-        )
-    return metrics
+    return metrics, seen
 
 
 def select_sequence(risks, cfg: SelectorConfig) -> list[KSetSelection]:
@@ -189,11 +204,11 @@ def select_sequence(risks, cfg: SelectorConfig) -> list[KSetSelection]:
         raise InputError("risk stream is empty")
     selections: list[KSetSelection] = []
 
-    def feedback(epoch: int, selection: KSetSelection):
-        selections.append(selection)
+    def feedback(epoch: int, picks: list[KSetSelection]):
+        selections.append(picks[0])
         return risks[epoch - 1], None, float("nan"), float("nan")
 
-    run_epochs(OnlineSelector(cfg, risks[0].n), None, len(risks), feedback)
+    run_epochs([OnlineSelector(cfg, risks[0].n)], None, len(risks), feedback)
     return selections
 
 
@@ -216,9 +231,9 @@ def train_selective(dataset: Dataset, test_set: Dataset | None, cfg: TrainConfig
     clean_mask = dataset.clean_mask
     selections: list[KSetSelection] = []
 
-    def feedback(epoch: int, selection: KSetSelection):
-        selections.append(selection)
-        train_epoch(model, dataset, selection, cfg.lr, cfg.batch_size, shuffle_rng)
+    def feedback(epoch: int, picks: list[KSetSelection]):
+        selections.append(picks[0])
+        train_epoch(model, dataset, picks[0], cfg.lr, cfg.batch_size, shuffle_rng)
         predicted, conf = predict_batch(model, dataset.samples)
         theta = RiskVector(noise_risk_scores(predicted, conf, dataset.assigned_labels))
         train_acc = float((predicted == dataset.assigned_labels).mean())
@@ -229,5 +244,5 @@ def train_selective(dataset: Dataset, test_set: Dataset | None, cfg: TrainConfig
             test_acc = float("nan")
         return theta, clean_mask, train_acc, test_acc
 
-    metrics = run_epochs(selector, first, cfg.epochs, feedback)
-    return TrainResult(model=model, metrics=metrics, selections=selections, cum=selector.cum)
+    (metrics,), seen = run_epochs([selector], first, cfg.epochs, feedback)
+    return TrainResult(model=model, metrics=metrics, selections=selections, cum=seen.cum)

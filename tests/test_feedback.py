@@ -19,6 +19,7 @@ from ksetsel.feedback import (
     load_stream_csv,
     noise_risk,
     noise_risk_scores,
+    stream_epochs,
 )
 from ksetsel.selection import SelectorConfig, Strategy, top_k_smallest
 from ksetsel.training import select_sequence
@@ -203,6 +204,23 @@ class TestGenerateStream:
             spec = StreamSpec(kind=kind, n=n, epochs=4, seed=0)
             stream = generate_stream(spec)
             assert stream.epochs == 4 and stream.n == n
+
+    @pytest.mark.parametrize("kind", list(StreamKind))
+    def test_equals_the_epoch_stream_bitwise(self, kind):
+        spec = StreamSpec(
+            kind=kind, n=2 if kind is StreamKind.ADVERSARY else 50, epochs=9, seed=4,
+            drift_period=3 if kind is StreamKind.DRIFTING else None,
+        )
+        # snapshot each epoch as it is yielded, before the next one is built
+        epochs = [
+            (theta.values.tobytes(), None if mask is None else mask.copy()) for theta, mask in stream_epochs(spec)
+        ]
+        stream = generate_stream(spec)
+        assert [theta.values.tobytes() for theta in stream.risks] == [values for values, _ in epochs]
+        if kind in (StreamKind.PLANTED, StreamKind.DRIFTING):
+            np.testing.assert_array_equal(stream.clean_masks, np.stack([mask for _, mask in epochs]))
+        else:
+            assert stream.clean_masks is None and all(mask is None for _, mask in epochs)
 
     def test_adversary_needs_two_indices(self):
         with pytest.raises(ParameterError):

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ksetsel
-from ksetsel import harness
+from ksetsel import harness, selection, training
 from ksetsel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from ksetsel.datasets import make_blobs, save_csv_dataset
 from ksetsel.errors import ConfigError
@@ -484,10 +484,11 @@ class TestSeedBySeedRuns:
             assert drop_wall(read_rows(dirs[(0, 1, 2)] / name)[1]) == drop_wall(joined), strategy
 
     @pytest.mark.parametrize(
-        "runner, make_cfg, run",
-        [("run_epochs", sim_cfg, run_simulate), ("train_selective", ablate_cfg, run_ablate)],
+        "runner, make_cfg, run, seeds",
+        # simulate makes one run_epochs call per seed, ablate one train_selective call per (selector, seed)
+        [("run_epochs", sim_cfg, run_simulate, (0, 1)), ("train_selective", ablate_cfg, run_ablate, (0,))],
     )
-    def test_failed_run_writes_no_metrics(self, tmp_path, monkeypatch, runner, make_cfg, run):
+    def test_failed_run_writes_no_metrics(self, tmp_path, monkeypatch, runner, make_cfg, run, seeds):
         real = getattr(harness, runner)
         calls = []
 
@@ -499,8 +500,63 @@ class TestSeedBySeedRuns:
 
         monkeypatch.setattr(harness, runner, fails_second)
         with pytest.raises(ConfigError, match="second run fails"):
-            run(make_cfg(tmp_path, seeds=(0,)))
+            run(make_cfg(tmp_path, seeds=seeds))
         assert list(tmp_path.iterdir()) == []
+
+
+class TestLockstepSimulate:
+    """simulate runs all its selectors in lockstep over one lazily generated stream per seed."""
+
+    def test_one_seed_folds_each_epoch_once(self, tmp_path, monkeypatch):
+        calls = {"accumulate": 0, "top_k_smallest": 0}
+        for module, name in ((training, "accumulate"), (selection, "top_k_smallest")):
+
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        epochs = 20
+        run_simulate(sim_cfg(tmp_path, seeds=(0,), epochs=epochs))
+        assert calls["accumulate"] == epochs
+        assert calls["top_k_smallest"] <= 3 * epochs
+
+    @pytest.mark.parametrize("stream", ["uniform", "planted", "drifting", "adversary", "csv"])
+    def test_rows_equal_single_selector_runs(self, tmp_path, stream):
+        over = dict(stream=stream, seeds=(0, 1), drift_period=2)
+        if stream == "adversary":
+            over.update(k=1)
+        if stream == "csv":
+            (tmp_path / "dump").mkdir()
+            dump = tmp_path / "dump" / "stream.csv"
+            run_simulate(sim_cfg(tmp_path / "dump", stream="planted", seeds=(0,), dump_stream=str(dump)))
+            over.update(stream_csv=str(dump))
+        (tmp_path / "all").mkdir()
+        run_simulate(sim_cfg(tmp_path / "all", **over))
+        for strategy in Strategy:
+            (tmp_path / strategy.value).mkdir()
+            run_simulate(sim_cfg(tmp_path / strategy.value, selectors=(strategy,), **over))
+            lockstep = read_rows(tmp_path / "all" / f"sim_{strategy.value}.csv")
+            alone = read_rows(tmp_path / strategy.value / "sim.csv")
+            assert lockstep[0] == alone[0] == METRICS_HEADER
+            assert drop_wall(lockstep[1]) == drop_wall(alone[1]), strategy
+
+    def test_holds_at_most_two_risk_vectors(self, tmp_path, monkeypatch):
+        real = harness._stream_for_seed
+        refs, alive_at_build = [], []
+
+        def tracked(*args):
+            for theta, mask in real(*args):
+                gc.collect()
+                alive_at_build.append(sum(ref() is not None for ref in refs))
+                refs.append(weakref.ref(theta))
+                yield theta, mask
+
+        monkeypatch.setattr(harness, "_stream_for_seed", tracked)
+        run_simulate(sim_cfg(tmp_path, epochs=8))
+        assert len(refs) == 3 * 8
+        # the vector just built plus the last one observed, which greedy reads
+        assert max(alive_at_build) + 1 <= 2
 
 
 class TestRunGrid:
@@ -710,6 +766,25 @@ class TestCli:
             assert code == EXIT_CONFIG
             assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("stream = drifting\ndrift_period = 0\nk = 500\n", "drifting stream needs drift_period >= 1"),
+            ("stream = planted\nclean_fraction = 1.5\nk = 5\n", "clean_fraction must lie in [0, 1], got 1.5"),
+            ("stream = bogus\nk = 5\n", "unknown stream 'bogus'; valid: uniform, planted, drifting, adversary, csv"),
+            ("stream = adversary\nk = 3\n", "k=3 outside [1, 2]"),
+            ("stream = uniform\nk = 500\n", "k=500 outside [1, 60]"),
+        ],
+    )
+    def test_simulate_stream_and_k_errors_exit_one_before_any_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "sim.cfg"
+        path.write_text(
+            text + f"n = 60\nepochs = 5\ndump_stream = {tmp_path / 'stream.csv'}\nout = {tmp_path / 'm.csv'}\n"
+        )
+        assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sim.cfg"]
 
     def test_non_numeric_stream_csv_exit_two(self, tmp_path, capsys):
         stream = tmp_path / "stream.csv"

@@ -275,10 +275,6 @@ class TestTypes:
         with pytest.raises(InputError):
             KSetSelection(np.array([1, 1, 2]))
 
-    def test_selection_mask(self):
-        sel = KSetSelection(np.array([0, 3]))
-        assert sel.as_mask(5).tolist() == [True, False, False, True, False]
-
     def test_selector_config_validation(self):
         with pytest.raises(ParameterError):
             SelectorConfig(strategy=Strategy.FPL, k=0)

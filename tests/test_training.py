@@ -10,7 +10,7 @@ from ksetsel.datasets import LabelNoiseSpec, apply_label_noise, make_blobs
 from ksetsel.analytics import SelectionTrace, regret
 from ksetsel.errors import InputError, ParameterError
 from ksetsel.selection import CumulativeRisk, RiskVector, SelectorConfig, Strategy, fpl_select, init_selection
-from ksetsel.training import OnlineSelector, TrainConfig, run_epochs, train_selective
+from ksetsel.training import Hindsight, OnlineSelector, TrainConfig, run_epochs, train_selective
 
 
 def small_noisy_dataset(seed=0):
@@ -157,7 +157,8 @@ class TestOnlineSelector:
     def test_first_pick_of_each_strategy(self):
         n, k, seed = 12, 4, 5
         first = {
-            s: OnlineSelector(SelectorConfig(strategy=s, k=k, eta=0.7, seed=seed), n).select() for s in Strategy
+            s: OnlineSelector(SelectorConfig(strategy=s, k=k, eta=0.7, seed=seed), n).select(Hindsight(n, k))
+            for s in Strategy
         }
         # zero sums tie everywhere, so the leader takes the smallest indices
         assert first[Strategy.NAIVE].indices.tolist() == [0, 1, 2, 3]
@@ -170,10 +171,11 @@ class TestOnlineSelector:
 
     def test_greedy_follows_the_last_observed_vector(self):
         selector = OnlineSelector(SelectorConfig(strategy=Strategy.GREEDY, k=2), 4)
-        selector.observe(RiskVector(np.array([0.9, 0.1, 0.5, 0.2])))
-        selector.observe(RiskVector(np.array([0.1, 0.9, 0.2, 0.5])))
-        assert selector.select().indices.tolist() == [0, 2]
-        assert selector.cum.epochs_seen == 2
+        seen = Hindsight(4, 2)
+        seen.observe(RiskVector(np.array([0.9, 0.1, 0.5, 0.2])))
+        seen.observe(RiskVector(np.array([0.1, 0.9, 0.2, 0.5])))
+        assert selector.select(seen).indices.tolist() == [0, 2]
+        assert seen.cum.epochs_seen == 2
 
 
 
@@ -184,11 +186,11 @@ class TestRunEpochs:
             cfg = SelectorConfig(strategy=strategy, k=4, eta=1.5, seed=2)
             seen = []
 
-            def feedback(epoch, selection):
-                seen.append(selection)
+            def feedback(epoch, picks):
+                seen.append(picks[0])
                 return risks[epoch - 1], None, float("nan"), float("nan")
 
-            metrics = run_epochs(OnlineSelector(cfg, 15), None, len(risks), feedback)
+            (metrics,), _ = run_epochs([OnlineSelector(cfg, 15)], None, len(risks), feedback)
             assert [m.epoch for m in metrics] == list(range(1, 11))
             assert all(np.isnan(m.label_precision) for m in metrics)
             for t, m in enumerate(metrics, start=1):
@@ -200,15 +202,21 @@ class TestRunEpochs:
         selector = OnlineSelector(SelectorConfig(strategy=Strategy.NAIVE, k=3), 10)
         seen = []
 
-        def feedback(epoch, selection):
-            seen.append(selection.indices.tolist())
+        def feedback(epoch, picks):
+            seen.append(picks[0].indices.tolist())
             return risks[epoch - 1], np.ones(10, dtype=bool), 0.5, 0.25
 
-        metrics = run_epochs(selector, first, 3, feedback)
+        (metrics,), _ = run_epochs([selector], first, 3, feedback)
         assert seen[0] == first.indices.tolist()
         # epoch 2 is the selector's own pick: the leader over epoch 1's risks
         assert seen[1] == sorted(np.argsort(risks[0].values, kind="stable")[:3].tolist())
         assert [(m.label_precision, m.train_acc, m.test_acc) for m in metrics] == [(1.0, 0.5, 0.25)] * 3
+
+    @pytest.mark.parametrize("shapes", [((2, 10), (3, 10)), ((2, 10), (2, 12))])
+    def test_selectors_must_share_n_and_k(self, shapes):
+        selectors = [OnlineSelector(SelectorConfig(strategy=Strategy.NAIVE, k=k), n) for k, n in shapes]
+        with pytest.raises(ParameterError, match="share n and k"):
+            run_epochs(selectors, None, 1, None)
 
     @pytest.mark.parametrize("strategy", [Strategy.FPL, Strategy.NAIVE])
     def test_long_horizon_regret_matches_an_fsum_oracle(self, strategy):
@@ -216,12 +224,13 @@ class TestRunEpochs:
         risks = uniform_risks(n, epochs, 11)
         charged = []
 
-        def feedback(epoch, selection):
-            charged.append(risks[epoch - 1].values[selection.indices])
+        def feedback(epoch, picks):
+            charged.append(risks[epoch - 1].values[picks[0].indices])
             return risks[epoch - 1], None, float("nan"), float("nan")
 
         cfg = SelectorConfig(strategy=strategy, k=k, eta=math.sqrt(k * epochs), seed=3)
-        final = run_epochs(OnlineSelector(cfg, n), None, epochs, feedback)[-1].cum_regret
+        (metrics,), _ = run_epochs([OnlineSelector(cfg, n)], None, epochs, feedback)
+        final = metrics[-1].cum_regret
         spent = math.fsum(float(v) for values in charged for v in values)
         index_totals = sorted(math.fsum(float(r.values[i]) for r in risks) for i in range(n))
         best = math.fsum(index_totals[:k])
