@@ -2,7 +2,7 @@
 
     python3 scripts/output_digest.py SRC_DIR
 
-imports ksetsel from SRC_DIR (a checkout's `src/`), runs 22 configs
+imports ksetsel from SRC_DIR (a checkout's `src/`), runs 23 configs
 through `ksetsel.cli.main` in a temporary directory and prints one
 sha256 per config plus a total over them.  A config's digest covers its
 exit code, stdout and stderr (the temporary directory replaced by a
@@ -13,7 +13,8 @@ two checkouts and compare the totals.
 
 The grid: simulate over the four generated stream kinds x three selector
 lists, each with seeds 0 and 1; a planted simulate that dumps its stream
-and a csv replay of that dump; train with each selector; ablate;
+and a csv replay of that dump; train with each selector; train with
+asymmetric noise on a CSV dataset the script writes itself; ablate;
 validate-risk; grid; bounds.
 """
 
@@ -27,10 +28,17 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 SIM = {"n": 5000, "k_frac": 0.2, "epochs": 40, "eta_coefficient": 1e-3, "drift_period": 7}
 BLOBS = {
     "n": 600, "dim": 8, "classes": 4, "separation": 6.0, "test_n": 150, "noise": "sym:0.4",
     "hidden": 32, "lr": 0.05, "batch_size": 32, "epochs": 15, "k_frac": 0.5, "eta_coefficient": 5e-3,
+}
+CSV_TRAIN = {
+    "dataset": "csv", "csv_path": "{dir}/csv-data/train.csv", "csv_test_path": "{dir}/csv-data/test.csv",
+    "noise": "asym:0.3", "hidden": 16, "lr": 0.05, "batch_size": 16, "epochs": 12, "k_frac": 0.6,
+    "eta_coefficient": 5e-3,
 }
 SELECTOR_LISTS = {"all": "fpl, naive, greedy, random", "naive": "naive", "mixed": "random, greedy, fpl, fpl"}
 
@@ -51,11 +59,25 @@ def configs() -> list[tuple[str, str, dict]]:
     grid.append(("simulate-replay", "simulate", {**replay, "seeds": "3, 4", "k_frac": 0.2, "eta_coefficient": 1e-3}))
     for selector in ("fpl", "naive", "greedy", "random"):
         grid.append((f"train-{selector}", "train", {**BLOBS, "selectors": selector, "seeds": "0, 1"}))
+    grid.append(("train-csv-asym", "train", {**CSV_TRAIN, "selectors": "fpl", "seeds": "0, 1"}))
     grid.append(("ablate", "ablate", {**BLOBS, "selectors": SELECTOR_LISTS["all"], "seeds": "0, 1"}))
     grid.append(("validate-risk", "validate-risk", {**BLOBS, "seeds": "0, 1", "epochs": 6, "noise": "sym:0.5"}))
     grid.append(("grid", "grid", {**BLOBS, "seeds": "2", "epochs": 4, "noise_rate_estimate": 0.4}))
     grid.append(("bounds", "bounds", {"n": 5000, "k_frac": 0.2, "epochs": 40, "alpha": 0.1}))
     return grid
+
+
+def write_csv_data(root: Path) -> None:
+    """Seeded four-class clusters as train and test files in the dataset CSV format, written without ksetsel."""
+    rng = np.random.default_rng(11)
+    centers = rng.uniform(0.0, 12.0, size=(4, 6))
+    (root / "csv-data").mkdir()
+    for name, n in (("train", 400), ("test", 100)):
+        labels = rng.integers(0, 4, size=n)
+        samples = centers[labels] + rng.standard_normal((n, 6))
+        lines = ["label," + ",".join(f"f_{i}" for i in range(6))]
+        lines += [f"{y}," + ",".join(repr(float(v)) for v in row) for y, row in zip(labels, samples)]
+        (root / "csv-data" / f"{name}.csv").write_text("\n".join(lines) + "\n")
 
 
 def file_bytes(path: Path) -> bytes:
@@ -105,6 +127,7 @@ def main(argv: list[str]) -> int:
         return 2
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
+        write_csv_data(Path(tmp))
         for name, mode, keys in configs():
             line = f"{run_config(cli, Path(tmp), name, mode, keys)}  {name}"
             print(line)

@@ -156,17 +156,23 @@ def make_blobs(n: int, dim: int, num_classes: int, separation: float, seed: int)
     return Dataset(samples=samples, true_labels=labels, assigned_labels=labels.copy(), num_classes=num_classes)
 
 
-def inject_symmetric_noise(labels: np.ndarray, num_classes: int, rate: float, seed: int) -> np.ndarray:
-    """Flip exactly floor(rate * n) uniformly chosen labels to random other classes."""
+def _checked_labels(labels: np.ndarray, num_classes: int, rate: float, kind: str) -> np.ndarray:
+    """The int64 labels a noise injector corrupts, after the checks both injectors share."""
     y = np.asarray(labels, dtype=np.int64)
     if y.ndim != 1 or y.size == 0:
         raise InputError(f"labels must be a non-empty 1-d array, got shape {y.shape}")
     if num_classes < 2:
-        raise ParameterError(f"symmetric noise needs num_classes >= 2, got {num_classes}")
+        raise ParameterError(f"{kind} noise needs num_classes >= 2, got {num_classes}")
     if y.min() < 0 or y.max() >= num_classes:
         raise InputError(f"labels must lie in [0, {num_classes - 1}]")
     if not (np.isfinite(rate) and 0.0 <= rate <= 1.0):
         raise ParameterError(f"rate must lie in [0, 1], got {rate}")
+    return y
+
+
+def inject_symmetric_noise(labels: np.ndarray, num_classes: int, rate: float, seed: int) -> np.ndarray:
+    """Flip exactly floor(rate * n) uniformly chosen labels to random other classes."""
+    y = _checked_labels(labels, num_classes, rate, "symmetric")
     n = y.shape[0]
     n_flip = int(math.floor(rate * n))
     out = y.copy()
@@ -196,15 +202,7 @@ def inject_asymmetric_noise(
     pair_map: dict[int, int] | None = None,
 ) -> np.ndarray:
     """Flip mapped classes to their partner class with probability rate."""
-    y = np.asarray(labels, dtype=np.int64)
-    if y.ndim != 1 or y.size == 0:
-        raise InputError(f"labels must be a non-empty 1-d array, got shape {y.shape}")
-    if num_classes < 2:
-        raise ParameterError(f"asymmetric noise needs num_classes >= 2, got {num_classes}")
-    if y.min() < 0 or y.max() >= num_classes:
-        raise InputError(f"labels must lie in [0, {num_classes - 1}]")
-    if not (np.isfinite(rate) and 0.0 <= rate <= 1.0):
-        raise ParameterError(f"rate must lie in [0, 1], got {rate}")
+    y = _checked_labels(labels, num_classes, rate, "asymmetric")
     if pair_map is None:
         pair_map = default_pair_map(num_classes)
     expected_sources = (num_classes + 1) // 2
@@ -313,6 +311,9 @@ def load_csv_dataset(path) -> Dataset:
     if y.min() < 0:
         raise DataError(f"{path}: labels must be non-negative")
     x = np.array(rows, dtype=np.float64)
+    bad_rows = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad_rows.size:
+        raise DataError(f"{path}: row {bad_rows[0] + 2}: features must be finite")
     num_classes = int(y.max()) + 1
     return Dataset(samples=x, true_labels=y, assigned_labels=y.copy(), num_classes=num_classes)
 

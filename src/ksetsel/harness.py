@@ -35,10 +35,9 @@ from .feedback import (
     dump_stream_csv,
     generate_stream,
     load_stream_csv,
-    noise_risk_scores,
     stream_epochs,
 )
-from .mlp import evaluate, init_mlp, predict_batch, train_epoch
+from .mlp import evaluate
 from .selection import KSetSelection, RiskVector, SelectorConfig, Strategy
 from .training import EpochMetrics, OnlineSelector, TrainConfig, run_epochs, train_selective
 
@@ -145,7 +144,7 @@ def _parse_selectors(v: str) -> tuple[Strategy, ...]:
         except ValueError:
             valid = ", ".join(s.value for s in Strategy)
             raise ConfigError(f"unknown selector {name!r}; valid: {valid}") from None
-    return tuple(out)
+    return tuple(dict.fromkeys(out))  # a repeated selector counts once
 
 
 def parse_noise(v: str) -> tuple[str, float]:
@@ -229,8 +228,9 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         raise ConfigError(f"seeds must be distinct, got {list(cfg.seeds)}")
     if not cfg.selectors:
         raise ConfigError("selector list is empty")
-    if cfg.epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
+    for name in ("n", "epochs"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     if cfg.test_n is not None and cfg.test_n < 1:
         raise ConfigError(f"test_n must be >= 1, got {cfg.test_n}")
     if cfg.dataset not in ("blobs", "idx", "csv"):
@@ -581,7 +581,6 @@ def run_grid_search(cfg: ExperimentConfig) -> GridResult:
     val_set = noisy.subset(val_idx)
 
     rows: list[tuple[float, float, int, float]] = []
-    best: tuple[float, float, int, float] | None = None
     clamped = False
     for coef in ETA_COEFFICIENT_GRID:
         for frac in fractions:
@@ -593,8 +592,6 @@ def run_grid_search(cfg: ExperimentConfig) -> GridResult:
             result = train_selective(fit_set, None, _train_cfg(cfg, Strategy.FPL, k, eta, seed))
             val_acc = evaluate(result.model, val_set.samples, val_set.assigned_labels).accuracy
             rows.append((coef, frac, k, val_acc))
-            if best is None or val_acc > best[3]:
-                best = (coef, frac, k, val_acc)
     if clamped:
         warnings.warn("k grid clamped to [1, n]; the fraction grid exceeded the valid range", UserWarning)
     _write_csv(
@@ -602,7 +599,7 @@ def run_grid_search(cfg: ExperimentConfig) -> GridResult:
         "eta_coefficient,k_frac,k,val_acc",
         [f"{_fmt(c)},{_fmt(f)},{k},{_fmt(a)}" for c, f, k, a in rows],
     )
-    assert best is not None
+    best = max(rows, key=lambda row: row[3])
     return GridResult(
         csv_path=out,
         best_eta_coefficient=best[0],
@@ -616,17 +613,6 @@ def run_grid_search(cfg: ExperimentConfig) -> GridResult:
 # ----------------------------------------------------------- validate-risk
 
 
-class _FixedSelector(OnlineSelector):
-    """Keeps one k-set every epoch; the strategy it is built with is never consulted."""
-
-    def __init__(self, selection: KSetSelection, n: int):
-        super().__init__(SelectorConfig(strategy=Strategy.NAIVE, k=selection.k), n)
-        self.selection = selection
-
-    def select(self, seen) -> KSetSelection:
-        return self.selection
-
-
 @dataclass
 class ValidateRiskResult:
     csv_path: str
@@ -638,9 +624,11 @@ def run_validate_risk(cfg: ExperimentConfig) -> ValidateRiskResult:
     """Train on fixed selections of known label precision.
 
     For each clean fraction f, the fixed k-set holds round(f * k)
-    clean samples and the rest noisy, drawn seeded.  The model trains
-    only on that set every epoch while the per-epoch selected risk is
-    recorded; more noise in the set should mean more total risk.
+    clean samples and the rest noisy, drawn seeded.  train_selective
+    runs on just those k rows, so every pick is the whole set, the
+    model trains only on it, and each epoch's selection risk is the
+    set's total risk; more noise in the set should mean more total
+    risk.  Runs are seeded like train's.
     """
     out = _require_out(cfg)
     train_base, _ = _load_base_datasets(cfg)
@@ -661,25 +649,13 @@ def run_validate_risk(cfg: ExperimentConfig) -> ValidateRiskResult:
                     f"{clean_idx.shape[0]} clean and {noisy_idx.shape[0]} noisy samples available"
                 )
             rng = np.random.default_rng(np.random.SeedSequence((seed, int(round(frac * 100)))))
-            parts = []
-            if n_clean:
-                parts.append(rng.choice(clean_idx, size=n_clean, replace=False))
-            if n_noisy:
-                parts.append(rng.choice(noisy_idx, size=n_noisy, replace=False))
-            fixed = KSetSelection(np.sort(np.concatenate(parts)))
-
-            model = init_mlp(noisy.dim, cfg.hidden, noisy.num_classes, seed=seed)
-            shuffle_rng = np.random.default_rng(seed)
-
-            def feedback(epoch: int, picks: list[KSetSelection]):
-                train_epoch(model, noisy, picks[0], cfg.lr, cfg.batch_size, shuffle_rng)
-                predicted, conf = predict_batch(model, noisy.samples)
-                theta = RiskVector(noise_risk_scores(predicted, conf, noisy.assigned_labels))
-                return theta, None, float("nan"), float("nan")
-
+            clean = rng.choice(clean_idx, size=n_clean, replace=False)
+            fixed = np.sort(np.concatenate([clean, rng.choice(noisy_idx, size=n_noisy, replace=False)]))
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "k = n selects every sample", UserWarning)
+                run = train_selective(noisy.subset(fixed), None, _train_cfg(cfg, Strategy.NAIVE, k, 0.0, seed))
             cum_risk = 0.0
-            (metrics,), _ = run_epochs([_FixedSelector(fixed, noisy.n)], None, cfg.epochs, feedback)
-            for m in metrics:
+            for m in run.metrics:
                 cum_risk += m.selection_risk
                 rows.append(f"{_fmt(frac)},{seed},{m.epoch},{_fmt(m.selection_risk)},{_fmt(cum_risk)}")
             totals[frac].append(cum_risk)

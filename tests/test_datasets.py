@@ -301,6 +301,14 @@ class TestCsvDataset:
         with pytest.raises(DataError):
             load_csv_dataset(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_feature_names_file_and_row(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"label,f_0,f_1\n0,0.5,1.0\n1,0.25,{bad}\n0,2.0,3.0\n")
+        with pytest.raises(DataError) as exc:
+            load_csv_dataset(path)
+        assert str(exc.value) == f"{path}: row 3: features must be finite"
+
 
 class TestDatasetType:
     def test_validation(self):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -15,11 +16,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ksetsel
-from ksetsel import harness, selection, training
+from ksetsel import harness, mlp, selection, training
 from ksetsel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from ksetsel.datasets import make_blobs, save_csv_dataset
 from ksetsel.errors import ConfigError
-from ksetsel.feedback import load_stream_csv
+from ksetsel.feedback import load_stream_csv, noise_risk_scores
 from ksetsel.harness import (
     ETA_COEFFICIENT_GRID,
     METRICS_HEADER,
@@ -628,6 +629,56 @@ class TestRunValidateRisk:
         with pytest.raises(ConfigError):
             run_validate_risk(cfg)
 
+    def test_risks_equal_a_fixed_set_loop_on_the_full_noisy_set(self, tmp_path, monkeypatch):
+        """Each (seed, fraction) trains through train_selective on the fixed k rows alone.
+
+        The reference trains on the full noisy set, picks the same fixed
+        k-set every epoch and seeds model init and batch shuffling from
+        the streams train_selective spawns for them (0 and 1).
+        """
+        cfg = tiny_train_cfg(tmp_path, mode="validate-risk", out=str(tmp_path / "vr.csv"), seeds=(0, 1), epochs=3)
+        runs = []
+
+        def spy(dataset, test_set, train_cfg):
+            result = training.train_selective(dataset, test_set, train_cfg)
+            runs.append((dataset.n, train_cfg.strategy, [m.selection_risk for m in result.metrics]))
+            return result
+
+        monkeypatch.setattr(harness, "train_selective", spy)
+        run_validate_risk(cfg)
+
+        train_base, _ = harness._load_base_datasets(cfg)
+        k = cfg.resolve_k(train_base.n)
+        expected = []
+        for seed in cfg.seeds:
+            noisy = harness._noisy_copy(train_base, cfg, seed)
+            clean_idx, noisy_idx = np.flatnonzero(noisy.clean_mask), np.flatnonzero(~noisy.clean_mask)
+            streams = np.random.SeedSequence(seed).spawn(4)
+            for frac in VALIDATE_RISK_FRACTIONS:
+                rng = np.random.default_rng(np.random.SeedSequence((seed, int(round(frac * 100)))))
+                n_clean = int(round(frac * k))
+                clean = rng.choice(clean_idx, size=n_clean, replace=False)
+                fixed = selection.KSetSelection(
+                    np.sort(np.concatenate([clean, rng.choice(noisy_idx, size=k - n_clean, replace=False)]))
+                )
+                model = mlp.init_mlp(noisy.dim, cfg.hidden, noisy.num_classes, int(streams[0].generate_state(1)[0]))
+                shuffle_rng = np.random.default_rng(streams[1])
+                risks = []
+                for _ in range(cfg.epochs):
+                    mlp.train_epoch(model, noisy, fixed, cfg.lr, cfg.batch_size, shuffle_rng)
+                    predicted, conf = mlp.predict_batch(model, noisy.samples)
+                    theta = noise_risk_scores(predicted, conf, noisy.assigned_labels)
+                    risks.append(float(theta[fixed.indices].sum()))
+                expected.append((k, Strategy.NAIVE, risks))
+        assert runs == expected
+
+    def test_emits_no_k_equals_n_warning(self, tmp_path):
+        cfg = tiny_train_cfg(tmp_path, mode="validate-risk", out=str(tmp_path / "vr.csv"), seeds=(0,), epochs=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_validate_risk(cfg)
+        assert [str(w.message) for w in caught if "k = n" in str(w.message)] == []
+
 
 class TestRunBounds:
     def test_lines(self):
@@ -797,3 +848,51 @@ class TestCli:
 
     def test_bad_noise_flag_exit_one(self, capsys):
         assert main(["train", "--noise", "weird:1", "--k-frac", "0.3"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "mode, text, flags, message",
+        [
+            ("bounds", "n = -5\n", ["--k-frac", "0.3"], "n must be >= 1, got -5"),
+            ("train", "n = 0\nk_frac = 0.3\n", [], "n must be >= 1, got 0"),
+        ],
+    )
+    def test_n_below_one_exit_one(self, tmp_path, capsys, mode, text, flags, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(text + f"out = {tmp_path / 'm.csv'}\n")
+        assert main([mode, "--config", str(path), *flags]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bad_row", [0, 5])
+    def test_non_finite_csv_feature_exit_two_naming_file_and_row(self, tmp_path, capsys, bad, bad_row):
+        data = make_blobs(40, 3, 2, separation=6.0, seed=0)
+        data.samples[bad_row, 1] = float(bad)
+        csv_path = tmp_path / "data.csv"
+        save_csv_dataset(data, csv_path)
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"dataset = csv\ncsv_path = {csv_path}\nhidden = 4\nepochs = 2\nk_frac = 0.5\n"
+            f"out = {tmp_path / 'm.csv'}\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--config", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {csv_path}: row {bad_row + 2}: features must be finite\n"
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_ablate_repeated_selector_counts_once(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "n = 120\ndim = 4\nclasses = 3\ntest_n = 40\nhidden = 8\nepochs = 2\nk_frac = 0.5\n"
+            f"noise = sym:0.4\nout = {tmp_path / 'cmp.csv'}\n"
+        )
+        assert main(["ablate", "--config", str(path), "--selector", "fpl, fpl"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: ablate mode needs at least two selectors\n"
+        assert not (tmp_path / "cmp.csv").exists()
+        assert main(["ablate", "--config", str(path), "--selector", "naive, fpl, naive"]) == EXIT_OK
+        _, rows = read_rows(tmp_path / "cmp.csv")
+        assert [row.split(",")[0] for row in rows] == ["naive", "fpl"]
+        assert sum(row.endswith(",1") for row in rows) == 1
