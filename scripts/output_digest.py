@@ -9,7 +9,9 @@ exit code, stdout and stderr (the temporary directory replaced by a
 placeholder), the messages of the warnings it raised, and every file it
 wrote: metric CSVs without their last column (wall_ms, the one output
 outside the determinism contract) and all other files whole.  Run it on
-two checkouts and compare the totals.
+two checkouts and compare the totals.  It exits 1 when any config exits
+non-zero, after printing every digest, so a config broken on both
+checkouts cannot pass as equal.
 
 The grid: simulate over the four generated stream kinds x three selector
 lists, each with seeds 0 and 1; a planted simulate that dumps its stream
@@ -87,7 +89,7 @@ def file_bytes(path: Path) -> bytes:
     return "\n".join(lines).encode()
 
 
-def run_config(cli, root: Path, name: str, mode: str, keys: dict) -> str:
+def run_config(cli, root: Path, name: str, mode: str, keys: dict) -> tuple[str, int]:
     run_dir = root / name
     run_dir.mkdir()
     shared = str(root)
@@ -110,7 +112,7 @@ def run_config(cli, root: Path, name: str, mode: str, keys: dict) -> str:
             digest.update(path.name.encode() + b"\n" + file_bytes(path) + b"\n--\n")
     if rc != 0:
         print(f"{name}: exit {rc}: {stderr.getvalue().strip()}", file=sys.stderr)
-    return digest.hexdigest()
+    return digest.hexdigest(), rc
 
 
 def main(argv: list[str]) -> int:
@@ -126,14 +128,17 @@ def main(argv: list[str]) -> int:
         print(f"ksetsel imported from {ksetsel.__file__}, not from {src}", file=sys.stderr)
         return 2
     total = hashlib.sha256()
+    failed = False
     with tempfile.TemporaryDirectory() as tmp:
         write_csv_data(Path(tmp))
         for name, mode, keys in configs():
-            line = f"{run_config(cli, Path(tmp), name, mode, keys)}  {name}"
+            digest, rc = run_config(cli, Path(tmp), name, mode, keys)
+            failed |= rc != 0
+            line = f"{digest}  {name}"
             print(line)
             total.update(line.encode() + b"\n")
     print(f"{total.hexdigest()}  total")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

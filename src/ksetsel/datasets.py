@@ -37,6 +37,7 @@ from .errors import (
     InputError,
     ParameterError,
 )
+from .tables import read_table, write_table
 
 __all__ = [
     "Dataset",
@@ -289,39 +290,15 @@ def load_idx(images_path, labels_path) -> Dataset:
 
 def load_csv_dataset(path) -> Dataset:
     """Read 'label,f_0,...,f_{d-1}' rows (one header line) into a Dataset."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) < 2:
-        raise DataError(f"{path}: need a header and at least one sample row")
-    header = lines[0].split(",")
-    if header[0] != "label" or len(header) < 2 or any(h != f"f_{i}" for i, h in enumerate(header[1:])):
-        raise DataError(f"{path}: malformed dataset header")
-    d = len(header) - 1
-    labels, rows = [], []
-    for row_no, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != d + 1:
-            raise DataError(f"{path}: row {row_no} has {len(parts) - 1} features, expected {d}")
-        try:
-            labels.append(int(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
-        except ValueError as exc:
-            raise DataError(f"{path}: row {row_no}: {exc}") from exc
-    y = np.array(labels, dtype=np.int64)
-    if y.min() < 0:
-        raise DataError(f"{path}: labels must be non-negative")
-    x = np.array(rows, dtype=np.float64)
-    bad_rows = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if bad_rows.size:
-        raise DataError(f"{path}: row {bad_rows[0] + 2}: features must be finite")
+    y, x, lines = read_table(path, "label", "f_", "features", DataError)
+    negative = np.flatnonzero(y < 0)
+    if negative.size:
+        raise DataError(f"{path}: row {lines[negative[0]]}: labels must be non-negative")
     num_classes = int(y.max()) + 1
     return Dataset(samples=x, true_labels=y, assigned_labels=y.copy(), num_classes=num_classes)
 
 
 def save_csv_dataset(dataset: Dataset, path) -> None:
     """Write assigned labels and features in load_csv_dataset's format."""
-    header = "label," + ",".join(f"f_{i}" for i in range(dataset.dim))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for y, row in zip(dataset.assigned_labels, dataset.samples):
-            fh.write(f"{y}," + ",".join(format(v, ".17g") for v in row) + "\n")
+    rows = ((y, *row.tolist()) for y, row in zip(dataset.assigned_labels.tolist(), dataset.samples))
+    write_table(path, ["label", *(f"f_{i}" for i in range(dataset.dim))], rows, ".17g")

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import InputError, ParameterError
 from .selection import RiskVector
+from .tables import read_table, write_table
 
 __all__ = [
     "Prediction",
@@ -187,33 +188,15 @@ def dump_stream_csv(stream: RiskStream, path) -> None:
     Values are written with 17 significant digits so a replay
     reproduces the floats exactly.
     """
-    n = stream.n
-    header = "epoch," + ",".join(f"theta_{i}" for i in range(n))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for t, theta in enumerate(stream.risks, start=1):
-            fh.write(f"{t}," + ",".join(format(v, ".17g") for v in theta.values) + "\n")
+    rows = ((t, *theta.values.tolist()) for t, theta in enumerate(stream.risks, start=1))
+    write_table(path, ["epoch", *(f"theta_{i}" for i in range(stream.n))], rows, ".17g")
 
 
 def load_stream_csv(path) -> RiskStream:
-    """Replay a stream dumped by dump_stream_csv."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise InputError(f"{path}: empty stream file")
-    header = lines[0].split(",")
-    if header[0] != "epoch" or len(header) < 2 or any(h != f"theta_{i}" for i, h in enumerate(header[1:])):
-        raise InputError(f"{path}: malformed stream header")
-    n = len(header) - 1
-    risks = []
-    for row_no, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != n + 1:
-            raise InputError(f"{path}: row {row_no} has {len(parts) - 1} values, expected {n}")
-        try:
-            risks.append(RiskVector(np.array([float(v) for v in parts[1:]], dtype=np.float64)))
-        except ValueError as exc:
-            raise InputError(f"{path}: row {row_no}: {exc}") from exc
-    if not risks:
-        raise InputError(f"{path}: stream has no epochs")
-    return RiskStream(risks=risks, clean_masks=None)
+    """Replay a stream dumped by dump_stream_csv; its epoch column must read 1, 2, ..., T."""
+    epochs, values, lines = read_table(path, "epoch", "theta_", "values", InputError)
+    wrong = np.flatnonzero(epochs != np.arange(1, epochs.shape[0] + 1))
+    if wrong.size:
+        i = wrong[0]
+        raise InputError(f"{path}: row {lines[i]}: epoch {epochs[i]}, expected {i + 1}")
+    return RiskStream(risks=[RiskVector(theta) for theta in values], clean_masks=None)

@@ -39,6 +39,7 @@ from .feedback import (
 )
 from .mlp import evaluate
 from .selection import KSetSelection, RiskVector, SelectorConfig, Strategy
+from .tables import write_table
 from .training import EpochMetrics, OnlineSelector, TrainConfig, run_epochs, train_selective
 
 __all__ = [
@@ -57,7 +58,8 @@ __all__ = [
     "run_bounds",
 ]
 
-METRICS_HEADER = ",".join(["run_seed"] + [f.name for f in dataclasses.fields(EpochMetrics)])
+_METRICS_COLUMNS = ("run_seed", *(f.name for f in dataclasses.fields(EpochMetrics)))
+METRICS_HEADER = ",".join(_METRICS_COLUMNS)
 ETA_COEFFICIENT_GRID = (1e-4, 5e-4, 1e-3, 5e-3)
 VALIDATE_RISK_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
 _MODES = ("simulate", "train", "ablate", "grid", "validate-risk", "bounds")
@@ -65,7 +67,12 @@ _MODES = ("simulate", "train", "ablate", "grid", "validate-risk", "bounds")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run mode needs; unused fields are ignored by each mode."""
+    """Everything a run mode needs; unused fields are ignored by each mode.
+
+    Construction checks every field that does not depend on the data
+    (resolve_k checks k against n) and keeps the first of a repeated
+    selector.
+    """
 
     mode: str = "train"
     out: str | None = None
@@ -110,6 +117,28 @@ class ExperimentConfig:
     # bounds mode
     alpha: float | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "selectors", tuple(dict.fromkeys(self.selectors)))
+        if self.k is not None and self.k_frac is not None:
+            raise ConfigError("set only one of k and k_frac")
+        if self.mode not in _MODES:
+            raise ConfigError(f"unknown mode {self.mode!r}; valid: {', '.join(_MODES)}")
+        if not self.seeds:
+            raise ConfigError("seeds list is empty")
+        if min(self.seeds) < 0 or self.data_seed < 0:
+            raise ConfigError(f"seeds must be >= 0, got seeds {list(self.seeds)} and data_seed {self.data_seed}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
+        if not self.selectors:
+            raise ConfigError("selector list is empty")
+        for name in ("n", "epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.test_n is not None and self.test_n < 1:
+            raise ConfigError(f"test_n must be >= 1, got {self.test_n}")
+        if self.dataset not in ("blobs", "idx", "csv"):
+            raise ConfigError(f"dataset must be blobs, idx, or csv, got {self.dataset!r}")
+
     def resolve_k(self, n: int) -> int:
         if self.k is not None:
             if not 1 <= self.k <= n:
@@ -135,8 +164,6 @@ def _parse_int_list(v: str) -> tuple[int, ...]:
 
 def _parse_selectors(v: str) -> tuple[Strategy, ...]:
     names = [p.strip().lower() for p in v.split(",") if p.strip()]
-    if not names:
-        raise ConfigError("selector list is empty")
     out = []
     for name in names:
         try:
@@ -144,7 +171,7 @@ def _parse_selectors(v: str) -> tuple[Strategy, ...]:
         except ValueError:
             valid = ", ".join(s.value for s in Strategy)
             raise ConfigError(f"unknown selector {name!r}; valid: {valid}") from None
-    return tuple(dict.fromkeys(out))  # a repeated selector counts once
+    return tuple(out)
 
 
 def parse_noise(v: str) -> tuple[str, float]:
@@ -200,7 +227,7 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def build_config(raw: dict[str, str]) -> ExperimentConfig:
-    """Validate raw key/value strings into an ExperimentConfig."""
+    """Parse raw key/value strings into an ExperimentConfig, which checks them."""
     fields: dict[str, object] = {}
     for key, value in raw.items():
         if key == "noise":
@@ -215,44 +242,7 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
             raise
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from None
-    cfg = ExperimentConfig(**fields)
-    if cfg.k is not None and cfg.k_frac is not None:
-        raise ConfigError("set only one of k and k_frac")
-    if cfg.mode not in _MODES:
-        raise ConfigError(f"unknown mode {cfg.mode!r}; valid: {', '.join(_MODES)}")
-    if not cfg.seeds:
-        raise ConfigError("seeds list is empty")
-    if min(cfg.seeds) < 0 or cfg.data_seed < 0:
-        raise ConfigError(f"seeds must be >= 0, got seeds {list(cfg.seeds)} and data_seed {cfg.data_seed}")
-    if len(set(cfg.seeds)) != len(cfg.seeds):
-        raise ConfigError(f"seeds must be distinct, got {list(cfg.seeds)}")
-    if not cfg.selectors:
-        raise ConfigError("selector list is empty")
-    for name in ("n", "epochs"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
-    if cfg.test_n is not None and cfg.test_n < 1:
-        raise ConfigError(f"test_n must be >= 1, got {cfg.test_n}")
-    if cfg.dataset not in ("blobs", "idx", "csv"):
-        raise ConfigError(f"dataset must be blobs, idx, or csv, got {cfg.dataset!r}")
-    return cfg
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
-
-
-def _metrics_rows(run_seed: int, metrics: list[EpochMetrics]) -> list[str]:
-    return [",".join(_fmt(v) for v in (run_seed, *dataclasses.astuple(m))) for m in metrics]
-
-
-def _write_csv(path, header: str, rows: list[str]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+    return ExperimentConfig(**fields)
 
 
 def _suffixed(out: str, tag: str) -> str:
@@ -275,15 +265,15 @@ def _run_seeds(cfg: ExperimentConfig, out: str, run_seed):
     `out` for one selector, `out_<selector>.csv` for several.  Returns
     ({strategy: [metrics per seed]}, {strategy: path}).
     """
-    runs: dict[Strategy, list] = {strategy: [] for strategy in cfg.selectors}  # a repeated selector runs once
+    runs: dict[Strategy, list] = {strategy: [] for strategy in cfg.selectors}
     for seed in cfg.seeds:
         for seed_runs, metrics in zip(runs.values(), run_seed(seed, list(runs))):
             seed_runs.append(metrics)
     paths = {}
     for strategy, seed_runs in runs.items():
         paths[strategy] = out if len(cfg.selectors) == 1 else _suffixed(out, strategy.value)
-        rows = [row for seed, metrics in zip(cfg.seeds, seed_runs) for row in _metrics_rows(seed, metrics)]
-        _write_csv(paths[strategy], METRICS_HEADER, rows)
+        rows = ((seed, *dataclasses.astuple(m)) for seed, metrics in zip(cfg.seeds, seed_runs) for m in metrics)
+        write_table(paths[strategy], _METRICS_COLUMNS, rows)
     return runs, paths
 
 
@@ -469,8 +459,8 @@ def run_train(cfg: ExperimentConfig) -> TrainModeResult:
     last10, _ = _train_seeds(cfg, out)
     summary = dict(zip(cfg.seeds, last10[cfg.selectors[0]]))
     summary_path = _suffixed(out, "summary")
-    summary_rows = [f"{seed},{_fmt(acc)},{_fmt(prec)}" for seed, (acc, prec) in sorted(summary.items())]
-    _write_csv(summary_path, "run_seed,last10_test_acc,last10_label_precision", summary_rows)
+    summary_rows = ((seed, acc, prec) for seed, (acc, prec) in sorted(summary.items()))
+    write_table(summary_path, ("run_seed", "last10_test_acc", "last10_label_precision"), summary_rows)
     return TrainModeResult(
         csv_path=out,
         summary_path=summary_path,
@@ -507,11 +497,8 @@ def run_ablate(cfg: ExperimentConfig) -> AblateResult:
     fpl_wins = None
     if Strategy.FPL in cfg.selectors and others:
         fpl_wins = all(mean_acc[Strategy.FPL] >= mean_acc[s] for s in others)
-    comparison_rows = [
-        f"{s.value},{_fmt(mean_acc[s])},{_fmt(mean_prec[s])},{1 if s is best else 0}"
-        for s in cfg.selectors
-    ]
-    _write_csv(out, "selector,mean_last10_test_acc,mean_last10_label_precision,is_best", comparison_rows)
+    header = ("selector", "mean_last10_test_acc", "mean_last10_label_precision", "is_best")
+    write_table(out, header, ((s.value, mean_acc[s], mean_prec[s], int(s is best)) for s in cfg.selectors))
     return AblateResult(
         csv_path=out,
         metric_paths=metric_paths,
@@ -594,11 +581,7 @@ def run_grid_search(cfg: ExperimentConfig) -> GridResult:
             rows.append((coef, frac, k, val_acc))
     if clamped:
         warnings.warn("k grid clamped to [1, n]; the fraction grid exceeded the valid range", UserWarning)
-    _write_csv(
-        out,
-        "eta_coefficient,k_frac,k,val_acc",
-        [f"{_fmt(c)},{_fmt(f)},{k},{_fmt(a)}" for c, f, k, a in rows],
-    )
+    write_table(out, ("eta_coefficient", "k_frac", "k", "val_acc"), rows)
     best = max(rows, key=lambda row: row[3])
     return GridResult(
         csv_path=out,
@@ -634,7 +617,7 @@ def run_validate_risk(cfg: ExperimentConfig) -> ValidateRiskResult:
     train_base, _ = _load_base_datasets(cfg)
     k = cfg.resolve_k(train_base.n)
 
-    rows: list[str] = []
+    rows: list[tuple] = []
     totals: dict[float, list[float]] = {f: [] for f in VALIDATE_RISK_FRACTIONS}
     for seed in cfg.seeds:
         noisy = _noisy_copy(train_base, cfg, seed)
@@ -657,10 +640,10 @@ def run_validate_risk(cfg: ExperimentConfig) -> ValidateRiskResult:
             cum_risk = 0.0
             for m in run.metrics:
                 cum_risk += m.selection_risk
-                rows.append(f"{_fmt(frac)},{seed},{m.epoch},{_fmt(m.selection_risk)},{_fmt(cum_risk)}")
+                rows.append((frac, seed, m.epoch, m.selection_risk, cum_risk))
             totals[frac].append(cum_risk)
 
-    _write_csv(out, "clean_fraction,run_seed,epoch,selection_risk,cum_selection_risk", rows)
+    write_table(out, ("clean_fraction", "run_seed", "epoch", "selection_risk", "cum_selection_risk"), rows)
     means = {f: float(np.mean(v)) for f, v in totals.items()}
     ordered = [means[f] for f in VALIDATE_RISK_FRACTIONS]
     decreasing = all(a > b for a, b in zip(ordered, ordered[1:]))
@@ -682,16 +665,16 @@ def run_bounds(cfg: ExperimentConfig) -> BoundsResult:
     if k == cfg.n:
         lines.append("regret ceiling: undefined for k = n (guarantee needs k <= n - 1)")
     else:
-        lines.append(f"regret ceiling (eta = sqrt(kT)): {_fmt(regret_bound(cfg.n, k, cfg.epochs))}")
-    lines.append(f"trivial risk ceiling k*T: {_fmt(float(k * cfg.epochs))}")
+        lines.append(f"regret ceiling (eta = sqrt(kT)): {regret_bound(cfg.n, k, cfg.epochs):.10g}")
+    lines.append(f"trivial risk ceiling k*T: {float(k * cfg.epochs):.10g}")
     if cfg.alpha is not None:
         if k == cfg.n:
             lines.append("avg-risk ceiling: undefined for k = n")
         else:
             try:
                 lines.append(
-                    f"avg-risk ceiling (alpha={_fmt(cfg.alpha)}): "
-                    f"{_fmt(avg_risk_bound(cfg.n, k, cfg.epochs, cfg.alpha))}"
+                    f"avg-risk ceiling (alpha={cfg.alpha:.10g}): "
+                    f"{avg_risk_bound(cfg.n, k, cfg.epochs, cfg.alpha):.10g}"
                 )
             except ParameterError as exc:
                 raise ConfigError(str(exc)) from exc

@@ -309,6 +309,29 @@ class TestCsvDataset:
             load_csv_dataset(path)
         assert str(exc.value) == f"{path}: row 3: features must be finite"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("label,f_0\n\n0,1.0\n1,oops\n", "row 4: could not convert string to float: 'oops'"),
+            ("label,f_0\n\n0,1.0\n\n1,inf\n", "row 5: features must be finite"),
+            ("label,f_0,f_1\n\n\n0,1.0\n", "row 4 has 1 features, expected 2"),
+            ("label,f_0\n0,1.0\n\n-1,2.0\n", "row 4: labels must be non-negative"),
+        ],
+    )
+    def test_errors_name_the_file_line_counting_blank_lines(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as exc:
+            load_csv_dataset(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("\nlabel,f_0\n\n0,1.5\n  \n1,-2.0\n\n")
+        loaded = load_csv_dataset(path)
+        np.testing.assert_array_equal(loaded.samples, [[1.5], [-2.0]])
+        np.testing.assert_array_equal(loaded.true_labels, [0, 1])
+
 
 class TestDatasetType:
     def test_validation(self):

@@ -272,3 +272,34 @@ class TestStreamCsv:
         path.write_text("")
         with pytest.raises(InputError):
             load_stream_csv(path)
+
+    def test_error_names_the_file_line_counting_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("epoch,theta_0\n\n1,0.5\n2,oops\n")
+        with pytest.raises(InputError) as exc:
+            load_stream_csv(path)
+        assert str(exc.value) == f"{path}: row 4: could not convert string to float: 'oops'"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("epoch,theta_0\n1,0.5\nfoo,0.5\n", "row 3: invalid literal for int() with base 10: 'foo'"),
+            ("epoch,theta_0\n1,0.5\n\n-7,0.5\n", "row 4: epoch -7, expected 2"),
+            ("epoch,theta_0\n2,0.5\n1,0.5\n", "row 2: epoch 2, expected 1"),
+            ("epoch,theta_0\n1,0.5\n1,0.5\n", "row 3: epoch 1, expected 2"),
+        ],
+    )
+    def test_epoch_column_must_count_from_one(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InputError) as exc:
+            load_stream_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"epoch,theta_0,theta_1\n1,0.5,0.5\n\n2,0.25,{bad}\n")
+        with pytest.raises(InputError) as exc:
+            load_stream_csv(path)
+        assert str(exc.value) == f"{path}: row 4: values must be finite"

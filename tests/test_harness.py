@@ -163,6 +163,31 @@ class TestConfigParsing:
             return
         assert isinstance(cfg, ExperimentConfig)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"k": 3, "k_frac": 0.5}, "set only one of k and k_frac"),
+            ({"mode": "serve"}, "unknown mode 'serve'"),
+            ({"seeds": ()}, "seeds list is empty"),
+            ({"seeds": (0, -1)}, "seeds must be >= 0"),
+            ({"data_seed": -1}, "seeds must be >= 0"),
+            ({"n": 0, "seeds": (0, 0)}, "seeds must be distinct, got [0, 0]"),
+            ({"selectors": ()}, "selector list is empty"),
+            ({"n": 0}, "n must be >= 1, got 0"),
+            ({"epochs": -2}, "epochs must be >= 1, got -2"),
+            ({"test_n": 0}, "test_n must be >= 1, got 0"),
+            ({"dataset": "parquet"}, "dataset must be blobs, idx, or csv, got 'parquet'"),
+        ],
+    )
+    def test_direct_config_checks_itself(self, fields, message):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**fields)
+        assert message in str(exc.value)
+
+    def test_direct_config_counts_a_repeated_selector_once(self):
+        cfg = ExperimentConfig(selectors=(Strategy.FPL, Strategy.NAIVE, Strategy.FPL))
+        assert cfg.selectors == (Strategy.FPL, Strategy.NAIVE)
+
     def test_resolve_k(self):
         assert ExperimentConfig(k=5).resolve_k(10) == 5
         assert ExperimentConfig(k_frac=0.25).resolve_k(10) == 2
@@ -429,6 +454,19 @@ class TestRunAblate:
         _, fpl_rows = read_rows(tmp_path / "cmp_fpl.csv")
         _, naive_rows = read_rows(tmp_path / "cmp_naive.csv")
         assert drop_wall(fpl_rows) == drop_wall(naive_rows)
+
+    def test_direct_config_writes_one_row_per_selector(self, tmp_path):
+        cfg = tiny_train_cfg(
+            tmp_path,
+            mode="ablate",
+            out=str(tmp_path / "cmp.csv"),
+            selectors=(Strategy.FPL, Strategy.FPL, Strategy.NAIVE),
+            seeds=(0,),
+        )
+        run_ablate(cfg)
+        _, rows = read_rows(tmp_path / "cmp.csv")
+        assert [row.split(",")[0] for row in rows] == ["fpl", "naive"]
+        assert sum(row.endswith(",1") for row in rows) == 1
 
     def test_needs_two_selectors(self, tmp_path):
         cfg = tiny_train_cfg(tmp_path, mode="ablate", selectors=(Strategy.FPL,))
@@ -845,6 +883,17 @@ class TestCli:
         assert main(["simulate", "--config", str(path)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "stream.csv: row 2" in err
+
+    @pytest.mark.parametrize("epochs", ["1\nfoo", "1\n-7"])
+    def test_stream_csv_epoch_column_exit_two(self, tmp_path, capsys, epochs):
+        first, second = epochs.split("\n")
+        stream = tmp_path / "stream.csv"
+        stream.write_text(f"epoch,theta_0,theta_1\n{first},0.5,0.25\n\n{second},0.5,0.25\n")
+        path = tmp_path / "run.cfg"
+        path.write_text(f"stream = csv\nstream_csv = {stream}\nk = 1\nout = {tmp_path / 'm.csv'}\n")
+        assert main(["simulate", "--config", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {stream}: row 4: ")
+        assert not (tmp_path / "m.csv").exists()
 
     def test_bad_noise_flag_exit_one(self, capsys):
         assert main(["train", "--noise", "weird:1", "--k-frac", "0.3"]) == EXIT_CONFIG
