@@ -2,7 +2,7 @@
 
     python3 scripts/output_digest.py SRC_DIR
 
-imports ksetsel from SRC_DIR (a checkout's `src/`), runs 23 configs
+imports ksetsel from SRC_DIR (a checkout's `src/`), runs 24 configs
 through `ksetsel.cli.main` in a temporary directory and prints one
 sha256 per config plus a total over them.  A config's digest covers its
 exit code, stdout and stderr (the temporary directory replaced by a
@@ -16,8 +16,9 @@ checkouts cannot pass as equal.
 The grid: simulate over the four generated stream kinds x three selector
 lists, each with seeds 0 and 1; a planted simulate that dumps its stream
 and a csv replay of that dump; train with each selector; train with
-asymmetric noise on a CSV dataset the script writes itself; ablate;
-validate-risk; grid; bounds.
+asymmetric noise on a CSV dataset the script writes itself; train with
+every override flag over a file that sets the same keys (and `k`)
+otherwise; ablate; validate-risk; grid; bounds.
 """
 
 from __future__ import annotations
@@ -42,11 +43,19 @@ CSV_TRAIN = {
     "noise": "asym:0.3", "hidden": 16, "lr": 0.05, "batch_size": 16, "epochs": 12, "k_frac": 0.6,
     "eta_coefficient": 5e-3,
 }
+FLAGS = {
+    "--seed": "3", "--out": "{dir}/train-flags/flag.csv", "--selector": "fpl", "--eta-coef": "2e-3",
+    "--k-frac": "0.4", "--noise": "sym:0.3",
+}
 SELECTOR_LISTS = {"all": "fpl, naive, greedy, random", "naive": "naive", "mixed": "random, greedy, fpl, fpl"}
 
 
 def configs() -> list[tuple[str, str, dict]]:
-    """(name, mode, config-file keys) in run order; `{dir}` in a value is the directory all runs share."""
+    """(name, mode, keys) in run order.
+
+    A key is a config-file key, or a flag when it starts with `--`;
+    `{dir}` in a value is the directory all runs share.
+    """
     grid = []
     for stream in ("uniform", "planted", "drifting", "adversary"):
         for tag, selectors in SELECTOR_LISTS.items():
@@ -62,6 +71,9 @@ def configs() -> list[tuple[str, str, dict]]:
     for selector in ("fpl", "naive", "greedy", "random"):
         grid.append((f"train-{selector}", "train", {**BLOBS, "selectors": selector, "seeds": "0, 1"}))
     grid.append(("train-csv-asym", "train", {**CSV_TRAIN, "selectors": "fpl", "seeds": "0, 1"}))
+    overridden = {**BLOBS, "k": 200, "noise": "asym:0.2", "selectors": "naive", "seeds": "0, 1"}
+    del overridden["k_frac"]
+    grid.append(("train-flags", "train", {**overridden, **FLAGS}))
     grid.append(("ablate", "ablate", {**BLOBS, "selectors": SELECTOR_LISTS["all"], "seeds": "0, 1"}))
     grid.append(("validate-risk", "validate-risk", {**BLOBS, "seeds": "0, 1", "epochs": 6, "noise": "sym:0.5"}))
     grid.append(("grid", "grid", {**BLOBS, "seeds": "2", "epochs": 4, "noise_rate_estimate": 0.4}))
@@ -93,15 +105,17 @@ def run_config(cli, root: Path, name: str, mode: str, keys: dict) -> tuple[str, 
     run_dir = root / name
     run_dir.mkdir()
     shared = str(root)
-    text = "".join(f"{key} = {str(value).replace('{dir}', shared)}\n" for key, value in keys.items())
+    values = {key: str(value).replace("{dir}", shared) for key, value in keys.items()}
+    text = "".join(f"{key} = {value}\n" for key, value in values.items() if not key.startswith("--"))
     if mode != "bounds":
         text += f"out = {run_dir / 'out.csv'}\n"
     (run_dir / "run.cfg").write_text(text)
+    flags = [part for key, value in values.items() if key.startswith("--") for part in (key, value)]
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            rc = cli.main([mode, "--config", str(run_dir / "run.cfg")])
+            rc = cli.main([mode, "--config", str(run_dir / "run.cfg"), *flags])
     digest = hashlib.sha256(f"rc={rc}\n".encode())
     for stream in (stdout, stderr):
         digest.update(stream.getvalue().replace(shared, "<root>").encode() + b"\n--\n")

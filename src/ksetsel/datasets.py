@@ -9,11 +9,11 @@ Noise models:
                     without replacement, are flipped to a uniformly
                     random *different* class, so every flipped label
                     is wrong.
-  asymmetric(rate)  labels whose class is a key of pair_map flip to
-                    pair_map[class] independently with probability
-                    rate; other classes never flip.  The map must
-                    cover exactly ceil(C / 2) source classes and have
-                    no fixed points.
+  asymmetric(rate)  labels whose class is a key of default_pair_map(C)
+                    flip to its partner class independently with
+                    probability rate; other classes never flip.  The
+                    map covers exactly ceil(C / 2) source classes and
+                    has no fixed points.
 
 IDX ingestion reads the classic big-endian image/label binary pair
 (magic 0x00000803 for u8 images, 0x00000801 for u8 labels), scales
@@ -195,31 +195,13 @@ def default_pair_map(num_classes: int) -> dict[int, int]:
     return {c: (c + shift) % num_classes for c in range((num_classes + 1) // 2)}
 
 
-def inject_asymmetric_noise(
-    labels: np.ndarray,
-    num_classes: int,
-    rate: float,
-    seed: int,
-    pair_map: dict[int, int] | None = None,
-) -> np.ndarray:
-    """Flip mapped classes to their partner class with probability rate."""
+def inject_asymmetric_noise(labels: np.ndarray, num_classes: int, rate: float, seed: int) -> np.ndarray:
+    """Flip each class of default_pair_map(num_classes) to its partner class with probability rate."""
     y = _checked_labels(labels, num_classes, rate, "asymmetric")
-    if pair_map is None:
-        pair_map = default_pair_map(num_classes)
-    expected_sources = (num_classes + 1) // 2
-    if len(pair_map) != expected_sources:
-        raise ParameterError(
-            f"pair_map must cover exactly {expected_sources} source classes, got {len(pair_map)}"
-        )
-    for src, dst in pair_map.items():
-        if not (0 <= src < num_classes and 0 <= dst < num_classes):
-            raise ParameterError(f"pair_map entry {src} -> {dst} outside [0, {num_classes - 1}]")
-        if src == dst:
-            raise ParameterError(f"pair_map has fixed point {src} -> {dst}")
     rng = np.random.default_rng(seed)
     out = y.copy()
     coin = rng.uniform(0.0, 1.0, size=y.shape[0])
-    for src, dst in sorted(pair_map.items()):
+    for src, dst in sorted(default_pair_map(num_classes).items()):
         out[(y == src) & (coin < rate)] = dst
     return out
 

@@ -199,4 +199,7 @@ def load_stream_csv(path) -> RiskStream:
     if wrong.size:
         i = wrong[0]
         raise InputError(f"{path}: row {lines[i]}: epoch {epochs[i]}, expected {i + 1}")
+    outside = np.flatnonzero(((values < 0.0) | (values > 1.0)).any(axis=1))
+    if outside.size:
+        raise InputError(f"{path}: row {lines[outside[0]]}: risk values must lie in [0, 1]")
     return RiskStream(risks=[RiskVector(theta) for theta in values], clean_masks=None)

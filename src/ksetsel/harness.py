@@ -45,6 +45,7 @@ from .training import EpochMetrics, OnlineSelector, TrainConfig, run_epochs, tra
 __all__ = [
     "METRICS_HEADER",
     "ETA_COEFFICIENT_GRID",
+    "MODES",
     "VALIDATE_RISK_FRACTIONS",
     "ExperimentConfig",
     "parse_config_file",
@@ -62,7 +63,15 @@ _METRICS_COLUMNS = ("run_seed", *(f.name for f in dataclasses.fields(EpochMetric
 METRICS_HEADER = ",".join(_METRICS_COLUMNS)
 ETA_COEFFICIENT_GRID = (1e-4, 5e-4, 1e-3, 5e-3)
 VALIDATE_RISK_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
-_MODES = ("simulate", "train", "ablate", "grid", "validate-risk", "bounds")
+# The run modes, each with its one-line help; the CLI offers one subcommand per entry.
+MODES = {
+    "simulate": "run selectors over a synthetic risk stream",
+    "train": "train one selector on a dataset with label noise",
+    "ablate": "compare selectors on identically corrupted data",
+    "grid": "tune eta_coefficient and k on a noisy validation split",
+    "validate-risk": "train on fixed selections of known precision",
+    "bounds": "print closed-form regret and risk ceilings",
+}
 
 
 @dataclass(frozen=True)
@@ -97,9 +106,8 @@ class ExperimentConfig:
     idx_test_labels: str | None = None
     csv_path: str | None = None
     csv_test_path: str | None = None
-    # label noise
-    noise_kind: str | None = None
-    noise_rate: float = 0.0
+    # label noise; each run replaces its seed with the run seed
+    noise: LabelNoiseSpec | None = None
     # learner
     hidden: int = 256
     lr: float = 0.05
@@ -121,8 +129,8 @@ class ExperimentConfig:
         object.__setattr__(self, "selectors", tuple(dict.fromkeys(self.selectors)))
         if self.k is not None and self.k_frac is not None:
             raise ConfigError("set only one of k and k_frac")
-        if self.mode not in _MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; valid: {', '.join(_MODES)}")
+        if self.mode not in MODES:
+            raise ConfigError(f"unknown mode {self.mode!r}; valid: {', '.join(MODES)}")
         if not self.seeds:
             raise ConfigError("seeds list is empty")
         if min(self.seeds) < 0 or self.data_seed < 0:
@@ -174,8 +182,8 @@ def _parse_selectors(v: str) -> tuple[Strategy, ...]:
     return tuple(out)
 
 
-def parse_noise(v: str) -> tuple[str, float]:
-    """Parse 'sym:0.5' or 'asym:0.4'."""
+def parse_noise(v: str) -> LabelNoiseSpec:
+    """Parse 'sym:0.5' or 'asym:0.4'; the spec's seed is left for each run to replace."""
     parts = v.split(":")
     if len(parts) != 2 or parts[0] not in ("sym", "asym"):
         raise ConfigError(f"noise must look like sym:RATE or asym:RATE, got {v!r}")
@@ -185,22 +193,21 @@ def parse_noise(v: str) -> tuple[str, float]:
         raise ConfigError(f"noise rate {parts[1]!r} is not a number") from None
     if not 0.0 <= rate <= 1.0:
         raise ConfigError(f"noise rate must lie in [0, 1], got {rate}")
-    return parts[0], rate
+    return LabelNoiseSpec(kind=parts[0], rate=rate)
 
 
-# One parser per ExperimentConfig field, chosen by its annotation.  The
-# noise fields are set together through the `noise` key only.
+# One parser per ExperimentConfig field, chosen by its annotation.
 _TYPE_PARSERS = {
     "int": int,
     "float": float,
     "str": str,
     "tuple[int, ...]": _parse_int_list,
     "tuple[Strategy, ...]": _parse_selectors,
+    "LabelNoiseSpec": parse_noise,
 }
 _KEY_PARSERS = {
     f.name: _TYPE_PARSERS[f.type.removesuffix(" | None")]
     for f in dataclasses.fields(ExperimentConfig)
-    if f.name not in ("noise_kind", "noise_rate")
 }
 
 
@@ -230,9 +237,6 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     """Parse raw key/value strings into an ExperimentConfig, which checks them."""
     fields: dict[str, object] = {}
     for key, value in raw.items():
-        if key == "noise":
-            fields["noise_kind"], fields["noise_rate"] = parse_noise(value)
-            continue
         parser = _KEY_PARSERS.get(key)
         if parser is None:
             raise ConfigError(f"unknown config key {key!r}")
@@ -307,6 +311,13 @@ def _stream_for_seed(cfg: ExperimentConfig, seed: int) -> Iterator[tuple[RiskVec
 class SimulateResult:
     reports: dict[Strategy, BoundReport]
     csv_paths: dict[Strategy, str]
+
+    def lines(self) -> list[str]:
+        out = []
+        for strategy, report in self.reports.items():
+            out += [f"[{strategy.value}]", *("  " + line for line in report.lines())]
+            out.append(f"  metrics: {self.csv_paths[strategy]}")
+        return out
 
 
 def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
@@ -405,9 +416,9 @@ def _load_base_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset | None]
 
 
 def _noisy_copy(train: Dataset, cfg: ExperimentConfig, seed: int) -> Dataset:
-    if cfg.noise_kind is None or cfg.noise_rate == 0.0:
+    if cfg.noise is None or cfg.noise.rate == 0.0:
         return train
-    return apply_label_noise(train, LabelNoiseSpec(kind=cfg.noise_kind, rate=cfg.noise_rate, seed=seed))
+    return apply_label_noise(train, dataclasses.replace(cfg.noise, seed=seed))
 
 
 def _train_cfg(cfg: ExperimentConfig, strategy: Strategy, k: int, eta: float, seed: int) -> TrainConfig:
@@ -423,8 +434,8 @@ def _train_cfg(cfg: ExperimentConfig, strategy: Strategy, k: int, eta: float, se
     )
 
 
-def _train_seeds(cfg: ExperimentConfig, out: str):
-    """Train every selector per seed; returns ({strategy: [last-10 (test acc, precision) per seed]}, paths)."""
+def _train_seeds(cfg: ExperimentConfig, out: str) -> dict[Strategy, list[tuple[float, float]]]:
+    """Train every selector per seed; returns {strategy: [last-10 (test acc, precision) per seed]}."""
     train_base, test_set = _load_base_datasets(cfg)
     k = cfg.resolve_k(train_base.n)
     eta = resolve_eta(cfg.eta_coefficient, k, cfg.epochs)
@@ -433,8 +444,8 @@ def _train_seeds(cfg: ExperimentConfig, out: str):
         noisy = _noisy_copy(train_base, cfg, seed)
         return [train_selective(noisy, test_set, _train_cfg(cfg, s, k, eta, seed)).metrics for s in strategies]
 
-    runs, paths = _run_seeds(cfg, out, run_seed)
-    return {strategy: [_last10(metrics) for metrics in seed_runs] for strategy, seed_runs in runs.items()}, paths
+    runs, _ = _run_seeds(cfg, out, run_seed)
+    return {strategy: [_last10(metrics) for metrics in seed_runs] for strategy, seed_runs in runs.items()}
 
 
 def _last10(metrics: list[EpochMetrics]) -> tuple[float, float]:
@@ -446,9 +457,16 @@ def _last10(metrics: list[EpochMetrics]) -> tuple[float, float]:
 class TrainModeResult:
     csv_path: str
     summary_path: str
-    summary: dict[int, tuple[float, float]]  # seed -> (last10 test acc, last10 precision)
     mean_test_acc: float
     mean_precision: float
+
+    def lines(self) -> list[str]:
+        return [
+            f"metrics: {self.csv_path}",
+            f"summary: {self.summary_path}",
+            f"mean last-10 test accuracy:    {self.mean_test_acc:.6g}",
+            f"mean last-10 label precision:  {self.mean_precision:.6g}",
+        ]
 
 
 def run_train(cfg: ExperimentConfig) -> TrainModeResult:
@@ -456,15 +474,13 @@ def run_train(cfg: ExperimentConfig) -> TrainModeResult:
     out = _require_out(cfg)
     if len(cfg.selectors) != 1:
         raise ConfigError("train mode takes exactly one selector")
-    last10, _ = _train_seeds(cfg, out)
-    summary = dict(zip(cfg.seeds, last10[cfg.selectors[0]]))
+    summary = dict(zip(cfg.seeds, _train_seeds(cfg, out)[cfg.selectors[0]]))
     summary_path = _suffixed(out, "summary")
     summary_rows = ((seed, acc, prec) for seed, (acc, prec) in sorted(summary.items()))
     write_table(summary_path, ("run_seed", "last10_test_acc", "last10_label_precision"), summary_rows)
     return TrainModeResult(
         csv_path=out,
         summary_path=summary_path,
-        summary=summary,
         mean_test_acc=float(np.mean([a for a, _ in summary.values()])),
         mean_precision=float(np.mean([p for _, p in summary.values()])),
     )
@@ -476,11 +492,19 @@ def run_train(cfg: ExperimentConfig) -> TrainModeResult:
 @dataclass
 class AblateResult:
     csv_path: str
-    metric_paths: dict[Strategy, str]
-    mean_test_acc: dict[Strategy, float]
+    mean_test_acc: dict[Strategy, float]  # in selector order
     mean_precision: dict[Strategy, float]
     best: Strategy
     fpl_wins: bool | None
+
+    def lines(self) -> list[str]:
+        out = [
+            f"{s.value}: acc={acc:.6g} precision={self.mean_precision[s]:.6g}{' (best)' if s is self.best else ''}"
+            for s, acc in self.mean_test_acc.items()
+        ]
+        if self.fpl_wins is not None:
+            out.append(f"fpl beats all others: {'yes' if self.fpl_wins else 'no'}")
+        return out + [f"comparison: {self.csv_path}"]
 
 
 def run_ablate(cfg: ExperimentConfig) -> AblateResult:
@@ -488,7 +512,7 @@ def run_ablate(cfg: ExperimentConfig) -> AblateResult:
     out = _require_out(cfg)
     if len(cfg.selectors) < 2:
         raise ConfigError("ablate mode needs at least two selectors")
-    last10, metric_paths = _train_seeds(cfg, out)
+    last10 = _train_seeds(cfg, out)
     mean_acc = {s: float(np.mean([acc for acc, _ in last10[s]])) for s in cfg.selectors}
     mean_prec = {s: float(np.mean([prec for _, prec in last10[s]])) for s in cfg.selectors}
 
@@ -501,7 +525,6 @@ def run_ablate(cfg: ExperimentConfig) -> AblateResult:
     write_table(out, header, ((s.value, mean_acc[s], mean_prec[s], int(s is best)) for s in cfg.selectors))
     return AblateResult(
         csv_path=out,
-        metric_paths=metric_paths,
         mean_test_acc=mean_acc,
         mean_precision=mean_prec,
         best=best,
@@ -546,6 +569,13 @@ class GridResult:
     best_k: int
     best_val_acc: float
     rows: list[tuple[float, float, int, float]]
+
+    def lines(self) -> list[str]:
+        return [
+            f"best: eta_coefficient={self.best_eta_coefficient:g} k_frac={self.best_k_frac:g} "
+            f"k={self.best_k} val_acc={self.best_val_acc:.6g}",
+            f"grid: {self.csv_path}",
+        ]
 
 
 def run_grid_search(cfg: ExperimentConfig) -> GridResult:
@@ -602,6 +632,11 @@ class ValidateRiskResult:
     total_risk: dict[float, float]  # clean fraction -> mean final cumulative risk
     strictly_decreasing: bool
 
+    def lines(self) -> list[str]:
+        out = [f"clean fraction {f:.0%}: total selected risk {self.total_risk[f]:.6g}" for f in sorted(self.total_risk)]
+        out.append(f"strictly decreasing in clean fraction: {'yes' if self.strictly_decreasing else 'no'}")
+        return out + [f"curves: {self.csv_path}"]
+
 
 def run_validate_risk(cfg: ExperimentConfig) -> ValidateRiskResult:
     """Train on fixed selections of known label precision.
@@ -655,27 +690,36 @@ def run_validate_risk(cfg: ExperimentConfig) -> ValidateRiskResult:
 
 @dataclass
 class BoundsResult:
-    lines: list[str]
+    n: int
+    k: int
+    epochs: int
+    regret_ceiling: float | None  # None for k = n, where the guarantee is void
+    alpha: float | None
+    avg_risk_ceiling: float | None
+
+    def lines(self) -> list[str]:
+        out = [f"n={self.n} k={self.k} T={self.epochs}"]
+        if self.regret_ceiling is None:
+            out.append("regret ceiling: undefined for k = n (guarantee needs k <= n - 1)")
+        else:
+            out.append(f"regret ceiling (eta = sqrt(kT)): {self.regret_ceiling:.10g}")
+        out.append(f"trivial risk ceiling k*T: {float(self.k * self.epochs):.10g}")
+        if self.alpha is not None and self.avg_risk_ceiling is None:
+            out.append("avg-risk ceiling: undefined for k = n")
+        elif self.alpha is not None:
+            out.append(f"avg-risk ceiling (alpha={self.alpha:.10g}): {self.avg_risk_ceiling:.10g}")
+        return out
 
 
 def run_bounds(cfg: ExperimentConfig) -> BoundsResult:
-    """Print closed-form ceilings for (n, k, T) and optional alpha."""
+    """Closed-form ceilings for (n, k, T) and optional alpha."""
     k = cfg.resolve_k(cfg.n)
-    lines = [f"n={cfg.n} k={k} T={cfg.epochs}"]
-    if k == cfg.n:
-        lines.append("regret ceiling: undefined for k = n (guarantee needs k <= n - 1)")
-    else:
-        lines.append(f"regret ceiling (eta = sqrt(kT)): {regret_bound(cfg.n, k, cfg.epochs):.10g}")
-    lines.append(f"trivial risk ceiling k*T: {float(k * cfg.epochs):.10g}")
-    if cfg.alpha is not None:
-        if k == cfg.n:
-            lines.append("avg-risk ceiling: undefined for k = n")
-        else:
+    regret_ceiling = avg_risk_ceiling = None
+    if k < cfg.n:
+        regret_ceiling = regret_bound(cfg.n, k, cfg.epochs)
+        if cfg.alpha is not None:
             try:
-                lines.append(
-                    f"avg-risk ceiling (alpha={cfg.alpha:.10g}): "
-                    f"{avg_risk_bound(cfg.n, k, cfg.epochs, cfg.alpha):.10g}"
-                )
+                avg_risk_ceiling = avg_risk_bound(cfg.n, k, cfg.epochs, cfg.alpha)
             except ParameterError as exc:
                 raise ConfigError(str(exc)) from exc
-    return BoundsResult(lines=lines)
+    return BoundsResult(cfg.n, k, cfg.epochs, regret_ceiling, cfg.alpha, avg_risk_ceiling)

@@ -21,7 +21,7 @@ import pytest
 
 from ksetsel.analytics import avg_risk_bound, regret_bound
 from ksetsel.cli import EXIT_OK, main
-from ksetsel.datasets import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, load_idx
+from ksetsel.datasets import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, LabelNoiseSpec, load_idx
 from ksetsel.errors import (
     IdxCountMismatchError,
     IdxMagicError,
@@ -182,8 +182,7 @@ def test_a07_risk_decreases_with_selection_cleanliness(tmp_path):
         classes=4,
         dim=16,
         separation=8.0,
-        noise_kind="sym",
-        noise_rate=0.5,
+        noise=LabelNoiseSpec("sym", 0.5),
         k_frac=0.5,
         epochs=60,
         hidden=64,
@@ -212,8 +211,7 @@ def test_a08_fpl_beats_naive_and_greedy_under_heavy_noise(tmp_path):
         dim=16,
         separation=8.0,
         test_n=500,
-        noise_kind="sym",
-        noise_rate=0.8,
+        noise=LabelNoiseSpec("sym", 0.8),
         k_frac=0.15,
         epochs=100,
         eta_coefficient=5e-3,  # tuned: best of {1e-4, 5e-4, 1e-3, 5e-3} at this noise
@@ -243,8 +241,7 @@ def test_a09_label_precision_beats_random(tmp_path):
         dim=16,
         separation=8.0,
         test_n=500,
-        noise_kind="sym",
-        noise_rate=0.5,
+        noise=LabelNoiseSpec("sym", 0.5),
         k_frac=0.4,
         epochs=100,
         eta_coefficient=1e-3,

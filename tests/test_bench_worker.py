@@ -38,3 +38,4 @@ def test_trace_targets_runs(monkeypatch):
     targets = worker.trace_targets(ksetsel)
     names = {name for _, _, name, _ in targets}
     assert {"feedback.generate_stream", "selection.ftl_select", "training.train_selective"} <= names
+    assert {"harness.run_simulate", "harness.run_train", "harness.run_ablate"} <= names

@@ -303,3 +303,11 @@ class TestStreamCsv:
         with pytest.raises(InputError) as exc:
             load_stream_csv(path)
         assert str(exc.value) == f"{path}: row 4: values must be finite"
+
+    @pytest.mark.parametrize("bad", ["1.5", "-0.25"])
+    def test_value_outside_unit_interval_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"epoch,theta_0,theta_1\n1,0.5,0.5\n\n2,{bad},0.25\n")
+        with pytest.raises(InputError) as exc:
+            load_stream_csv(path)
+        assert str(exc.value) == f"{path}: row 4: risk values must lie in [0, 1]"

@@ -1,5 +1,6 @@
 """Experiment harness: config parsing, run modes, CSV outputs, CLI."""
 
+import argparse
 import dataclasses
 import gc
 import math
@@ -16,9 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ksetsel
-from ksetsel import harness, mlp, selection, training
+from ksetsel import cli, harness, mlp, selection, training
 from ksetsel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from ksetsel.datasets import make_blobs, save_csv_dataset
+from ksetsel.datasets import LabelNoiseSpec, make_blobs, save_csv_dataset
 from ksetsel.errors import ConfigError
 from ksetsel.feedback import load_stream_csv, noise_risk_scores
 from ksetsel.harness import (
@@ -62,8 +63,8 @@ class TestConfigParsing:
             resolve_eta(-1.0, 9, 4)
 
     def test_parse_noise(self):
-        assert parse_noise("sym:0.5") == ("sym", 0.5)
-        assert parse_noise("asym:0.4") == ("asym", 0.4)
+        assert parse_noise("sym:0.5") == LabelNoiseSpec("sym", 0.5)
+        assert parse_noise("asym:0.4") == LabelNoiseSpec("asym", 0.4)
         for bad in ("gauss:0.5", "sym", "sym:zap", "sym:1.5"):
             with pytest.raises(ConfigError):
                 parse_noise(bad)
@@ -91,7 +92,7 @@ class TestConfigParsing:
         assert cfg.mode == "train"
         assert cfg.seeds == (1, 2, 3)
         assert cfg.k_frac == 0.3
-        assert cfg.noise_kind == "sym" and cfg.noise_rate == 0.5
+        assert cfg.noise == LabelNoiseSpec("sym", 0.5)
         assert cfg.selectors == (Strategy.GREEDY, Strategy.RANDOM)
         assert cfg.test_n == 40 and type(cfg.lr) is float and cfg.idx_images == "a.idx"
 
@@ -249,8 +250,7 @@ def tiny_train_cfg(tmp_path, **over):
         classes=3,
         separation=8.0,
         test_n=40,
-        noise_kind="sym",
-        noise_rate=0.4,
+        noise=LabelNoiseSpec("sym", 0.4),
         hidden=8,
         lr=0.05,
         batch_size=16,
@@ -721,14 +721,14 @@ class TestRunValidateRisk:
 class TestRunBounds:
     def test_lines(self):
         cfg = ExperimentConfig(mode="bounds", n=10, k=3, epochs=100, alpha=0.5)
-        lines = run_bounds(cfg).lines
+        lines = run_bounds(cfg).lines()
         assert lines[0] == "n=10 k=3 T=100"
         assert any("107.1913" in line for line in lines)
         assert any("300" in line for line in lines)  # trivial ceiling kT
         assert any("avg-risk ceiling" in line for line in lines)
 
     def test_k_equals_n_is_flagged_undefined(self):
-        lines = run_bounds(ExperimentConfig(mode="bounds", n=5, k=5, epochs=10, alpha=0.5)).lines
+        lines = run_bounds(ExperimentConfig(mode="bounds", n=5, k=5, epochs=10, alpha=0.5)).lines()
         assert any("undefined" in line for line in lines)
 
     def test_bad_alpha_becomes_config_error(self):
@@ -895,8 +895,54 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"data error: {stream}: row 4: ")
         assert not (tmp_path / "m.csv").exists()
 
+    def test_stream_csv_value_outside_unit_interval_exit_two_naming_file_and_row(self, tmp_path, capsys):
+        stream = tmp_path / "stream.csv"
+        stream.write_text("epoch,theta_0,theta_1\n1,0.5,0.25\n\n2,1.5,0.25\n")
+        path = tmp_path / "run.cfg"
+        path.write_text(f"stream = csv\nstream_csv = {stream}\nk = 1\nout = {tmp_path / 'm.csv'}\n")
+        assert main(["simulate", "--config", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {stream}: row 4: risk values must lie in [0, 1]\n"
+        assert not (tmp_path / "m.csv").exists()
+
     def test_bad_noise_flag_exit_one(self, capsys):
         assert main(["train", "--noise", "weird:1", "--k-frac", "0.3"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--seed", "abc"], "seeds"),
+            (["--seed", "1.5"], "seeds"),
+            (["--eta-coef", "x"], "eta_coefficient"),
+            (["--k-frac", "zz"], "k_frac"),
+        ],
+    )
+    def test_bad_flag_value_exit_one(self, capsys, flags, key):
+        assert main(["bounds", "--k-frac", "0.3", *flags]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: config key {key!r}: ")
+        assert captured.out == ""
+
+    def test_seed_flag_takes_a_seed_list(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("stream = uniform\nn = 40\nk = 8\nepochs = 3\nseeds = 0\n")
+        assert main(["simulate", "--config", str(path), "--seed", "4,2", "--out", str(tmp_path / "m.csv")]) == EXIT_OK
+        _, rows = read_rows(tmp_path / "m.csv")
+        assert [row.split(",")[0] for row in rows] == ["4"] * 3 + ["2"] * 3
+
+    def test_subcommands_and_runners_are_the_modes(self):
+        subparsers = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(subparsers.choices) == list(harness.MODES)
+        assert list(cli._runners()) == list(harness.MODES)
+
+    def test_main_prints_the_lines_of_the_runner_bound_at_call_time(self, capsys, monkeypatch):
+        class Result:
+            def lines(self):
+                return ["first", "second"]
+
+        for mode, runner in cli._runners().items():
+            monkeypatch.setattr(cli, runner.__name__, lambda cfg: Result())
+            assert main([mode, "--k-frac", "0.3"]) == EXIT_OK
+            assert capsys.readouterr().out == "first\nsecond\n"
 
     @pytest.mark.parametrize(
         "mode, text, flags, message",
