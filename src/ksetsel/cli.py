@@ -32,7 +32,7 @@ EXIT_DATA = 2
 
 # (flag, config key, help) for each override flag.
 _FLAGS = (
-    ("--seed", "seeds", "replace the seed list with this one seed"),
+    ("--seed", "seeds", "replace the seed list; takes what the seeds key takes, so 1,2 runs two seeds"),
     ("--out", "out", "output CSV path"),
     ("--selector", "selectors", "replace the selector list (fpl, naive, greedy, random)"),
     ("--eta-coef", "eta_coefficient", "perturbation coefficient; eta = coef * sqrt(kT)"),

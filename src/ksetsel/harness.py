@@ -183,17 +183,11 @@ def _parse_selectors(v: str) -> tuple[Strategy, ...]:
 
 
 def parse_noise(v: str) -> LabelNoiseSpec:
-    """Parse 'sym:0.5' or 'asym:0.4'; the spec's seed is left for each run to replace."""
-    parts = v.split(":")
-    if len(parts) != 2 or parts[0] not in ("sym", "asym"):
-        raise ConfigError(f"noise must look like sym:RATE or asym:RATE, got {v!r}")
-    try:
-        rate = float(parts[1])
-    except ValueError:
-        raise ConfigError(f"noise rate {parts[1]!r} is not a number") from None
-    if not 0.0 <= rate <= 1.0:
-        raise ConfigError(f"noise rate must lie in [0, 1], got {rate}")
-    return LabelNoiseSpec(kind=parts[0], rate=rate)
+    """Parse 'sym:0.5' or 'asym:0.4'; LabelNoiseSpec checks both, and each run replaces its seed."""
+    kind, sep, rate = v.partition(":")
+    if not sep:
+        raise ConfigError(f"noise must look like KIND:RATE, got {v!r}")
+    return LabelNoiseSpec(kind=kind, rate=float(rate))
 
 
 # One parser per ExperimentConfig field, chosen by its annotation.
@@ -288,9 +282,8 @@ def _stream_spec(cfg: ExperimentConfig, seed: int) -> StreamSpec:
     try:
         kind = StreamKind(cfg.stream)
     except ValueError:
-        raise ConfigError(
-            f"unknown stream {cfg.stream!r}; valid: uniform, planted, drifting, adversary, csv"
-        ) from None
+        valid = ", ".join([*(member.value for member in StreamKind), "csv"])
+        raise ConfigError(f"unknown stream {cfg.stream!r}; valid: {valid}") from None
     n = 2 if kind is StreamKind.ADVERSARY else cfg.n
     return StreamSpec(
         kind=kind,
@@ -357,7 +350,7 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
             theta, mask = next(stream)
             return theta, mask, nan, nan
 
-        metrics, seen = run_epochs(selectors, None, epochs, feedback)
+        metrics, seen = run_epochs(selectors, epochs, feedback)
         best_totals.append(seen.best_total)
         return metrics
 

@@ -177,6 +177,10 @@ def backward(model: MlpModel, x: np.ndarray, label: int) -> Gradients:
 
 def sgd_step(model: MlpModel, grads: Gradients, lr: float) -> None:
     _check_lr(lr)
+    _step(model, grads, lr)
+
+
+def _step(model: MlpModel, grads: Gradients, lr: float) -> None:
     model.w1 -= lr * grads.w1
     model.b1 -= lr * grads.b1
     model.w2 -= lr * grads.w2
@@ -214,7 +218,7 @@ def train_epoch(
     for start in range(0, order.shape[0], batch_size):
         batch = order[start : start + batch_size]
         grads = _gradients(model, dataset.samples[batch], labels[start : start + batch_size])
-        sgd_step(model, grads, lr)
+        _step(model, grads, lr)
     for name in ("w1", "b1", "w2", "b2"):
         if not np.isfinite(getattr(model, name)).all():
             raise DivergenceError(f"training diverged: {name} is no longer finite at learning rate {lr}")

@@ -136,7 +136,7 @@ class SelectorConfig:
     strategy: Strategy
     k: int
     eta: float = 0.0
-    seed: int = 0
+    seed: int = 0  # the run seed, which the selector RNG and the epoch-1 k-set are spawned from
 
     def __post_init__(self):
         if self.k < 1:

@@ -9,8 +9,8 @@ prefix regret against the best fixed k-set over epochs 1..t.
 
 train_selective plugs the learner in as feedback: train the model on
 the selected k samples, then score every training sample's
-noise-risk from a full forward pass.  Epoch 1 trains on a seeded
-uniformly random k-set because no feedback exists yet.
+noise-risk from a full forward pass.  In every mode epoch 1 takes one
+seeded uniformly random k-set because no feedback exists yet.
 
 Wall time is recorded but is the one column outside the determinism
 contract: with a fixed config and seed everything else is
@@ -113,7 +113,7 @@ class Hindsight:
         self.k = k
         self.cum = CumulativeRisk.zeros(n)
         self.last: RiskVector | None = None
-        self.leader = ftl_select(self.cum, k)
+        self.leader: KSetSelection | None = None
         self.best_total = 0.0
 
     def observe(self, theta: RiskVector) -> None:
@@ -123,30 +123,33 @@ class Hindsight:
         self.best_total = float(self.cum.sums[self.leader.indices].sum())
 
 
-class OnlineSelector:
-    """One strategy and its RNG; select(seen) picks from a Hindsight ledger.
+def _seed_streams(seed: int) -> list[np.random.SeedSequence]:
+    """The run seed's streams: model init, batch shuffle, selector RNG, epoch-1 k-set; data uses the seed itself."""
+    return np.random.SeedSequence(seed).spawn(4)
 
-    Before any feedback, FPL picks from zero sums (a uniformly random
-    k-set by symmetry of the perturbation), naive takes the leader of
-    zero sums, greedy picks init_selection(n, k, seed) and random draws
-    from the RNG.  The RNG defaults to one seeded from cfg.seed.
+
+class OnlineSelector:
+    """One strategy and its RNG; select(seen) picks from a Hindsight ledger that has feedback.
+
+    cfg.seed is the run seed and the RNG its selector stream; epoch 1,
+    before any feedback, is run_epochs' seeded k-set for every selector.
     """
 
-    def __init__(self, cfg: SelectorConfig, n: int, rng: np.random.Generator | None = None):
+    def __init__(self, cfg: SelectorConfig, n: int):
         cfg.check_n(n)
         self.cfg = cfg
         self.n = n
-        self.rng = np.random.default_rng(cfg.seed) if rng is None else rng
+        self.rng = np.random.default_rng(_seed_streams(cfg.seed)[2])
 
     def select(self, seen: Hindsight) -> KSetSelection:
         cfg = self.cfg
+        if seen.last is None:
+            raise InputError("no feedback observed yet: epoch 1 takes the run's seeded k-set from run_epochs")
         if cfg.strategy is Strategy.FPL:
             return fpl_select(seen.cum, cfg.k, cfg.eta, self.rng)
         if cfg.strategy is Strategy.NAIVE:
             return seen.leader
         if cfg.strategy is Strategy.GREEDY:
-            if seen.last is None:
-                return init_selection(self.n, cfg.k, cfg.seed)
             return greedy_select(seen.last, cfg.k)
         if cfg.strategy is Strategy.RANDOM:
             return init_selection(self.n, cfg.k, self.rng)
@@ -154,26 +157,28 @@ class OnlineSelector:
 
 
 def run_epochs(
-    selectors: list[OnlineSelector], first: KSetSelection | None, epochs: int, feedback: Callable
+    selectors: list[OnlineSelector], epochs: int, feedback: Callable
 ) -> tuple[list[list[EpochMetrics]], Hindsight]:
-    """The epoch loop over selectors sharing one stream, n and k; returns their metrics and the ledger.
+    """The epoch loop over selectors sharing one stream, n, k and run seed; returns their metrics and the ledger.
 
     feedback(epoch, picks) gets one selection per selector and returns
     (theta_t as a RiskVector, the clean mask or None, train accuracy,
-    test accuracy).  Epoch 1 uses `first` when given, otherwise each
-    selector's own pick.  Label precision is nan without a clean mask.
-    wall_ms runs from the first pick to folding theta_t in, alike in
-    every selector's row.  Selections are not kept; a caller that needs
-    them records them in its feedback.
+    test accuracy).  Epoch 1 gives every selector the run seed's k-set,
+    later epochs each one's own pick.  Label precision is nan without a
+    clean mask.  wall_ms runs from the first pick to folding theta_t in,
+    alike in every selector's row.  Selections are not kept; a caller
+    that needs them records them in its feedback.
     """
-    if len({(s.n, s.cfg.k) for s in selectors}) != 1:
-        raise ParameterError("selectors in one run must share n and k")
-    seen = Hindsight(selectors[0].n, selectors[0].cfg.k)
+    if len({(s.n, s.cfg.k, s.cfg.seed) for s in selectors}) != 1:
+        raise ParameterError("selectors in one run must share n, k and seed")
+    n, k, seed = selectors[0].n, selectors[0].cfg.k, selectors[0].cfg.seed
+    first = init_selection(n, k, seed=int(_seed_streams(seed)[3].generate_state(1)[0]))
+    seen = Hindsight(n, k)
     spent = [0.0] * len(selectors)
     metrics: list[list[EpochMetrics]] = [[] for _ in selectors]
     for epoch in range(1, epochs + 1):
         t0 = time.perf_counter()
-        picks = [first if epoch == 1 and first is not None else s.select(seen) for s in selectors]
+        picks = [first if epoch == 1 else s.select(seen) for s in selectors]
         theta, clean_mask, train_acc, test_acc = feedback(epoch, picks)
         seen.observe(theta)  # first: it rejects a theta of the wrong length
         wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -197,8 +202,8 @@ def run_epochs(
 def select_sequence(risks, cfg: SelectorConfig) -> list[KSetSelection]:
     """Run a selector over a prerecorded risk stream.
 
-    risks is a sequence of RiskVector, one per epoch; epoch t's
-    selection is made before theta_t is revealed.
+    risks is a sequence of RiskVector, one per epoch; epoch t's selection
+    is made before theta_t is revealed, epoch 1's is run_epochs' seeded k-set.
     """
     if len(risks) == 0:
         raise InputError("risk stream is empty")
@@ -208,7 +213,7 @@ def select_sequence(risks, cfg: SelectorConfig) -> list[KSetSelection]:
         selections.append(picks[0])
         return risks[epoch - 1], None, float("nan"), float("nan")
 
-    run_epochs([OnlineSelector(cfg, risks[0].n)], None, len(risks), feedback)
+    run_epochs([OnlineSelector(cfg, risks[0].n)], len(risks), feedback)
     return selections
 
 
@@ -219,15 +224,12 @@ def train_selective(dataset: Dataset, test_set: Dataset | None, cfg: TrainConfig
     nan.  The test set must share the dataset's feature width and
     class count.
     """
-    seeds = np.random.SeedSequence(cfg.seed).spawn(4)
-    selector = OnlineSelector(cfg.selector_config(), dataset.n, rng=np.random.default_rng(seeds[2]))
     if test_set is not None and (test_set.dim != dataset.dim or test_set.num_classes != dataset.num_classes):
         raise InputError("test set shape or class count does not match the training set")
 
-    init_seed = int(seeds[0].generate_state(1)[0])
-    model = init_mlp(dataset.dim, cfg.hidden, dataset.num_classes, seed=init_seed)
-    shuffle_rng = np.random.default_rng(seeds[1])
-    first = init_selection(dataset.n, cfg.k, seed=int(seeds[3].generate_state(1)[0]))
+    init, shuffle = _seed_streams(cfg.seed)[:2]
+    model = init_mlp(dataset.dim, cfg.hidden, dataset.num_classes, seed=int(init.generate_state(1)[0]))
+    shuffle_rng = np.random.default_rng(shuffle)
     clean_mask = dataset.clean_mask
     selections: list[KSetSelection] = []
 
@@ -244,5 +246,5 @@ def train_selective(dataset: Dataset, test_set: Dataset | None, cfg: TrainConfig
             test_acc = float("nan")
         return theta, clean_mask, train_acc, test_acc
 
-    (metrics,), seen = run_epochs([selector], first, cfg.epochs, feedback)
+    (metrics,), seen = run_epochs([OnlineSelector(cfg.selector_config(), dataset.n)], cfg.epochs, feedback)
     return TrainResult(model=model, metrics=metrics, selections=selections, cum=seen.cum)

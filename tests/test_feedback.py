@@ -21,7 +21,7 @@ from ksetsel.feedback import (
     noise_risk_scores,
     stream_epochs,
 )
-from ksetsel.selection import SelectorConfig, Strategy, top_k_smallest
+from ksetsel.selection import SelectorConfig, Strategy, init_selection, top_k_smallest
 from ksetsel.training import select_sequence
 
 
@@ -188,7 +188,10 @@ class TestFtlAdversary:
         cfg = SelectorConfig(strategy=Strategy.NAIVE, k=1)
         sels = select_sequence(stream.risks, cfg)
         per_epoch = [float(r.values[s.indices].sum()) for s, r in zip(sels, stream.risks)]
-        assert per_epoch[0] == 0.5
+        # epoch 1 is run seed 0's seeded k-set, index 1, which theta_1 = (0.5, 0) charges nothing
+        seeded = init_selection(2, 1, seed=int(np.random.SeedSequence(0).spawn(4)[3].generate_state(1)[0]))
+        assert sels[0].indices.tolist() == seeded.indices.tolist() == [1]
+        assert per_epoch[0] == 0.0
         assert all(v == 1.0 for v in per_epoch[1:])
 
     def test_leader_regret_grows_linearly(self):

@@ -40,8 +40,8 @@ from ksetsel.harness import (
     run_validate_risk,
     stratified_split,
 )
-from ksetsel.selection import SelectorConfig, Strategy
-from ksetsel.training import select_sequence
+from ksetsel.selection import RiskVector, SelectorConfig, Strategy
+from ksetsel.training import TrainConfig, select_sequence, train_selective
 
 FIELD_NAMES = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
@@ -65,9 +65,17 @@ class TestConfigParsing:
     def test_parse_noise(self):
         assert parse_noise("sym:0.5") == LabelNoiseSpec("sym", 0.5)
         assert parse_noise("asym:0.4") == LabelNoiseSpec("asym", 0.4)
-        for bad in ("gauss:0.5", "sym", "sym:zap", "sym:1.5"):
-            with pytest.raises(ConfigError):
-                parse_noise(bad)
+        # LabelNoiseSpec checks kind and rate; build_config names the key
+        bad = {
+            "gauss:0.5": "config key 'noise': noise kind must be 'sym' or 'asym', got 'gauss'",
+            "bogus:0.2": "config key 'noise': noise kind must be 'sym' or 'asym', got 'bogus'",
+            "sym": "noise must look like KIND:RATE, got 'sym'",
+            "sym:zap": "config key 'noise': could not convert string to float: 'zap'",
+            "sym:1.5": r"config key 'noise': noise rate must lie in \[0, 1\], got 1.5",
+        }
+        for value, message in bad.items():
+            with pytest.raises(ConfigError, match=message):
+                build_config({"noise": value})
 
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -579,6 +587,41 @@ class TestLockstepSimulate:
             alone = read_rows(tmp_path / strategy.value / "sim.csv")
             assert lockstep[0] == alone[0] == METRICS_HEADER
             assert drop_wall(lockstep[1]) == drop_wall(alone[1]), strategy
+
+    @pytest.mark.parametrize("stream", ["planted", "drifting"])
+    def test_epoch_one_precision_is_the_clean_fraction(self, tmp_path, stream):
+        # epoch 1 is drawn independently of the stream, so no selector starts on the planted clean set
+        cfg = sim_cfg(tmp_path, stream=stream, n=20000, k=None, k_frac=0.2, epochs=2, drift_period=1)
+        run_simulate(cfg)
+        for strategy in Strategy:
+            header, rows = read_rows(tmp_path / f"sim_{strategy.value}.csv")
+            column = header.split(",").index("label_precision")
+            firsts = [row.split(",") for row in rows if row.split(",")[1] == "1"]
+            assert [int(row[0]) for row in firsts] == list(cfg.seeds)
+            for row in firsts:
+                assert abs(float(row[column]) - cfg.clean_fraction) <= 0.05, (strategy, row[0])
+
+    def test_epoch_one_kset_is_shared_by_every_mode(self, tmp_path, monkeypatch):
+        n, k, seed = 60, 12, 3
+        firsts = []
+        real = harness.run_epochs
+
+        def recording(selectors, epochs, feedback):
+            def record(epoch, picks):
+                if epoch == 1:
+                    firsts.extend(pick.indices.tolist() for pick in picks)
+                return feedback(epoch, picks)
+
+            return real(selectors, epochs, record)
+
+        monkeypatch.setattr(harness, "run_epochs", recording)
+        run_simulate(sim_cfg(tmp_path, seeds=(seed,), n=n, k=k))
+        stream = [RiskVector(np.full(n, 0.5))] * 2
+        replayed = select_sequence(stream, SelectorConfig(strategy=Strategy.GREEDY, k=k, seed=seed))[0]
+        data = make_blobs(n, 3, 2, separation=5.0, seed=1)
+        trained = train_selective(data, None, TrainConfig(strategy=Strategy.FPL, k=k, epochs=1, hidden=4, seed=seed))
+        assert firsts == [replayed.indices.tolist()] * len(Strategy)
+        assert trained.selections[0].indices.tolist() == replayed.indices.tolist()
 
     def test_holds_at_most_two_risk_vectors(self, tmp_path, monkeypatch):
         real = harness._stream_for_seed

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ksetsel import mlp
 from ksetsel.datasets import make_blobs
 from ksetsel.errors import DivergenceError, InputError, ParameterError
 from ksetsel.mlp import (
@@ -268,6 +269,21 @@ class TestTrainEpoch:
         sgd_step(reference, grads, 0.1)
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_allclose(getattr(model, name), getattr(reference, name), atol=1e-14)
+
+    def test_learning_rate_is_checked_once_per_epoch(self, monkeypatch):
+        checked = []
+        real = mlp._check_lr
+
+        def counted(lr):
+            checked.append(lr)
+            real(lr)
+
+        monkeypatch.setattr(mlp, "_check_lr", counted)
+        data = make_blobs(300, 4, 3, separation=8.0, seed=5)
+        model = init_mlp(4, 8, 3, seed=6)
+        train_epoch(model, data, KSetSelection(np.arange(300)), lr=0.05, batch_size=32, rng=np.random.default_rng(7))
+        # ten batches, one check
+        assert checked == [0.05]
 
     def test_learns_clean_blobs(self):
         data = make_blobs(300, 4, 3, separation=8.0, seed=5)

@@ -9,7 +9,7 @@ import pytest
 from ksetsel.datasets import LabelNoiseSpec, apply_label_noise, make_blobs
 from ksetsel.analytics import SelectionTrace, regret
 from ksetsel.errors import InputError, ParameterError
-from ksetsel.selection import CumulativeRisk, RiskVector, SelectorConfig, Strategy, fpl_select, init_selection
+from ksetsel.selection import RiskVector, SelectorConfig, Strategy, init_selection
 from ksetsel.training import Hindsight, OnlineSelector, TrainConfig, run_epochs, train_selective
 
 
@@ -154,20 +154,12 @@ def uniform_risks(n, epochs, seed):
 
 
 class TestOnlineSelector:
-    def test_first_pick_of_each_strategy(self):
-        n, k, seed = 12, 4, 5
-        first = {
-            s: OnlineSelector(SelectorConfig(strategy=s, k=k, eta=0.7, seed=seed), n).select(Hindsight(n, k))
-            for s in Strategy
-        }
-        # zero sums tie everywhere, so the leader takes the smallest indices
-        assert first[Strategy.NAIVE].indices.tolist() == [0, 1, 2, 3]
-        fpl = fpl_select(CumulativeRisk.zeros(n), k, 0.7, np.random.default_rng(seed))
-        assert first[Strategy.FPL].indices.tolist() == fpl.indices.tolist()
-        greedy = init_selection(n, k, seed)
-        assert first[Strategy.GREEDY].indices.tolist() == greedy.indices.tolist()
-        drawn = np.sort(np.random.default_rng(seed).choice(n, size=k, replace=False))
-        assert first[Strategy.RANDOM].indices.tolist() == drawn.tolist()
+    def test_select_before_feedback_raises(self):
+        # epoch 1 is run_epochs' seeded k-set; no strategy picks from an empty ledger
+        for strategy in Strategy:
+            selector = OnlineSelector(SelectorConfig(strategy=strategy, k=4, eta=0.7, seed=5), 12)
+            with pytest.raises(InputError, match="no feedback observed yet"):
+                selector.select(Hindsight(12, 4))
 
     def test_greedy_follows_the_last_observed_vector(self):
         selector = OnlineSelector(SelectorConfig(strategy=Strategy.GREEDY, k=2), 4)
@@ -190,7 +182,7 @@ class TestRunEpochs:
                 seen.append(picks[0])
                 return risks[epoch - 1], None, float("nan"), float("nan")
 
-            (metrics,), _ = run_epochs([OnlineSelector(cfg, 15)], None, len(risks), feedback)
+            (metrics,), _ = run_epochs([OnlineSelector(cfg, 15)], len(risks), feedback)
             assert [m.epoch for m in metrics] == list(range(1, 11))
             assert all(np.isnan(m.label_precision) for m in metrics)
             for t, m in enumerate(metrics, start=1):
@@ -198,25 +190,37 @@ class TestRunEpochs:
 
     def test_first_selection_is_used_for_epoch_one_only(self):
         risks = uniform_risks(10, 3, 4)
-        first = init_selection(10, 3, seed=9)
-        selector = OnlineSelector(SelectorConfig(strategy=Strategy.NAIVE, k=3), 10)
+        strategies = (Strategy.NAIVE, Strategy.GREEDY)
+        selectors = [OnlineSelector(SelectorConfig(strategy=s, k=3, seed=9), 10) for s in strategies]
         seen = []
 
         def feedback(epoch, picks):
-            seen.append(picks[0].indices.tolist())
+            seen.append([p.indices.tolist() for p in picks])
             return risks[epoch - 1], np.ones(10, dtype=bool), 0.5, 0.25
 
-        (metrics,), _ = run_epochs([selector], first, 3, feedback)
-        assert seen[0] == first.indices.tolist()
-        # epoch 2 is the selector's own pick: the leader over epoch 1's risks
-        assert seen[1] == sorted(np.argsort(risks[0].values, kind="stable")[:3].tolist())
-        assert [(m.label_precision, m.train_acc, m.test_acc) for m in metrics] == [(1.0, 0.5, 0.25)] * 3
+        metrics, _ = run_epochs(selectors, 3, feedback)
+        # the run seed's fourth spawned stream draws the epoch-1 k-set
+        seeded = init_selection(10, 3, seed=int(np.random.SeedSequence(9).spawn(4)[3].generate_state(1)[0]))
+        assert seen[0] == [seeded.indices.tolist()] * 2
 
-    @pytest.mark.parametrize("shapes", [((2, 10), (3, 10)), ((2, 10), (2, 12))])
+        def bottom3(values):
+            return sorted(np.argsort(values, kind="stable")[:3].tolist())
+
+        # later epochs are each selector's own pick: the leader of the sums, the bottom of the last vector
+        assert seen[1] == [bottom3(risks[0].values)] * 2
+        assert seen[2] == [bottom3(risks[0].values + risks[1].values), bottom3(risks[1].values)]
+        for rows in metrics:
+            assert [(m.label_precision, m.train_acc, m.test_acc) for m in rows] == [(1.0, 0.5, 0.25)] * 3
+
+    @pytest.mark.parametrize(
+        "shapes", [((2, 10, 0), (3, 10, 0)), ((2, 10, 0), (2, 12, 0)), ((2, 10, 0), (2, 10, 1))]
+    )
     def test_selectors_must_share_n_and_k(self, shapes):
-        selectors = [OnlineSelector(SelectorConfig(strategy=Strategy.NAIVE, k=k), n) for k, n in shapes]
-        with pytest.raises(ParameterError, match="share n and k"):
-            run_epochs(selectors, None, 1, None)
+        # (k, n, seed) per selector; the last case differs only in the run seed
+        configs = [(SelectorConfig(strategy=Strategy.NAIVE, k=k, seed=seed), n) for k, n, seed in shapes]
+        selectors = [OnlineSelector(cfg, n) for cfg, n in configs]
+        with pytest.raises(ParameterError, match="selectors in one run must share n, k and seed"):
+            run_epochs(selectors, 1, None)
 
     @pytest.mark.parametrize("strategy", [Strategy.FPL, Strategy.NAIVE])
     def test_long_horizon_regret_matches_an_fsum_oracle(self, strategy):
@@ -229,7 +233,7 @@ class TestRunEpochs:
             return risks[epoch - 1], None, float("nan"), float("nan")
 
         cfg = SelectorConfig(strategy=strategy, k=k, eta=math.sqrt(k * epochs), seed=3)
-        (metrics,), _ = run_epochs([OnlineSelector(cfg, n)], None, epochs, feedback)
+        (metrics,), _ = run_epochs([OnlineSelector(cfg, n)], epochs, feedback)
         final = metrics[-1].cum_regret
         spent = math.fsum(float(v) for values in charged for v in values)
         index_totals = sorted(math.fsum(float(r.values[i]) for r in risks) for i in range(n))
