@@ -2,7 +2,7 @@
 
     python3 scripts/output_digest.py SRC_DIR
 
-imports ksetsel from SRC_DIR (a checkout's `src/`), runs 24 configs
+imports ksetsel from SRC_DIR (a checkout's `src/`), runs 26 configs
 through `ksetsel.cli.main` in a temporary directory and prints one
 sha256 per config plus a total over them.  A config's digest covers its
 exit code, stdout and stderr (the temporary directory replaced by a
@@ -18,7 +18,9 @@ lists, each with seeds 0 and 1; a planted simulate that dumps its stream
 and a csv replay of that dump; train with each selector; train with
 asymmetric noise on a CSV dataset the script writes itself; train with
 every override flag over a file that sets the same keys (and `k`)
-otherwise; ablate; validate-risk; grid; bounds.
+otherwise; ablate; validate-risk; grid; train (with a test split) and
+grid on an IDX image/label pair the script also writes itself, with
+more training rows than one 4096-row scoring chunk; bounds.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import struct
 import sys
 import tempfile
 import warnings
@@ -47,6 +50,11 @@ FLAGS = {
     "--seed": "3", "--out": "{dir}/train-flags/flag.csv", "--selector": "fpl", "--eta-coef": "2e-3",
     "--k-frac": "0.4", "--noise": "sym:0.3",
 }
+IDX = {
+    "dataset": "idx", "idx_images": "{dir}/idx-data/train-images", "idx_labels": "{dir}/idx-data/train-labels",
+    "noise": "sym:0.4", "hidden": 16, "lr": 0.05, "batch_size": 32, "k_frac": 0.5, "eta_coefficient": 5e-3,
+}
+IDX_TEST = {"idx_test_images": "{dir}/idx-data/test-images", "idx_test_labels": "{dir}/idx-data/test-labels"}
 SELECTOR_LISTS = {"all": "fpl, naive, greedy, random", "naive": "naive", "mixed": "random, greedy, fpl, fpl"}
 
 
@@ -77,6 +85,8 @@ def configs() -> list[tuple[str, str, dict]]:
     grid.append(("ablate", "ablate", {**BLOBS, "selectors": SELECTOR_LISTS["all"], "seeds": "0, 1"}))
     grid.append(("validate-risk", "validate-risk", {**BLOBS, "seeds": "0, 1", "epochs": 6, "noise": "sym:0.5"}))
     grid.append(("grid", "grid", {**BLOBS, "seeds": "2", "epochs": 4, "noise_rate_estimate": 0.4}))
+    grid.append(("train-idx", "train", {**IDX, **IDX_TEST, "selectors": "fpl", "seeds": "0, 1", "epochs": 8}))
+    grid.append(("grid-idx", "grid", {**IDX, "seeds": "2", "epochs": 3, "noise_rate_estimate": 0.4}))
     grid.append(("bounds", "bounds", {"n": 5000, "k_frac": 0.2, "epochs": 40, "alpha": 0.1}))
     return grid
 
@@ -92,6 +102,18 @@ def write_csv_data(root: Path) -> None:
         lines = ["label," + ",".join(f"f_{i}" for i in range(6))]
         lines += [f"{y}," + ",".join(repr(float(v)) for v in row) for y, row in zip(labels, samples)]
         (root / "csv-data" / f"{name}.csv").write_text("\n".join(lines) + "\n")
+
+
+def write_idx_data(root: Path) -> None:
+    """Seeded five-class 7x7 u8 images as train and test IDX pairs, written without ksetsel."""
+    rng = np.random.default_rng(12)
+    templates = rng.uniform(0.0, 255.0, size=(5, 7, 7))
+    (root / "idx-data").mkdir()
+    for name, n in (("train", 4500), ("test", 600)):
+        labels = rng.integers(0, 5, size=n).astype(np.uint8)
+        images = np.clip(templates[labels] + rng.normal(0.0, 90.0, size=(n, 7, 7)), 0, 255).astype(np.uint8)
+        (root / "idx-data" / f"{name}-images").write_bytes(struct.pack(">IIII", 0x803, n, 7, 7) + images.tobytes())
+        (root / "idx-data" / f"{name}-labels").write_bytes(struct.pack(">II", 0x801, n) + labels.tobytes())
 
 
 def file_bytes(path: Path) -> bytes:
@@ -145,6 +167,7 @@ def main(argv: list[str]) -> int:
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         write_csv_data(Path(tmp))
+        write_idx_data(Path(tmp))
         for name, mode, keys in configs():
             digest, rc = run_config(cli, Path(tmp), name, mode, keys)
             failed |= rc != 0

@@ -16,9 +16,12 @@ Noise models:
                     has no fixed points.
 
 IDX ingestion reads the classic big-endian image/label binary pair
-(magic 0x00000803 for u8 images, 0x00000801 for u8 labels), scales
-pixels by 1/255, and raises a distinct error for a wrong magic, a
-truncated payload, and an image/label count mismatch.
+(magic 0x00000803 for u8 images, 0x00000801 for u8 labels) and raises
+a distinct error for a wrong magic, a truncated payload, and an
+image/label count mismatch.  The pixels stay u8, an eighth of their
+float64 size: a u8 feature matrix means value / 255, and `rows` casts
+and scales only the rows a caller asks for (float64 cast, then
+division by 255.0, so every row is bitwise the float64 pixel / 255).
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ __all__ = [
     "load_idx",
     "load_csv_dataset",
     "save_csv_dataset",
+    "float_rows",
     "IDX_IMAGE_MAGIC",
     "IDX_LABEL_MAGIC",
 ]
@@ -58,17 +62,30 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 
+def float_rows(features: np.ndarray, index=slice(None), out: np.ndarray | None = None) -> np.ndarray:
+    """features[index] as float64 values: float rows as they are, u8 rows cast and divided by 255.0.
+
+    A u8 result goes into out when given, so a caller that scores chunk
+    after chunk reuses one buffer.
+    """
+    if features.dtype != np.uint8:
+        return features[index]
+    return np.divide(features[index], 255.0, out=out)
+
+
 @dataclass
 class Dataset:
     """Feature matrix with true and assigned labels."""
 
-    samples: np.ndarray  # (n, d) float64
+    features: np.ndarray  # (n, d) float64, or u8 meaning value / 255; read it through rows()
     true_labels: np.ndarray  # (n,) int64
     assigned_labels: np.ndarray  # (n,) int64
     num_classes: int
 
     def __post_init__(self):
-        x = np.asarray(self.samples, dtype=np.float64)
+        x = np.asarray(self.features)
+        if x.dtype != np.uint8:
+            x = np.asarray(x, dtype=np.float64)
         yt = np.asarray(self.true_labels, dtype=np.int64)
         ya = np.asarray(self.assigned_labels, dtype=np.int64)
         if x.ndim != 2 or x.shape[0] < 1:
@@ -80,15 +97,24 @@ class Dataset:
         for name, y in (("true", yt), ("assigned", ya)):
             if y.min() < 0 or y.max() >= self.num_classes:
                 raise InputError(f"{name} labels must lie in [0, {self.num_classes - 1}]")
-        self.samples, self.true_labels, self.assigned_labels = x, yt, ya
+        self.features, self.true_labels, self.assigned_labels = x, yt, ya
+
+    @property
+    def samples(self) -> np.ndarray:
+        """All (n, d) float64 values: features itself, or a whole scaled copy of u8 features."""
+        return self.features if self.features.dtype == np.float64 else self.rows()
+
+    def rows(self, index=slice(None), out: np.ndarray | None = None) -> np.ndarray:
+        """The float64 values of features[index]; see float_rows."""
+        return float_rows(self.features, index, out)
 
     @property
     def n(self) -> int:
-        return self.samples.shape[0]
+        return self.features.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.samples.shape[1]
+        return self.features.shape[1]
 
     @property
     def clean_mask(self) -> np.ndarray:
@@ -96,7 +122,7 @@ class Dataset:
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         return Dataset(
-            samples=self.samples[indices],
+            features=self.features[indices],
             true_labels=self.true_labels[indices],
             assigned_labels=self.assigned_labels[indices],
             num_classes=self.num_classes,
@@ -154,7 +180,7 @@ def make_blobs(n: int, dim: int, num_classes: int, separation: float, seed: int)
     samples = centers[labels] + rng.standard_normal((n, dim))
     order = rng.permutation(n)
     samples, labels = samples[order], labels[order].astype(np.int64)
-    return Dataset(samples=samples, true_labels=labels, assigned_labels=labels.copy(), num_classes=num_classes)
+    return Dataset(features=samples, true_labels=labels, assigned_labels=labels.copy(), num_classes=num_classes)
 
 
 def _checked_labels(labels: np.ndarray, num_classes: int, rate: float, kind: str) -> np.ndarray:
@@ -213,7 +239,7 @@ def apply_label_noise(dataset: Dataset, spec: LabelNoiseSpec) -> Dataset:
     else:
         assigned = inject_asymmetric_noise(dataset.true_labels, dataset.num_classes, spec.rate, spec.seed)
     return Dataset(
-        samples=dataset.samples,
+        features=dataset.features,
         true_labels=dataset.true_labels,
         assigned_labels=assigned,
         num_classes=dataset.num_classes,
@@ -236,7 +262,7 @@ def _read_idx_header(raw: bytes, path, expected_magic: int, dims: int) -> tuple[
 
 
 def load_idx(images_path, labels_path) -> Dataset:
-    """Read a u8 image/label IDX pair into a flat, 1/255-scaled Dataset."""
+    """Read a u8 image/label IDX pair into a flat Dataset whose u8 features mean pixel / 255."""
     with open(images_path, "rb") as fh:
         raw_images = fh.read()
     with open(labels_path, "rb") as fh:
@@ -262,12 +288,11 @@ def load_idx(images_path, labels_path) -> Dataset:
         )
     if count == 0:
         raise DataError(f"{images_path}: empty dataset")
-    pixels = np.frombuffer(raw_images, dtype=np.uint8, offset=offset)
-    samples = pixels.astype(np.float64).reshape(count, rows * cols)
-    samples /= 255.0  # in place: one float64 copy of the images, not two
+    # A read-only view of the file bytes: the images are held once, as u8.
+    pixels = np.frombuffer(raw_images, dtype=np.uint8, offset=offset).reshape(count, rows * cols)
     labels = np.frombuffer(raw_labels, dtype=np.uint8, offset=label_offset).astype(np.int64)
     num_classes = int(labels.max()) + 1
-    return Dataset(samples=samples, true_labels=labels, assigned_labels=labels.copy(), num_classes=num_classes)
+    return Dataset(features=pixels, true_labels=labels, assigned_labels=labels.copy(), num_classes=num_classes)
 
 
 def load_csv_dataset(path) -> Dataset:
@@ -277,10 +302,10 @@ def load_csv_dataset(path) -> Dataset:
     if negative.size:
         raise DataError(f"{path}: row {lines[negative[0]]}: labels must be non-negative")
     num_classes = int(y.max()) + 1
-    return Dataset(samples=x, true_labels=y, assigned_labels=y.copy(), num_classes=num_classes)
+    return Dataset(features=x, true_labels=y, assigned_labels=y.copy(), num_classes=num_classes)
 
 
 def save_csv_dataset(dataset: Dataset, path) -> None:
-    """Write assigned labels and features in load_csv_dataset's format."""
-    rows = ((y, *row.tolist()) for y, row in zip(dataset.assigned_labels.tolist(), dataset.samples))
+    """Write assigned labels and float64 feature values in load_csv_dataset's format."""
+    rows = ((y, *dataset.rows(i).tolist()) for i, y in enumerate(dataset.assigned_labels.tolist()))
     write_table(path, ["label", *(f"f_{i}" for i in range(dataset.dim))], rows, ".17g")

@@ -584,7 +584,7 @@ def run_grid_search(cfg: ExperimentConfig) -> GridResult:
         raise ConfigError("grid mode needs noise_rate_estimate")
     fractions = k_fraction_grid(cfg.noise_rate_estimate)
     seed = cfg.seeds[0]
-    train_base, _ = _load_base_datasets(cfg)
+    train_base = _load_base_datasets(cfg)[0]  # the test set, unused here, is dropped at once
     noisy = _noisy_copy(train_base, cfg, seed)
     train_idx, val_idx = stratified_split(noisy.assigned_labels, cfg.validation_fraction, seed)
     fit_set = noisy.subset(train_idx)
@@ -600,7 +600,7 @@ def run_grid_search(cfg: ExperimentConfig) -> GridResult:
                 k = min(fit_set.n, max(1, k))
             eta = resolve_eta(coef, k, cfg.epochs)
             result = train_selective(fit_set, None, _train_cfg(cfg, Strategy.FPL, k, eta, seed))
-            val_acc = evaluate(result.model, val_set.samples, val_set.assigned_labels).accuracy
+            val_acc = evaluate(result.model, val_set.features, val_set.assigned_labels).accuracy
             rows.append((coef, frac, k, val_acc))
     if clamped:
         warnings.warn("k grid clamped to [1, n]; the fraction grid exceeded the valid range", UserWarning)
@@ -642,7 +642,7 @@ def run_validate_risk(cfg: ExperimentConfig) -> ValidateRiskResult:
     risk.  Runs are seeded like train's.
     """
     out = _require_out(cfg)
-    train_base, _ = _load_base_datasets(cfg)
+    train_base = _load_base_datasets(cfg)[0]  # the test set, unused here, is dropped at once
     k = cfg.resolve_k(train_base.n)
 
     rows: list[tuple] = []

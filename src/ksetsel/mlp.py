@@ -7,10 +7,14 @@ cross-entropy loss -ln p[assigned]; for the softmax layer that is the
 familiar (probs - onehot) error signal pushed back through the relu.
 
 Everything is float64 and seeded; two runs from the same seed produce
-bitwise-identical parameters.  The forward pass writes each step into
-the array the step before made, so scoring holds at most one
-hidden-sized (chunk, h) temporary per chunk; training checks its
-inputs once per epoch, not once per batch.
+bitwise-identical parameters.  Inputs may also be u8 rows meaning
+value / 255 (an IDX Dataset's features): training converts the rows
+of each batch, and scoring converts one chunk at a time into one
+reused buffer, so no whole float64 copy of the inputs is made.  The
+forward pass writes each step into the array the step before made, so
+scoring holds at most one hidden-sized (chunk, h) temporary per chunk;
+training checks its inputs once per epoch, not once per batch, and
+its SGD step scales the gradients it owns in place.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import Dataset
+from .datasets import Dataset, float_rows
 from .errors import DivergenceError, InputError, ParameterError
 from .feedback import Prediction
 from .selection import KSetSelection
@@ -86,11 +90,18 @@ def init_mlp(dim: int, hidden: int, num_classes: int, seed: int) -> MlpModel:
     )
 
 
-def _check_rows(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+def _check_width(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """x as (m, d) rows: u8 rows as they are (value / 255), any other rows as float64."""
+    x = np.asarray(x)
+    if x.dtype != np.uint8:
+        x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.dim:
         raise InputError(f"expected inputs of shape (m, {model.dim}), got {x.shape}")
     return x
+
+
+def _check_rows(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    return float_rows(_check_width(model, x))
 
 
 def _check_labels(model: MlpModel, labels: np.ndarray) -> None:
@@ -176,15 +187,16 @@ def backward(model: MlpModel, x: np.ndarray, label: int) -> Gradients:
 
 
 def sgd_step(model: MlpModel, grads: Gradients, lr: float) -> None:
+    """model -= lr * grads; grads are left as they were."""
     _check_lr(lr)
-    _step(model, grads, lr)
+    _step(model, Gradients(grads.w1.copy(), grads.b1.copy(), grads.w2.copy(), grads.b2.copy()), lr)
 
 
 def _step(model: MlpModel, grads: Gradients, lr: float) -> None:
-    model.w1 -= lr * grads.w1
-    model.b1 -= lr * grads.b1
-    model.w2 -= lr * grads.w2
-    model.b2 -= lr * grads.b2
+    """model -= lr * grads with no temporary: grads, which the caller owns and drops, become lr * grads."""
+    for w, g in ((model.w1, grads.w1), (model.b1, grads.b1), (model.w2, grads.w2), (model.b2, grads.b2)):
+        g *= lr
+        w -= g
 
 
 def train_epoch(
@@ -211,13 +223,13 @@ def train_epoch(
     if selection.indices[-1] >= dataset.n:
         raise InputError(f"selection index {selection.indices[-1]} out of range for n={dataset.n}")
     if dataset.dim != model.dim:
-        raise InputError(f"expected inputs of shape (m, {model.dim}), got {dataset.samples.shape}")
+        raise InputError(f"expected inputs of shape (m, {model.dim}), got {dataset.features.shape}")
     order = selection.indices[rng.permutation(selection.k)]
     labels = dataset.assigned_labels[order]
     _check_labels(model, labels)
     for start in range(0, order.shape[0], batch_size):
         batch = order[start : start + batch_size]
-        grads = _gradients(model, dataset.samples[batch], labels[start : start + batch_size])
+        grads = _gradients(model, dataset.rows(batch), labels[start : start + batch_size])
         _step(model, grads, lr)
     for name in ("w1", "b1", "w2", "b2"):
         if not np.isfinite(getattr(model, name)).all():
@@ -226,17 +238,24 @@ def train_epoch(
 
 
 def predict_batch(model: MlpModel, x: np.ndarray, chunk: int = 4096) -> tuple[np.ndarray, np.ndarray]:
-    """Argmax labels and their probabilities; ties go to the smaller class."""
+    """Argmax labels and their probabilities; ties go to the smaller class.
+
+    x is float rows, or u8 rows meaning value / 255, which are
+    converted chunk by chunk into one (chunk, d) float64 buffer.
+    """
     if chunk < 1:
         raise ParameterError(f"chunk must be >= 1, got {chunk}")
-    x = _check_rows(model, x)
+    x = _check_width(model, x)
     labels = np.empty(x.shape[0], dtype=np.int64)
     conf = np.empty(x.shape[0], dtype=np.float64)
+    buf = np.empty((min(chunk, x.shape[0]), x.shape[1])) if x.dtype == np.uint8 else None
     for start in range(0, x.shape[0], chunk):
-        probs = _forward(model, x[start : start + chunk])[2]
+        stop = min(start + chunk, x.shape[0])
+        rows = float_rows(x, slice(start, stop), None if buf is None else buf[: stop - start])
+        probs = _forward(model, rows)[2]
         part = probs.argmax(axis=1)
-        labels[start : start + chunk] = part
-        conf[start : start + chunk] = probs[np.arange(probs.shape[0]), part]
+        labels[start:stop] = part
+        conf[start:stop] = probs[np.arange(probs.shape[0]), part]
     return labels, conf
 
 
@@ -255,9 +274,9 @@ class EvalReport:
 
 
 def evaluate(model: MlpModel, samples: np.ndarray, labels: np.ndarray) -> EvalReport:
-    """Accuracy against the given labels plus per-sample predictions."""
+    """Accuracy against the given labels plus per-sample predictions; samples as predict_batch takes x."""
     labels = np.asarray(labels, dtype=np.int64)
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = np.asarray(samples)
     if labels.shape != (samples.shape[0],):
         raise InputError("labels must be one per sample")
     predicted, conf = predict_batch(model, samples)

@@ -236,11 +236,11 @@ def train_selective(dataset: Dataset, test_set: Dataset | None, cfg: TrainConfig
     def feedback(epoch: int, picks: list[KSetSelection]):
         selections.append(picks[0])
         train_epoch(model, dataset, picks[0], cfg.lr, cfg.batch_size, shuffle_rng)
-        predicted, conf = predict_batch(model, dataset.samples)
+        predicted, conf = predict_batch(model, dataset.features)
         theta = RiskVector(noise_risk_scores(predicted, conf, dataset.assigned_labels))
         train_acc = float((predicted == dataset.assigned_labels).mean())
         if test_set is not None:
-            test_pred, _ = predict_batch(model, test_set.samples)
+            test_pred, _ = predict_batch(model, test_set.features)
             test_acc = float((test_pred == test_set.true_labels).mean())
         else:
             test_acc = float("nan")

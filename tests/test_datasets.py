@@ -1,5 +1,6 @@
 """Datasets, label-noise injection, and IDX/CSV ingestion."""
 
+import dataclasses
 import struct
 import tracemalloc
 
@@ -223,8 +224,47 @@ class TestLoadIdx:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The float64 samples plus the raw u8 bytes (1/8 of them); no second float copy.
-        assert peak <= 1.25 * data.samples.nbytes
+        # The u8 pixels, held once, plus the labels; no float64 copy of the images at all.
+        assert data.features.dtype == np.uint8
+        assert peak <= 1.25 * data.features.nbytes
+
+    def test_rows_are_bitwise_the_float_pixels_over_255(self, tmp_path):
+        ipath, lpath, images, _ = self.make_pair(tmp_path, count=50, rows=5, cols=5)
+        data = load_idx(ipath, lpath)
+        reference = images.reshape(50, 25).astype(np.float64) / 255.0
+        out = np.full((7, 25), np.nan)
+        reads = [
+            (slice(None), data.rows()),
+            (slice(None), data.samples),
+            (np.array([49, 3, 3, 0]), data.rows(np.array([49, 3, 3, 0]))),
+            (17, data.rows(17)),
+            (slice(40, 47), data.rows(slice(40, 47), out=out)),
+        ]
+        for index, got in reads:
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got.view(np.int64), reference[index].view(np.int64))
+        np.testing.assert_array_equal(out.view(np.int64), reference[40:47].view(np.int64))
+
+    def test_operations_keep_u8_storage(self, tmp_path):
+        ipath, lpath, images, _ = self.make_pair(tmp_path)
+        data = load_idx(ipath, lpath)
+        kept = [
+            data.subset(np.array([4, 0, 9])),
+            apply_label_noise(data, LabelNoiseSpec("sym", 0.5, seed=1)),
+            dataclasses.replace(data, num_classes=data.num_classes + 1),
+        ]
+        for other in kept:
+            assert other.features.dtype == np.uint8
+        np.testing.assert_array_equal(kept[0].samples, images.reshape(20, 12)[[4, 0, 9]] / 255.0)
+
+    def test_csv_roundtrip_writes_scaled_values(self, tmp_path):
+        ipath, lpath, *_ = self.make_pair(tmp_path)
+        data = load_idx(ipath, lpath)
+        save_csv_dataset(data, tmp_path / "data.csv")
+        loaded = load_csv_dataset(tmp_path / "data.csv")
+        assert loaded.features.dtype == np.float64
+        np.testing.assert_array_equal(loaded.samples.view(np.int64), data.samples.view(np.int64))
+        np.testing.assert_array_equal(loaded.true_labels, data.assigned_labels)
 
     def test_wrong_image_magic(self, tmp_path):
         ipath, lpath, *_ = self.make_pair(tmp_path)
@@ -327,9 +367,9 @@ class TestCsvDataset:
 class TestDatasetType:
     def test_validation(self):
         with pytest.raises(InputError):
-            Dataset(samples=np.zeros((3, 2)), true_labels=np.array([0, 1]), assigned_labels=np.array([0, 1, 0]), num_classes=2)
+            Dataset(features=np.zeros((3, 2)), true_labels=np.array([0, 1]), assigned_labels=np.array([0, 1, 0]), num_classes=2)
         with pytest.raises(InputError):
-            Dataset(samples=np.zeros((2, 2)), true_labels=np.array([0, 5]), assigned_labels=np.array([0, 1]), num_classes=2)
+            Dataset(features=np.zeros((2, 2)), true_labels=np.array([0, 5]), assigned_labels=np.array([0, 1]), num_classes=2)
 
     def test_subset(self):
         data = make_blobs(20, 2, 2, separation=4.0, seed=0)

@@ -5,8 +5,10 @@ import dataclasses
 import gc
 import math
 import os
+import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -777,6 +779,44 @@ class TestRunBounds:
     def test_bad_alpha_becomes_config_error(self):
         with pytest.raises(ConfigError):
             run_bounds(ExperimentConfig(mode="bounds", n=10, k=3, epochs=10, alpha=2.0))
+
+
+class TestIdxMemory:
+    """An IDX run holds its pixels as u8 and converts rows a batch or a scoring chunk at a time."""
+
+    N, SIDE = 2000, 28
+
+    def write_pair(self, root, name, n, seed):
+        rng = np.random.default_rng(seed)
+        images = rng.integers(0, 256, size=(n, self.SIDE, self.SIDE), dtype=np.uint8)
+        labels = rng.integers(0, 10, size=n, dtype=np.uint8)
+        (root / f"{name}-images").write_bytes(struct.pack(">IIII", 0x803, n, self.SIDE, self.SIDE) + images.tobytes())
+        (root / f"{name}-labels").write_bytes(struct.pack(">II", 0x801, n) + labels.tobytes())
+
+    @pytest.mark.parametrize("mode", ["train", "grid"])
+    def test_peak_stays_well_below_one_float_copy(self, tmp_path, monkeypatch, mode):
+        self.write_pair(tmp_path, "train", self.N, seed=0)
+        self.write_pair(tmp_path, "test", self.N, seed=1)
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"dataset = idx\nidx_images = {tmp_path / 'train-images'}\nidx_labels = {tmp_path / 'train-labels'}\n"
+            f"idx_test_images = {tmp_path / 'test-images'}\nidx_test_labels = {tmp_path / 'test-labels'}\n"
+            "hidden = 4\nepochs = 2\nk_frac = 0.5\nnoise = sym:0.4\nnoise_rate_estimate = 0.4\n"
+            "validation_fraction = 0.5\n"
+            f"out = {tmp_path / 'm.csv'}\n"
+        )
+        # Score 64 rows a chunk: the default 4096 would convert all 2000 rows at once.
+        monkeypatch.setattr(mlp.predict_batch, "__defaults__", (64,))
+        tracemalloc.start()
+        try:
+            assert main([mode, "--config", str(path)]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        float_copy = self.N * self.SIDE * self.SIDE * 8
+        # About 4 MB: the u8 pixels of both pairs (1.6 MB each) and one 64-row float64 chunk (0.4 MB).
+        # A float64 copy of the train, test, fit or validation rows (6.3 to 12.5 MB) would cross the bound.
+        assert peak < 0.5 * float_copy
 
 
 class TestCli:

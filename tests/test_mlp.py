@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ksetsel import mlp
-from ksetsel.datasets import make_blobs
+from ksetsel.datasets import Dataset, make_blobs
 from ksetsel.errors import DivergenceError, InputError, ParameterError
 from ksetsel.mlp import (
     MlpModel,
@@ -171,6 +171,48 @@ class TestInPlaceMatchesReference:
             np.testing.assert_array_equal(getattr(model, name), getattr(reference, name))
 
 
+class TestU8Inputs:
+    """u8 rows mean value / 255: every path gives the bits of the float64 materialisation."""
+
+    @staticmethod
+    def u8_and_float(seed, n=50, d=9, classes=3):
+        rng = np.random.default_rng(seed)
+        pixels = rng.integers(0, 256, size=(n, d), dtype=np.uint8)
+        labels = rng.integers(0, classes, size=n)
+        u8 = Dataset(features=pixels, true_labels=labels, assigned_labels=labels, num_classes=classes)
+        floats = Dataset(features=u8.samples, true_labels=labels, assigned_labels=labels, num_classes=classes)
+        assert u8.features.dtype == np.uint8 and floats.features.dtype == np.float64
+        return u8, floats
+
+    def test_predict_batch_and_evaluate(self):
+        u8, floats = self.u8_and_float(0)
+        model = init_mlp(9, 6, 3, seed=1)
+        for chunk in (1, 7, 16, 50, 4096):  # 7 and 16 do not divide n = 50
+            labels, conf = predict_batch(model, u8.features, chunk=chunk)
+            ref_labels, ref_conf = predict_batch(model, floats.features, chunk=chunk)
+            np.testing.assert_array_equal(labels, ref_labels)
+            np.testing.assert_array_equal(conf.view(np.int64), ref_conf.view(np.int64))
+        report = evaluate(model, u8.features, u8.true_labels)
+        ref = evaluate(model, floats.features, floats.true_labels)
+        assert report.accuracy == ref.accuracy
+        np.testing.assert_array_equal(report.confidences.view(np.int64), ref.confidences.view(np.int64))
+
+    def test_train_epoch(self):
+        u8, floats = self.u8_and_float(2)
+        sel = init_selection(50, 37, seed=3)
+        models = [init_mlp(9, 6, 3, seed=4) for _ in range(2)]
+        for epoch in range(3):
+            for model, data in zip(models, (u8, floats)):
+                train_epoch(model, data, sel, lr=0.1, batch_size=8, rng=np.random.default_rng(epoch))
+        for name in ("w1", "b1", "w2", "b2"):
+            np.testing.assert_array_equal(getattr(models[0], name).view(np.int64), getattr(models[1], name).view(np.int64))
+
+    def test_forward_batch_scales_u8_rows(self):
+        u8, floats = self.u8_and_float(5)
+        model = init_mlp(9, 6, 3, seed=6)
+        np.testing.assert_array_equal(forward_batch(model, u8.features), forward_batch(model, floats.features))
+
+
 class TestPredictBatch:
     def test_scoring_holds_one_hidden_sized_temporary(self):
         m, hidden = 2000, 128
@@ -269,6 +311,17 @@ class TestTrainEpoch:
         sgd_step(reference, grads, 0.1)
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_allclose(getattr(model, name), getattr(reference, name), atol=1e-14)
+
+    def test_sgd_step_leaves_the_callers_gradients_unchanged(self):
+        data = make_blobs(10, 3, 2, separation=5.0, seed=0)
+        model = init_mlp(3, 4, 2, seed=1)
+        expected = {name: getattr(model, name).copy() for name in ("w1", "b1", "w2", "b2")}
+        grads = batch_gradients(model, data.samples, data.assigned_labels)
+        kept = {name: getattr(grads, name).copy() for name in expected}
+        sgd_step(model, grads, 0.3)
+        for name, before in expected.items():
+            np.testing.assert_array_equal(getattr(grads, name), kept[name])
+            np.testing.assert_array_equal(getattr(model, name), before - 0.3 * kept[name])
 
     def test_learning_rate_is_checked_once_per_epoch(self, monkeypatch):
         checked = []
