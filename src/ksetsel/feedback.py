@@ -14,6 +14,11 @@ periodically, a uniform stream is pure iid noise, and the adversary
 stream is the classic two-arm construction that forces the
 unperturbed leader into linear regret.  stream_epochs builds a stream
 one epoch at a time; generate_stream materialises the same floats.
+
+A planted epoch costs one normal draw of n values, scaled, shifted by
+the per-sample means and clipped in place; the means vector is rebuilt
+only when the ramp moves or the mask is redrawn, so past the first
+quarter of the horizon a fixed mask reuses it.
 """
 
 from __future__ import annotations
@@ -140,15 +145,21 @@ def _plant_means(t: int, epochs: int) -> tuple[float, float]:
 def _planted(spec: StreamSpec, drift_period: int | None) -> Iterator[tuple[RiskVector, np.ndarray]]:
     rng = np.random.default_rng(spec.seed)
     n_clean = int(round(spec.clean_fraction * spec.n))
-    mask = None
+    mask = mu = mu_means = None
     for t in range(1, spec.epochs + 1):
-        if mask is None or (drift_period is not None and (t - 1) % drift_period == 0):
+        redraw = mask is None or (drift_period is not None and (t - 1) % drift_period == 0)
+        if redraw:
             mask = np.zeros(spec.n, dtype=bool)
             if n_clean > 0:
                 mask[rng.choice(spec.n, size=n_clean, replace=False)] = True
-        mu_clean, mu_noisy = _plant_means(t, spec.epochs)
-        mu = np.where(mask, mu_clean, mu_noisy)
-        theta = np.clip(mu + spec.noise_scale * rng.standard_normal(spec.n), 0.0, 1.0)
+        means = _plant_means(t, spec.epochs)
+        if redraw or means != mu_means:
+            mu, mu_means = np.where(mask, *means), means
+        # In place, the same bits as clip(mu + noise_scale * z, 0, 1).
+        theta = rng.standard_normal(spec.n)
+        theta *= spec.noise_scale
+        theta += mu
+        np.clip(theta, 0.0, 1.0, out=theta)
         yield RiskVector(theta), mask
 
 

@@ -380,26 +380,30 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
 # ------------------------------------------------------------------- train
 
 
-def _load_base_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset | None]:
-    """Training features plus an optional clean test set, before any noise."""
+def _load_base_datasets(cfg: ExperimentConfig, with_test: bool = True) -> tuple[Dataset, Dataset | None]:
+    """Training features plus an optional clean test set, before any noise.
+
+    with_test=False reads no test file and returns None for the test
+    set.  Blobs draw both splits from one generation, so their training
+    rows are the same either way.
+    """
     if cfg.dataset == "blobs":
         test_n = cfg.test_n if cfg.test_n is not None else max(1, cfg.n // 4)
         full = make_blobs(cfg.n + test_n, cfg.dim, cfg.classes, cfg.separation, cfg.data_seed)
-        idx_train = np.arange(cfg.n)
-        idx_test = np.arange(cfg.n, cfg.n + test_n)
-        return full.subset(idx_train), full.subset(idx_test)
+        test = full.subset(np.arange(cfg.n, cfg.n + test_n)) if with_test else None
+        return full.subset(np.arange(cfg.n)), test
     if cfg.dataset == "idx":
         if not cfg.idx_images or not cfg.idx_labels:
             raise ConfigError("dataset = idx needs idx_images and idx_labels paths")
         train = load_idx(cfg.idx_images, cfg.idx_labels)
         test = None
-        if cfg.idx_test_images and cfg.idx_test_labels:
+        if with_test and cfg.idx_test_images and cfg.idx_test_labels:
             test = load_idx(cfg.idx_test_images, cfg.idx_test_labels)
     else:
         if not cfg.csv_path:
             raise ConfigError("dataset = csv needs csv_path")
         train = load_csv_dataset(cfg.csv_path)
-        test = load_csv_dataset(cfg.csv_test_path) if cfg.csv_test_path else None
+        test = load_csv_dataset(cfg.csv_test_path) if with_test and cfg.csv_test_path else None
     # Each file counts its own classes; a test file may lack the top training class.
     if test is not None and test.num_classes != train.num_classes:
         classes = max(train.num_classes, test.num_classes)
@@ -584,7 +588,7 @@ def run_grid_search(cfg: ExperimentConfig) -> GridResult:
         raise ConfigError("grid mode needs noise_rate_estimate")
     fractions = k_fraction_grid(cfg.noise_rate_estimate)
     seed = cfg.seeds[0]
-    train_base = _load_base_datasets(cfg)[0]  # the test set, unused here, is dropped at once
+    train_base, _ = _load_base_datasets(cfg, with_test=False)
     noisy = _noisy_copy(train_base, cfg, seed)
     train_idx, val_idx = stratified_split(noisy.assigned_labels, cfg.validation_fraction, seed)
     fit_set = noisy.subset(train_idx)
@@ -642,7 +646,7 @@ def run_validate_risk(cfg: ExperimentConfig) -> ValidateRiskResult:
     risk.  Runs are seeded like train's.
     """
     out = _require_out(cfg)
-    train_base = _load_base_datasets(cfg)[0]  # the test set, unused here, is dropped at once
+    train_base, _ = _load_base_datasets(cfg, with_test=False)
     k = cfg.resolve_k(train_base.n)
 
     rows: list[tuple] = []

@@ -8,13 +8,24 @@ follow-the-leader.  All selectors share one tie rule: on equal scores
 the smaller index wins, i.e. selections follow a stable sort by
 (score, index).
 
-Selection is O(n) expected per epoch via introselect partitioning
-(numpy argpartition); a full sort is never required outside tests.
+Bottom-k is O(n) expected per call: one introselect partition of the
+values (numpy partition) finds the k-th smallest score, a mask keeps
+everything at or below it, and only when ties at that boundary
+overflow k are the largest-index ones cleared; the kept indices come
+out increasing, so neither an index partition nor a sort is needed.
+
+Each vector is checked once, where it enters: RiskVector,
+CumulativeRisk and top_k_smallest reject non-finite entries through
+the same min and max that their range checks use (NaN and +/-inf
+propagate through both).  ftl_select and greedy_select hand their
+already-checked vectors straight to the bottom-k; fpl_select checks
+the perturbed scores it builds.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -48,13 +59,19 @@ class Strategy(str, enum.Enum):
     RANDOM = "random"
 
 
-def _as_scores(values, name: str = "scores") -> np.ndarray:
+def _as_scores(values, name: str = "scores") -> tuple[np.ndarray, float, float]:
+    """values as a finite non-empty float64 vector, with its min and max.
+
+    NaN and +/-inf propagate through min and max, so the extremes a
+    range check needs carry the finiteness check too.
+    """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise InputError(f"{name} must be a non-empty 1-d array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InputError(f"{name} contains non-finite entries")
-    return arr
+    return arr, lo, hi
 
 
 @dataclass(frozen=True)
@@ -64,8 +81,8 @@ class RiskVector:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_scores(self.values, "risk values")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        arr, lo, hi = _as_scores(self.values, "risk values")
+        if lo < 0.0 or hi > 1.0:
             raise InputError("risk values must lie in [0, 1]")
         object.__setattr__(self, "values", arr)
 
@@ -103,13 +120,13 @@ class CumulativeRisk:
     epochs_seen: int
 
     def __post_init__(self):
-        arr = _as_scores(self.sums, "cumulative sums")
+        arr, lo, hi = _as_scores(self.sums, "cumulative sums")
         if self.epochs_seen < 0:
             raise InputError("epochs_seen must be non-negative")
         # Loose bound check: risks are in [0, 1], so sums stay within
         # [0, epochs_seen] up to accumulated rounding.
         tol = 1e-9 * max(1, self.epochs_seen)
-        if arr.min() < -tol or arr.max() > self.epochs_seen + tol:
+        if lo < -tol or hi > self.epochs_seen + tol:
             raise InputError("cumulative sums outside [0, epochs_seen]")
         object.__setattr__(self, "sums", arr)
 
@@ -158,23 +175,29 @@ class SelectorConfig:
 def top_k_smallest(scores, k: int) -> KSetSelection:
     """Indices of the k smallest scores, smaller index winning ties.
 
-    Expected O(n) via introselect partitioning: only the boundary
-    value's ties need explicit ordering, everything strictly below it
-    belongs to the answer outright.
+    Expected O(n): see _bottom_k.  scores are checked here.
     """
-    arr = _as_scores(scores)
+    return _bottom_k(_as_scores(scores)[0], k)
+
+
+def _bottom_k(arr: np.ndarray, k: int) -> KSetSelection:
+    """top_k_smallest of a float64 vector that its caller has checked.
+
+    Everything strictly below the k-th smallest value belongs to the
+    answer outright; of the ties at that value, the smallest indices
+    fill the remaining places.
+    """
     n = arr.shape[0]
     if not 1 <= k <= n:
         raise ParameterError(f"k must be in [1, {n}], got {k}")
     if k == n:
         return KSetSelection(np.arange(n, dtype=np.int64))
-    part = np.argpartition(arr, k - 1)
-    boundary = arr[part[k - 1]]
-    below = np.flatnonzero(arr < boundary)
-    at_boundary = np.flatnonzero(arr == boundary)
-    chosen = np.concatenate([below, at_boundary[: k - below.size]])
-    chosen.sort()
-    return KSetSelection(chosen)
+    boundary = np.partition(arr, k - 1)[k - 1]
+    keep = arr <= boundary
+    surplus = int(np.count_nonzero(keep)) - k
+    if surplus:
+        keep[np.flatnonzero(arr == boundary)[-surplus:]] = False
+    return KSetSelection(np.flatnonzero(keep))
 
 
 def sample_perturbation(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -193,8 +216,10 @@ def fpl_select(cum: CumulativeRisk, k: int, eta: float, rng: np.random.Generator
     """
     if not np.isfinite(eta) or eta < 0.0:
         raise ParameterError(f"eta must be finite and >= 0, got {eta}")
-    noise = sample_perturbation(rng, cum.n)
-    return top_k_smallest(cum.sums + eta * noise, k)
+    scores = sample_perturbation(rng, cum.n)
+    scores *= eta  # in place, the same bits as cum.sums + eta * noise
+    scores += cum.sums
+    return top_k_smallest(scores, k)
 
 
 def ftl_select(cum: CumulativeRisk, k: int) -> KSetSelection:
@@ -204,7 +229,7 @@ def ftl_select(cum: CumulativeRisk, k: int) -> KSetSelection:
     the objective is linear in the selection, so the optimum over all
     C(n, k) subsets is just the bottom-k of the cumulative sums.
     """
-    return top_k_smallest(cum.sums, k)
+    return _bottom_k(cum.sums, k)
 
 
 hindsight_best = ftl_select
@@ -216,7 +241,7 @@ def greedy_select(last: RiskVector, k: int) -> KSetSelection:
     No history: this is the memoryless ablation.  For epoch 1 (no
     feedback yet) use init_selection instead.
     """
-    return top_k_smallest(last.values, k)
+    return _bottom_k(last.values, k)
 
 
 def init_selection(n: int, k: int, seed: int | np.random.Generator) -> KSetSelection:

@@ -1,5 +1,6 @@
 """Noise-risk scoring and the synthetic risk streams."""
 
+import copy
 import math
 
 import numpy as np
@@ -21,7 +22,15 @@ from ksetsel.feedback import (
     noise_risk_scores,
     stream_epochs,
 )
-from ksetsel.selection import SelectorConfig, Strategy, init_selection, top_k_smallest
+from ksetsel.selection import (
+    CumulativeRisk,
+    SelectorConfig,
+    Strategy,
+    accumulate,
+    fpl_select,
+    init_selection,
+    top_k_smallest,
+)
 from ksetsel.training import select_sequence
 
 
@@ -151,6 +160,61 @@ class TestDriftingStream:
         with pytest.raises(ParameterError):
             StreamSpec(kind=StreamKind.DRIFTING, n=10, epochs=5)
 
+
+
+def fresh_temporaries_stream(spec: StreamSpec):
+    """The planted and drifting formula written out: clip(where(mask, c, n) + scale * z, 0, 1).
+
+    Every epoch builds its means vector and each intermediate anew, and
+    draws from the spec's seed in the same order: a mask on redraw
+    epochs, then the epoch's normal noise.
+    """
+    rng = np.random.default_rng(spec.seed)
+    n_clean = int(round(spec.clean_fraction * spec.n))
+    period = spec.drift_period if spec.kind is StreamKind.DRIFTING else None
+    warm = max(1, spec.epochs // 4)
+    mask = None
+    for t in range(1, spec.epochs + 1):
+        if mask is None or (period is not None and (t - 1) % period == 0):
+            mask = np.zeros(spec.n, dtype=bool)
+            if n_clean > 0:
+                mask[rng.choice(spec.n, size=n_clean, replace=False)] = True
+        ramp = min(t, warm) / warm
+        c, n = 0.5 - 0.45 * ramp, 0.5 + 0.45 * ramp
+        yield np.clip(np.where(mask, c, n) + spec.noise_scale * rng.standard_normal(spec.n), 0.0, 1.0), mask.copy()
+
+
+class TestStreamIsBitwiseTheFormula:
+    SPECS = [
+        StreamSpec(kind=StreamKind.PLANTED, n=500, epochs=40, seed=3),
+        StreamSpec(kind=StreamKind.PLANTED, n=301, epochs=7, seed=4, clean_fraction=0.3, noise_scale=0.4),
+        StreamSpec(kind=StreamKind.PLANTED, n=50, epochs=3, seed=5, clean_fraction=0.0),
+        StreamSpec(kind=StreamKind.PLANTED, n=1, epochs=5, seed=6, clean_fraction=1.0),
+        # Warm-up is epochs // 4 = 10: period 3 redraws inside the ramp and after it,
+        # period 13 only after it (epochs 14, 27, 40), period 1 every epoch.
+        StreamSpec(kind=StreamKind.DRIFTING, n=400, epochs=40, seed=7, drift_period=3),
+        StreamSpec(kind=StreamKind.DRIFTING, n=400, epochs=40, seed=8, drift_period=13),
+        StreamSpec(kind=StreamKind.DRIFTING, n=200, epochs=12, seed=9, drift_period=1, noise_scale=0.7),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind.value}-n{s.n}-T{s.epochs}-p{s.drift_period}")
+    def test_equals_fresh_temporaries(self, spec):
+        got = list(stream_epochs(spec))
+        want = list(fresh_temporaries_stream(spec))
+        assert len(got) == len(want) == spec.epochs
+        for (theta, mask), (ref_theta, ref_mask) in zip(got, want):
+            assert theta.values.tobytes() == ref_theta.tobytes()
+            np.testing.assert_array_equal(mask, ref_mask)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.05, 3.0])
+    def test_fpl_select_is_bottom_k_of_sums_plus_eta_noise(self, eta):
+        spec = StreamSpec(kind=StreamKind.DRIFTING, n=300, epochs=12, seed=2, drift_period=2)
+        cum, rng = CumulativeRisk.zeros(spec.n), np.random.default_rng(11)
+        for theta, _ in stream_epochs(spec):
+            cum = accumulate(cum, theta)
+            z = copy.deepcopy(rng).standard_normal(spec.n)
+            want = top_k_smallest(cum.sums + eta * z, 60).indices
+            np.testing.assert_array_equal(fpl_select(cum, 60, eta, rng).indices, want)
 
 class TestUniformStream:
     def test_deterministic(self):

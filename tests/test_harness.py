@@ -22,7 +22,7 @@ import ksetsel
 from ksetsel import cli, harness, mlp, selection, training
 from ksetsel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from ksetsel.datasets import LabelNoiseSpec, make_blobs, save_csv_dataset
-from ksetsel.errors import ConfigError
+from ksetsel.errors import ConfigError, DataError
 from ksetsel.feedback import load_stream_csv, noise_risk_scores
 from ksetsel.harness import (
     ETA_COEFFICIENT_GRID,
@@ -762,6 +762,67 @@ class TestRunValidateRisk:
             run_validate_risk(cfg)
         assert [str(w.message) for w in caught if "k = n" in str(w.message)] == []
 
+
+
+class TestTrainOnlyModesReadNoTestSplit:
+    """grid and validate-risk use the training split alone, so a bad test file cannot fail them."""
+
+    RUNS = {"grid": run_grid_search, "validate-risk": run_validate_risk}
+
+    def splits(self, tmp_path, dataset, test_file):
+        """Config keys for a valid training split and a missing or corrupt test split."""
+        data = make_blobs(120, 4, 3, separation=8.0, seed=0)
+        if dataset == "csv":
+            save_csv_dataset(data, tmp_path / "train.csv")
+            if test_file == "corrupt":
+                (tmp_path / "test.csv").write_text("label,f_0\n1,not-a-number\n")
+            keys = {"csv_path": str(tmp_path / "train.csv"), "csv_test_path": str(tmp_path / "test.csv")}
+        else:
+            pixels = np.round(np.clip((data.features + 12.0) * 10.0, 0, 255)).astype(np.uint8)
+            (tmp_path / "train-images").write_bytes(struct.pack(">IIII", 0x803, 120, 2, 2) + pixels.tobytes())
+            labels = data.true_labels.astype(np.uint8).tobytes()
+            (tmp_path / "train-labels").write_bytes(struct.pack(">II", 0x801, 120) + labels)
+            if test_file == "corrupt":
+                (tmp_path / "test-images").write_bytes(struct.pack(">IIII", 0x804, 40, 2, 2) + bytes(160))
+                (tmp_path / "test-labels").write_bytes(struct.pack(">II", 0x801, 40) + bytes(40))
+            keys = {
+                "idx_images": str(tmp_path / "train-images"),
+                "idx_labels": str(tmp_path / "train-labels"),
+                "idx_test_images": str(tmp_path / "test-images"),
+                "idx_test_labels": str(tmp_path / "test-labels"),
+            }
+        return {"dataset": dataset, **keys}
+
+    @pytest.mark.parametrize("test_file", ["corrupt", "missing"])
+    @pytest.mark.parametrize("dataset", ["csv", "idx"])
+    @pytest.mark.parametrize("mode", ["grid", "validate-risk"])
+    def test_runs_as_without_a_test_split(self, tmp_path, mode, dataset, test_file):
+        keys = self.splits(tmp_path, dataset, test_file)
+        common = dict(mode=mode, seeds=(0,), epochs=2, noise_rate_estimate=0.4)
+        with pytest.raises((DataError, OSError)):  # train mode does read the test split
+            run_train(tiny_train_cfg(tmp_path, **keys, seeds=(0,), epochs=2))
+        without = {k: v for k, v in keys.items() if "test" not in k}
+        self.RUNS[mode](tiny_train_cfg(tmp_path, **without, **common, out=str(tmp_path / "plain.csv")))
+        self.RUNS[mode](tiny_train_cfg(tmp_path, **keys, **common, out=str(tmp_path / "bad_test.csv")))
+        assert (tmp_path / "bad_test.csv").read_text() == (tmp_path / "plain.csv").read_text()
+
+    def test_grid_class_count_is_the_training_files_own(self, tmp_path, monkeypatch):
+        # A test file with a class above the training file's top one widens train's model, not grid's.
+        data = make_blobs(150, 4, 3, separation=8.0, seed=0)
+        save_csv_dataset(data.subset(np.flatnonzero(data.true_labels < 2)), tmp_path / "train.csv")
+        save_csv_dataset(data, tmp_path / "test.csv")
+        keys = dict(dataset="csv", csv_path=str(tmp_path / "train.csv"), csv_test_path=str(tmp_path / "test.csv"))
+        widths = []
+
+        def spy(dataset, test_set, train_cfg):
+            widths.append(dataset.num_classes)
+            return training.train_selective(dataset, test_set, train_cfg)
+
+        monkeypatch.setattr(harness, "train_selective", spy)
+        run_train(tiny_train_cfg(tmp_path, **keys, seeds=(0,), epochs=2))
+        assert widths == [3]
+        run_grid_search(tiny_train_cfg(tmp_path, **keys, mode="grid", seeds=(0,), epochs=2, noise_rate_estimate=0.4))
+        assert set(widths[1:]) == {2}
 
 class TestRunBounds:
     def test_lines(self):

@@ -5,6 +5,8 @@ The reference oracle for every top-k claim is a full stable sort by
 including tie handling, while using only partial selection.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,16 @@ def sorted_topk_oracle(scores, k):
     scores = np.asarray(scores, dtype=np.float64)
     order = np.lexsort((np.arange(scores.shape[0]), scores))
     return np.sort(order[:k])
+
+
+NON_FINITE = [
+    pytest.param([1.0, np.nan, 3.0], id="nan"),
+    pytest.param([1.0, np.inf, 3.0], id="inf"),
+    pytest.param([1.0, -np.inf, 3.0], id="-inf"),
+    pytest.param([np.nan], id="nan only"),
+    pytest.param([np.inf, -np.inf], id="inf and -inf"),
+    pytest.param([-1.0, np.nan, 2.0], id="nan out of range"),  # non-finite is reported first
+]
 
 
 class TestTopKSmallest:
@@ -91,15 +103,92 @@ class TestTopKSmallest:
         with pytest.raises(ParameterError):
             top_k_smallest([1.0, 2.0, 3.0, 4.0, 5.0], k)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_scores_rejected(self, bad):
-        with pytest.raises(InputError):
-            top_k_smallest([1.0, bad, 3.0], 2)
+        with pytest.raises(InputError, match=r"^scores contains non-finite entries$"):
+            top_k_smallest(bad, 1)
 
     def test_empty_scores_rejected(self):
         with pytest.raises(InputError):
             top_k_smallest([], 1)
 
+
+
+def bottom_k_cases():
+    """(name, scores in [0, 1], k): boundary ties, signed-zero ties and the edge sizes."""
+    rng = np.random.default_rng(31)
+    cases = [
+        ("ties straddle the boundary", [0.5, 0.25, 0.25, 0.75, 0.25, 0.25, 0.0], 3),
+        ("all tied", [0.25] * 9, 4),
+        ("signed zeros tie", [0.0, -0.0, 0.5, -0.0, 0.0, 0.25], 3),
+        ("signed zeros below the boundary", [0.5, -0.0, 0.25, 0.0, 0.25, -0.0, 0.25], 4),
+        ("k = 1", [0.5, 0.25, 0.75, 0.25], 1),
+        ("k = n", [0.5, 0.25, 0.75, 0.25], 4),
+        ("n = 1", [0.5], 1),
+    ]
+    for trial in range(40):
+        n = int(rng.integers(1, 50))
+        k = int(rng.integers(1, n + 1))
+        scores = rng.integers(0, 4, size=n) / 4.0
+        scores[(scores == 0.0) & (rng.random(n) < 0.5)] = -0.0
+        cases.append((f"quarter grid {trial}", scores.tolist(), k))
+    return cases
+
+
+BOTTOM_K_CASES = bottom_k_cases()
+
+
+class TestBottomKEntryPoints:
+    """Every public bottom-k entry point against the (score, index) sort oracle."""
+
+    @pytest.mark.parametrize("name,scores,k", BOTTOM_K_CASES, ids=[c[0] for c in BOTTOM_K_CASES])
+    def test_top_k_ftl_and_greedy(self, name, scores, k):
+        expected = sorted_topk_oracle(scores, k).tolist()
+        assert top_k_smallest(scores, k).indices.tolist() == expected
+        assert ftl_select(CumulativeRisk(sums=np.array(scores), epochs_seen=1), k).indices.tolist() == expected
+        assert greedy_select(RiskVector(np.array(scores)), k).indices.tolist() == expected
+
+    @pytest.mark.parametrize("eta", [0.0, 2.0**-60, 0.3])
+    @pytest.mark.parametrize("name,scores,k", BOTTOM_K_CASES, ids=[c[0] for c in BOTTOM_K_CASES])
+    def test_fpl(self, name, scores, k, eta):
+        # eta = 2**-60 moves no nonzero quarter-grid sum, so its boundary ties survive the perturbation.
+        cum = CumulativeRisk(sums=np.array(scores), epochs_seen=1)
+        rng = np.random.default_rng(len(scores) * 7 + k)
+        z = copy.deepcopy(rng).standard_normal(cum.n)
+        got = fpl_select(cum, k, eta, rng).indices.tolist()
+        assert got == sorted_topk_oracle(cum.sums + eta * z, k).tolist()
+
+    def test_fpl_rejects_perturbed_scores_that_overflow(self):
+        cum = CumulativeRisk.zeros(64)  # some of 64 normal draws exceed 1 in magnitude
+        with np.errstate(over="ignore"), pytest.raises(InputError, match="^scores contains non-finite entries$"):
+            fpl_select(cum, 2, np.finfo(np.float64).max, np.random.default_rng(0))
+
+
+class TestNonFiniteRejected:
+    """Each vector is checked where it enters; the InputError names the vector.
+
+    TestTopKSmallest.test_non_finite_scores_rejected covers top_k_smallest.
+    """
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_risk_vector(self, bad):
+        with pytest.raises(InputError, match=r"^risk values contains non-finite entries$"):
+            RiskVector(np.array(bad))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_cumulative_risk(self, bad):
+        with pytest.raises(InputError, match=r"^cumulative sums contains non-finite entries$"):
+            CumulativeRisk(sums=np.array(bad), epochs_seen=3)
+
+    def test_range_messages(self):
+        with pytest.raises(InputError, match=r"^risk values must lie in \[0, 1\]$"):
+            RiskVector(np.array([0.5, 1.0 + 1e-12]))
+        with pytest.raises(InputError, match=r"^risk values must lie in \[0, 1\]$"):
+            RiskVector(np.array([-1e-300, 0.5]))
+        with pytest.raises(InputError, match=r"^cumulative sums outside \[0, epochs_seen\]$"):
+            CumulativeRisk(sums=np.array([0.0, 2.5]), epochs_seen=2)
+        with pytest.raises(InputError, match=r"^cumulative sums outside \[0, epochs_seen\]$"):
+            CumulativeRisk(sums=np.array([-1e-6, 0.5]), epochs_seen=2)
 
 class TestSamplePerturbation:
     def test_standard_normal_moments(self):
