@@ -71,7 +71,6 @@ from .selection import (
 from .training import (
     EpochMetrics,
     Hindsight,
-    OnlineSelector,
     TrainConfig,
     TrainResult,
     run_epochs,

@@ -144,6 +144,16 @@ def label_precision(selection: KSetSelection, clean_mask: np.ndarray) -> float:
     return float(mask[selection.indices].mean())
 
 
+def _check_n_k_epochs(n: int, k: int, epochs: int) -> None:
+    """The domain both ceilings share: n >= 2, 1 <= k <= n - 1, epochs >= 1."""
+    if n < 2:
+        raise ParameterError(f"n must be >= 2, got {n}")
+    if not 1 <= k <= n - 1:
+        raise ParameterError(f"k must be in [1, n-1] = [1, {n - 1}], got {k}")
+    if epochs < 1:
+        raise ParameterError(f"epochs must be >= 1, got {epochs}")
+
+
 def regret_bound(n: int, k: int, epochs: int) -> float:
     """Expected-regret ceiling 2 sqrt(2 k T ln C(n, k)).
 
@@ -151,12 +161,7 @@ def regret_bound(n: int, k: int, epochs: int) -> float:
     any risk stream with entries in [0, 1].  Requires 1 <= k <= n - 1:
     at k = n there is nothing to select and the guarantee is void.
     """
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
-    if not 1 <= k <= n - 1:
-        raise ParameterError(f"k must be in [1, n-1] = [1, {n - 1}], got {k}")
-    if epochs < 1:
-        raise ParameterError(f"epochs must be >= 1, got {epochs}")
+    _check_n_k_epochs(n, k, epochs)
     return 2.0 * math.sqrt(2.0 * k * epochs * log_binomial(n, k))
 
 
@@ -167,12 +172,7 @@ def avg_risk_bound(n: int, k: int, epochs: int, alpha: float) -> float:
     as a fraction of its k*T ceiling; measure it post hoc as
     hindsight_total / (k * T) and reject non-positive values.
     """
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
-    if not 1 <= k <= n - 1:
-        raise ParameterError(f"k must be in [1, n-1] = [1, {n - 1}], got {k}")
-    if epochs < 1:
-        raise ParameterError(f"epochs must be >= 1, got {epochs}")
+    _check_n_k_epochs(n, k, epochs)
     if not (np.isfinite(alpha) and 0.0 < alpha <= 1.0):
         raise ParameterError(f"alpha must lie in (0, 1], got {alpha}")
     return alpha * k * (2.0 * math.sqrt(2.0 * math.log(n)) / math.sqrt(epochs * alpha) + 1.0)

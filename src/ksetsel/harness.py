@@ -40,7 +40,7 @@ from .feedback import (
 from .mlp import evaluate
 from .selection import KSetSelection, RiskVector, SelectorConfig, Strategy
 from .tables import write_table
-from .training import EpochMetrics, OnlineSelector, TrainConfig, run_epochs, train_selective
+from .training import EpochMetrics, TrainConfig, run_epochs, train_selective
 
 __all__ = [
     "METRICS_HEADER",
@@ -343,14 +343,13 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
 
     def run_seed(seed: int, strategies: list[Strategy]) -> list[list[EpochMetrics]]:
         stream = _stream_for_seed(cfg, seed) if replay is None else ((theta, None) for theta in replay.risks)
-        selectors = [OnlineSelector(SelectorConfig(strategy=s, k=k, eta=eta, seed=seed), n) for s in strategies]
         nan = float("nan")
 
         def feedback(epoch: int, picks: list[KSetSelection]):
             theta, mask = next(stream)
             return theta, mask, nan, nan
 
-        metrics, seen = run_epochs(selectors, epochs, feedback)
+        metrics, seen = run_epochs(strategies, SelectorConfig(k=k, eta=eta, seed=seed), n, epochs, feedback)
         best_totals.append(seen.best_total)
         return metrics
 

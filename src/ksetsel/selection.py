@@ -19,7 +19,7 @@ CumulativeRisk and top_k_smallest reject non-finite entries through
 the same min and max that their range checks use (NaN and +/-inf
 propagate through both).  ftl_select and greedy_select hand their
 already-checked vectors straight to the bottom-k; fpl_select checks
-the perturbed scores it builds.
+the perturbed scores it builds, where only a huge eta can overflow.
 """
 
 from __future__ import annotations
@@ -143,14 +143,13 @@ class CumulativeRisk:
 
 @dataclass(frozen=True)
 class SelectorConfig:
-    """Which strategy to run and with what knobs.
+    """What every strategy of one run shares: k, eta and the run seed.
 
     eta is the perturbation scale used by the FPL strategy; the other
     strategies ignore it.  The regret guarantee needs k <= n - 1, so a
     degenerate k = n selection is accepted but warned about.
     """
 
-    strategy: Strategy
     k: int
     eta: float = 0.0
     seed: int = 0  # the run seed, which the selector RNG and the epoch-1 k-set are spawned from
@@ -217,9 +216,13 @@ def fpl_select(cum: CumulativeRisk, k: int, eta: float, rng: np.random.Generator
     if not np.isfinite(eta) or eta < 0.0:
         raise ParameterError(f"eta must be finite and >= 0, got {eta}")
     scores = sample_perturbation(rng, cum.n)
-    scores *= eta  # in place, the same bits as cum.sums + eta * noise
-    scores += cum.sums
-    return top_k_smallest(scores, k)
+    with np.errstate(over="ignore"):  # the sums and the draw are finite, so an inf can only come from eta
+        scores *= eta  # in place, the same bits as cum.sums + eta * noise
+        scores += cum.sums
+    try:
+        return top_k_smallest(scores, k)
+    except InputError:
+        raise ParameterError(f"eta={eta:g} is too large: the perturbed scores overflow") from None
 
 
 def ftl_select(cum: CumulativeRisk, k: int) -> KSetSelection:

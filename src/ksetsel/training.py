@@ -1,11 +1,12 @@
 """The online selection engine and the one epoch loop every mode drives.
 
-An OnlineSelector holds one strategy and its RNG.  run_epochs drives
-a list of them in lockstep over one risk stream: each epoch every
-selector picks a k-set from the shared Hindsight ledger, the caller's
-feedback function reveals that epoch's risk vector theta_t, the ledger
-folds theta_t into its sums once, and each selector is charged its
-prefix regret against the best fixed k-set over epochs 1..t.
+run_epochs drives a run's strategies in lockstep over one risk stream,
+all under the run's one SelectorConfig (k, eta and seed): each epoch
+every strategy picks a k-set from the shared Hindsight ledger with its
+own generator, the caller's feedback function reveals that epoch's
+risk vector theta_t, the ledger folds theta_t into its sums once, and
+each strategy is charged its prefix regret against the best fixed
+k-set over epochs 1..t.
 
 train_selective plugs the learner in as feedback: train the model on
 the selected k samples, then score every training sample's
@@ -48,7 +49,6 @@ __all__ = [
     "EpochMetrics",
     "TrainResult",
     "Hindsight",
-    "OnlineSelector",
     "run_epochs",
     "select_sequence",
     "train_selective",
@@ -70,15 +70,14 @@ class TrainConfig:
 
     def __post_init__(self):
         self.selector_config()
-        if self.epochs < 1:
-            raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
-        if self.hidden < 1 or self.batch_size < 1:
-            raise ParameterError("hidden and batch_size must be >= 1")
+        for name in ("epochs", "hidden", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (np.isfinite(self.lr) and self.lr >= 0.0):
             raise ParameterError(f"lr must be finite and >= 0, got {self.lr}")
 
     def selector_config(self) -> SelectorConfig:
-        return SelectorConfig(strategy=self.strategy, k=self.k, eta=self.eta, seed=self.seed)
+        return SelectorConfig(k=self.k, eta=self.eta, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ class TrainResult:
 
 
 class Hindsight:
-    """What the selectors on one risk stream have seen: sums, last theta and leader.
+    """What the strategies on one risk stream have seen: sums, last theta and leader.
 
     The leader, the k smallest sums, is naive's next pick and the best
     fixed k-set in hindsight; best_total is its total risk so far.
@@ -128,57 +127,43 @@ def _seed_streams(seed: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(4)
 
 
-class OnlineSelector:
-    """One strategy and its RNG; select(seen) picks from a Hindsight ledger that has feedback.
-
-    cfg.seed is the run seed and the RNG its selector stream; epoch 1,
-    before any feedback, is run_epochs' seeded k-set for every selector.
-    """
-
-    def __init__(self, cfg: SelectorConfig, n: int):
-        cfg.check_n(n)
-        self.cfg = cfg
-        self.n = n
-        self.rng = np.random.default_rng(_seed_streams(cfg.seed)[2])
-
-    def select(self, seen: Hindsight) -> KSetSelection:
-        cfg = self.cfg
-        if seen.last is None:
-            raise InputError("no feedback observed yet: epoch 1 takes the run's seeded k-set from run_epochs")
-        if cfg.strategy is Strategy.FPL:
-            return fpl_select(seen.cum, cfg.k, cfg.eta, self.rng)
-        if cfg.strategy is Strategy.NAIVE:
-            return seen.leader
-        if cfg.strategy is Strategy.GREEDY:
-            return greedy_select(seen.last, cfg.k)
-        if cfg.strategy is Strategy.RANDOM:
-            return init_selection(self.n, cfg.k, self.rng)
-        raise ParameterError(f"unknown strategy {cfg.strategy!r}")  # pragma: no cover
+def _pick(strategy: Strategy, seen: Hindsight, cfg: SelectorConfig, rng: np.random.Generator) -> KSetSelection:
+    """strategy's pick from a ledger that has feedback; rng is the strategy's own selector stream."""
+    if strategy is Strategy.FPL:
+        return fpl_select(seen.cum, cfg.k, cfg.eta, rng)
+    if strategy is Strategy.NAIVE:
+        return seen.leader
+    if strategy is Strategy.GREEDY:
+        return greedy_select(seen.last, cfg.k)
+    if strategy is Strategy.RANDOM:
+        return init_selection(seen.cum.n, cfg.k, rng)
+    raise ParameterError(f"unknown strategy {strategy!r}")  # pragma: no cover
 
 
 def run_epochs(
-    selectors: list[OnlineSelector], epochs: int, feedback: Callable
+    strategies: list[Strategy], cfg: SelectorConfig, n: int, epochs: int, feedback: Callable
 ) -> tuple[list[list[EpochMetrics]], Hindsight]:
-    """The epoch loop over selectors sharing one stream, n, k and run seed; returns their metrics and the ledger.
+    """The epoch loop of one run's strategies over one stream of n samples; returns their metrics and the ledger.
 
-    feedback(epoch, picks) gets one selection per selector and returns
+    feedback(epoch, picks) gets one selection per strategy and returns
     (theta_t as a RiskVector, the clean mask or None, train accuracy,
-    test accuracy).  Epoch 1 gives every selector the run seed's k-set,
-    later epochs each one's own pick.  Label precision is nan without a
+    test accuracy).  Epoch 1 gives every strategy the run seed's k-set,
+    later epochs each one's own pick, drawn from its own generator on
+    the run seed's selector stream.  Label precision is nan without a
     clean mask.  wall_ms runs from the first pick to folding theta_t in,
-    alike in every selector's row.  Selections are not kept; a caller
+    alike in every strategy's row.  Selections are not kept; a caller
     that needs them records them in its feedback.
     """
-    if len({(s.n, s.cfg.k, s.cfg.seed) for s in selectors}) != 1:
-        raise ParameterError("selectors in one run must share n, k and seed")
-    n, k, seed = selectors[0].n, selectors[0].cfg.k, selectors[0].cfg.seed
-    first = init_selection(n, k, seed=int(_seed_streams(seed)[3].generate_state(1)[0]))
-    seen = Hindsight(n, k)
-    spent = [0.0] * len(selectors)
-    metrics: list[list[EpochMetrics]] = [[] for _ in selectors]
+    cfg.check_n(n)
+    _, _, selector_stream, first_stream = _seed_streams(cfg.seed)
+    first = init_selection(n, cfg.k, seed=int(first_stream.generate_state(1)[0]))
+    rngs = [np.random.default_rng(selector_stream) for _ in strategies]
+    seen = Hindsight(n, cfg.k)
+    spent = [0.0] * len(strategies)
+    metrics: list[list[EpochMetrics]] = [[] for _ in strategies]
     for epoch in range(1, epochs + 1):
         t0 = time.perf_counter()
-        picks = [first if epoch == 1 else s.select(seen) for s in selectors]
+        picks = [first if epoch == 1 else _pick(s, seen, cfg, rng) for s, rng in zip(strategies, rngs)]
         theta, clean_mask, train_acc, test_acc = feedback(epoch, picks)
         seen.observe(theta)  # first: it rejects a theta of the wrong length
         wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -199,8 +184,8 @@ def run_epochs(
     return metrics, seen
 
 
-def select_sequence(risks, cfg: SelectorConfig) -> list[KSetSelection]:
-    """Run a selector over a prerecorded risk stream.
+def select_sequence(risks, strategy: Strategy, cfg: SelectorConfig) -> list[KSetSelection]:
+    """Run one strategy over a prerecorded risk stream.
 
     risks is a sequence of RiskVector, one per epoch; epoch t's selection
     is made before theta_t is revealed, epoch 1's is run_epochs' seeded k-set.
@@ -213,7 +198,7 @@ def select_sequence(risks, cfg: SelectorConfig) -> list[KSetSelection]:
         selections.append(picks[0])
         return risks[epoch - 1], None, float("nan"), float("nan")
 
-    run_epochs([OnlineSelector(cfg, risks[0].n)], len(risks), feedback)
+    run_epochs([strategy], cfg, risks[0].n, len(risks), feedback)
     return selections
 
 
@@ -246,5 +231,5 @@ def train_selective(dataset: Dataset, test_set: Dataset | None, cfg: TrainConfig
             test_acc = float("nan")
         return theta, clean_mask, train_acc, test_acc
 
-    (metrics,), seen = run_epochs([OnlineSelector(cfg.selector_config(), dataset.n)], cfg.epochs, feedback)
+    (metrics,), seen = run_epochs([cfg.strategy], cfg.selector_config(), dataset.n, cfg.epochs, feedback)
     return TrainResult(model=model, metrics=metrics, selections=selections, cum=seen.cum)

@@ -249,8 +249,8 @@ class TestFtlAdversary:
 
     def test_leader_flips_every_epoch_and_pays(self):
         stream = generate_stream(StreamSpec(kind=StreamKind.ADVERSARY, n=2, epochs=100))
-        cfg = SelectorConfig(strategy=Strategy.NAIVE, k=1)
-        sels = select_sequence(stream.risks, cfg)
+        cfg = SelectorConfig(k=1)
+        sels = select_sequence(stream.risks, Strategy.NAIVE, cfg)
         per_epoch = [float(r.values[s.indices].sum()) for s, r in zip(sels, stream.risks)]
         # epoch 1 is run seed 0's seeded k-set, index 1, which theta_1 = (0.5, 0) charges nothing
         seeded = init_selection(2, 1, seed=int(np.random.SeedSequence(0).spawn(4)[3].generate_state(1)[0]))
@@ -260,8 +260,8 @@ class TestFtlAdversary:
 
     def test_leader_regret_grows_linearly(self):
         stream = generate_stream(StreamSpec(kind=StreamKind.ADVERSARY, n=2, epochs=500))
-        cfg = SelectorConfig(strategy=Strategy.NAIVE, k=1)
-        trace = SelectionTrace(select_sequence(stream.risks, cfg), stream.risks)
+        cfg = SelectorConfig(k=1)
+        trace = SelectionTrace(select_sequence(stream.risks, Strategy.NAIVE, cfg), stream.risks)
         assert regret(trace) >= 0.4 * 500
 
 

@@ -345,7 +345,7 @@ class TestRunSimulate:
         risks = load_stream_csv(dump).risks
         eta = resolve_eta(0.05, 10, 12)
         for strategy in Strategy:
-            sels = select_sequence(risks, SelectorConfig(strategy=strategy, k=10, eta=eta, seed=4))
+            sels = select_sequence(risks, strategy, SelectorConfig(k=10, eta=eta, seed=4))
             expected = [format(float(r.values[s.indices].sum()), ".10g") for s, r in zip(sels, risks)]
             _, rows = read_rows(tmp_path / f"sim_{strategy.value}.csv")
             assert [row.split(",")[2] for row in rows] == expected, strategy
@@ -608,18 +608,18 @@ class TestLockstepSimulate:
         firsts = []
         real = harness.run_epochs
 
-        def recording(selectors, epochs, feedback):
+        def recording(strategies, selector_cfg, n, epochs, feedback):
             def record(epoch, picks):
                 if epoch == 1:
                     firsts.extend(pick.indices.tolist() for pick in picks)
                 return feedback(epoch, picks)
 
-            return real(selectors, epochs, record)
+            return real(strategies, selector_cfg, n, epochs, record)
 
         monkeypatch.setattr(harness, "run_epochs", recording)
         run_simulate(sim_cfg(tmp_path, seeds=(seed,), n=n, k=k))
         stream = [RiskVector(np.full(n, 0.5))] * 2
-        replayed = select_sequence(stream, SelectorConfig(strategy=Strategy.GREEDY, k=k, seed=seed))[0]
+        replayed = select_sequence(stream, Strategy.GREEDY, SelectorConfig(k=k, seed=seed))[0]
         data = make_blobs(n, 3, 2, separation=5.0, seed=1)
         trained = train_selective(data, None, TrainConfig(strategy=Strategy.FPL, k=k, epochs=1, hidden=4, seed=seed))
         assert firsts == [replayed.indices.tolist()] * len(Strategy)
@@ -949,6 +949,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: training diverged")
         assert "1e+200" in err
+
+    def test_eta_that_overflows_the_scores_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "sim.cfg"
+        path.write_text(
+            "stream = planted\nn = 1000\nk_frac = 0.2\nepochs = 5\neta_coefficient = 3e306\n"
+            f"out = {tmp_path / 'm.csv'}\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: eta=")
+        assert "too large" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["sim.cfg"]
+
+    @pytest.mark.parametrize("key", ["hidden", "batch_size"])
+    def test_train_learner_size_below_one_exit_one_naming_the_key(self, tmp_path, capsys, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"n = 120\ndim = 4\nclasses = 3\nepochs = 2\nk_frac = 0.5\n{key} = 0\nout = {tmp_path / 'm.csv'}\n"
+        )
+        assert main(["train", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {key} must be >= 1, got 0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_k_equals_n_warns_once_per_run(self, tmp_path, capsys):
+        # one run per seed, each under one SelectorConfig however many selectors it drives
+        path = tmp_path / "sim.cfg"
+        path.write_text(
+            "n = 50\nk = 50\nepochs = 3\nseeds = 0, 1\nselectors = fpl, naive, greedy, random\n"
+            f"out = {tmp_path / 'm.csv'}\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(path)]) == EXIT_OK
+        warned = "k = n selects every sample; the regret guarantee requires k <= n - 1"
+        assert [str(w.message) for w in caught] == [warned] * 2
 
     def test_train_columns_match_across_blas_thread_counts(self, tmp_path):
         path = tmp_path / "run.cfg"

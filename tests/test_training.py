@@ -10,7 +10,7 @@ from ksetsel.datasets import LabelNoiseSpec, apply_label_noise, make_blobs
 from ksetsel.analytics import SelectionTrace, regret
 from ksetsel.errors import InputError, ParameterError
 from ksetsel.selection import RiskVector, SelectorConfig, Strategy, init_selection
-from ksetsel.training import Hindsight, OnlineSelector, TrainConfig, run_epochs, train_selective
+from ksetsel.training import TrainConfig, run_epochs, train_selective
 
 
 def small_noisy_dataset(seed=0):
@@ -154,35 +154,35 @@ def uniform_risks(n, epochs, seed):
 
 
 class TestOnlineSelector:
-    def test_select_before_feedback_raises(self):
-        # epoch 1 is run_epochs' seeded k-set; no strategy picks from an empty ledger
-        for strategy in Strategy:
-            selector = OnlineSelector(SelectorConfig(strategy=strategy, k=4, eta=0.7, seed=5), 12)
-            with pytest.raises(InputError, match="no feedback observed yet"):
-                selector.select(Hindsight(12, 4))
+    """Each strategy's pick through run_epochs, the one place strategies are dispatched."""
 
     def test_greedy_follows_the_last_observed_vector(self):
-        selector = OnlineSelector(SelectorConfig(strategy=Strategy.GREEDY, k=2), 4)
-        seen = Hindsight(4, 2)
-        seen.observe(RiskVector(np.array([0.9, 0.1, 0.5, 0.2])))
-        seen.observe(RiskVector(np.array([0.1, 0.9, 0.2, 0.5])))
-        assert selector.select(seen).indices.tolist() == [0, 2]
-        assert seen.cum.epochs_seen == 2
+        values = ([0.9, 0.1, 0.5, 0.2], [0.1, 0.9, 0.2, 0.5], [0.5] * 4)
+        risks = [RiskVector(np.array(v)) for v in values]
+        picks = []
 
+        def feedback(epoch, selections):
+            picks.append(selections[0].indices.tolist())
+            return risks[epoch - 1], None, float("nan"), float("nan")
+
+        # at epoch 3 the sums' leader is [2, 3]; greedy keeps only the last vector
+        _, seen = run_epochs([Strategy.GREEDY], SelectorConfig(k=2), 4, 3, feedback)
+        assert picks[1:] == [[1, 3], [0, 2]]
+        assert seen.cum.epochs_seen == 3
 
 
 class TestRunEpochs:
     def test_prefix_regret_matches_the_trace_oracle(self):
         risks = uniform_risks(15, 10, 1)
         for strategy in Strategy:
-            cfg = SelectorConfig(strategy=strategy, k=4, eta=1.5, seed=2)
+            cfg = SelectorConfig(k=4, eta=1.5, seed=2)
             seen = []
 
             def feedback(epoch, picks):
                 seen.append(picks[0])
                 return risks[epoch - 1], None, float("nan"), float("nan")
 
-            (metrics,), _ = run_epochs([OnlineSelector(cfg, 15)], len(risks), feedback)
+            (metrics,), _ = run_epochs([strategy], cfg, 15, len(risks), feedback)
             assert [m.epoch for m in metrics] == list(range(1, 11))
             assert all(np.isnan(m.label_precision) for m in metrics)
             for t, m in enumerate(metrics, start=1):
@@ -190,15 +190,14 @@ class TestRunEpochs:
 
     def test_first_selection_is_used_for_epoch_one_only(self):
         risks = uniform_risks(10, 3, 4)
-        strategies = (Strategy.NAIVE, Strategy.GREEDY)
-        selectors = [OnlineSelector(SelectorConfig(strategy=s, k=3, seed=9), 10) for s in strategies]
+        strategies = [Strategy.NAIVE, Strategy.GREEDY]
         seen = []
 
         def feedback(epoch, picks):
             seen.append([p.indices.tolist() for p in picks])
             return risks[epoch - 1], np.ones(10, dtype=bool), 0.5, 0.25
 
-        metrics, _ = run_epochs(selectors, 3, feedback)
+        metrics, _ = run_epochs(strategies, SelectorConfig(k=3, seed=9), 10, 3, feedback)
         # the run seed's fourth spawned stream draws the epoch-1 k-set
         seeded = init_selection(10, 3, seed=int(np.random.SeedSequence(9).spawn(4)[3].generate_state(1)[0]))
         assert seen[0] == [seeded.indices.tolist()] * 2
@@ -212,16 +211,6 @@ class TestRunEpochs:
         for rows in metrics:
             assert [(m.label_precision, m.train_acc, m.test_acc) for m in rows] == [(1.0, 0.5, 0.25)] * 3
 
-    @pytest.mark.parametrize(
-        "shapes", [((2, 10, 0), (3, 10, 0)), ((2, 10, 0), (2, 12, 0)), ((2, 10, 0), (2, 10, 1))]
-    )
-    def test_selectors_must_share_n_and_k(self, shapes):
-        # (k, n, seed) per selector; the last case differs only in the run seed
-        configs = [(SelectorConfig(strategy=Strategy.NAIVE, k=k, seed=seed), n) for k, n, seed in shapes]
-        selectors = [OnlineSelector(cfg, n) for cfg, n in configs]
-        with pytest.raises(ParameterError, match="selectors in one run must share n, k and seed"):
-            run_epochs(selectors, 1, None)
-
     @pytest.mark.parametrize("strategy", [Strategy.FPL, Strategy.NAIVE])
     def test_long_horizon_regret_matches_an_fsum_oracle(self, strategy):
         n, k, epochs = 64, 16, 5000
@@ -232,8 +221,8 @@ class TestRunEpochs:
             charged.append(risks[epoch - 1].values[picks[0].indices])
             return risks[epoch - 1], None, float("nan"), float("nan")
 
-        cfg = SelectorConfig(strategy=strategy, k=k, eta=math.sqrt(k * epochs), seed=3)
-        (metrics,), _ = run_epochs([OnlineSelector(cfg, n)], epochs, feedback)
+        cfg = SelectorConfig(k=k, eta=math.sqrt(k * epochs), seed=3)
+        (metrics,), _ = run_epochs([strategy], cfg, n, epochs, feedback)
         final = metrics[-1].cum_regret
         spent = math.fsum(float(v) for values in charged for v in values)
         index_totals = sorted(math.fsum(float(r.values[i]) for r in risks) for i in range(n))
