@@ -14,6 +14,9 @@ periodically, a uniform stream is pure iid noise, and the adversary
 stream is the classic two-arm construction that forces the
 unperturbed leader into linear regret.  stream_epochs builds a stream
 one epoch at a time; generate_stream materialises the same floats.
+run_simulate reads stream_epochs one epoch ahead on a worker thread,
+so theta_{t+1} is drawn while the selectors use theta_t; a stream is
+only ever advanced by that one thread, so its floats do not change.
 
 A planted epoch costs one normal draw of n values, scaled, shifted by
 the per-sample means and clipped in place; the means vector is rebuilt

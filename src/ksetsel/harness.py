@@ -40,7 +40,7 @@ from .feedback import (
 from .mlp import evaluate
 from .selection import KSetSelection, RiskVector, SelectorConfig, Strategy
 from .tables import write_table
-from .training import EpochMetrics, TrainConfig, run_epochs, train_selective
+from .training import EpochMetrics, ReadAhead, TrainConfig, run_epochs, train_selective
 
 __all__ = [
     "METRICS_HEADER",
@@ -318,7 +318,9 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
 
     n and T are the stream's: a replayed csv stream sets both and is
     read once for every seed; a generated stream is built one epoch at
-    a time, so one seed holds at most two of its risk vectors at once.
+    a time.  Either is read one epoch ahead on a worker thread, so
+    theta_{t+1} is drawn while the selectors use theta_t, and a
+    generated stream holds at most these two risk vectors at once.
     """
     out = _require_out(cfg)
     if cfg.stream == "csv":
@@ -342,14 +344,15 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
     best_totals: list[float] = []  # per seed; every selector on a seed's stream shares it
 
     def run_seed(seed: int, strategies: list[Strategy]) -> list[list[EpochMetrics]]:
-        stream = _stream_for_seed(cfg, seed) if replay is None else ((theta, None) for theta in replay.risks)
+        source = _stream_for_seed(cfg, seed) if replay is None else ((t, None) for t in replay.risks)
         nan = float("nan")
 
         def feedback(epoch: int, picks: list[KSetSelection]):
             theta, mask = next(stream)
             return theta, mask, nan, nan
 
-        metrics, seen = run_epochs(strategies, SelectorConfig(k=k, eta=eta, seed=seed), n, epochs, feedback)
+        with ReadAhead(source) as stream:
+            metrics, seen = run_epochs(strategies, SelectorConfig(k=k, eta=eta, seed=seed), n, epochs, feedback)
         best_totals.append(seen.best_total)
         return metrics
 

@@ -206,22 +206,33 @@ def sample_perturbation(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n)
 
 
-def fpl_select(cum: CumulativeRisk, k: int, eta: float, rng: np.random.Generator) -> KSetSelection:
+def fpl_select(cum: CumulativeRisk, k: int, eta: float, noise: np.ndarray) -> KSetSelection:
     """Perturbed leader: k smallest entries of sums + eta * noise.
 
-    Draws fresh perturbations on every call.  eta = 0 reproduces
-    ftl_select bit for bit (the perturbation is still drawn, so the
-    generator state advances identically for any eta).
+    noise is one fresh sample_perturbation draw of cum.n values, which
+    the caller draws from its own generator (run_epochs draws each one
+    an epoch ahead).  It must be a finite float64 vector, and it is
+    overwritten with the scores, so a draw serves one call.  eta = 0
+    reproduces ftl_select bit for bit.
     """
     if not np.isfinite(eta) or eta < 0.0:
         raise ParameterError(f"eta must be finite and >= 0, got {eta}")
-    scores = sample_perturbation(rng, cum.n)
-    with np.errstate(over="ignore"):  # the sums and the draw are finite, so an inf can only come from eta
+    if not isinstance(noise, np.ndarray) or noise.dtype != np.float64:
+        raise InputError(f"perturbation must be a float64 array, got {getattr(noise, 'dtype', type(noise).__name__)}")
+    if noise.shape != (cum.n,):
+        raise InputError(f"perturbation shape {noise.shape} does not match n={cum.n}")
+    scores = noise
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is reported below
         scores *= eta  # in place, the same bits as cum.sums + eta * noise
         scores += cum.sums
     try:
         return top_k_smallest(scores, k)
     except InputError:
+        # The sums are finite.  An overflow of eta times a finite draw
+        # gives inf, never nan, and needs eta > 1; anything else was
+        # already in the perturbation.
+        if eta <= 1.0 or np.isnan(scores).any():
+            raise InputError("perturbation contains non-finite entries") from None
         raise ParameterError(f"eta={eta:g} is too large: the perturbed scores overflow") from None
 
 

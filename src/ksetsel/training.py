@@ -13,6 +13,14 @@ the selected k samples, then score every training sample's
 noise-risk from a full forward pass.  In every mode epoch 1 takes one
 seeded uniformly random k-set because no feedback exists yet.
 
+FPL's perturbation does not depend on feedback, so run_epochs draws
+each one an epoch ahead on a worker thread (ReadAhead) while the main
+thread picks, runs the feedback and folds; run_simulate reads its
+generated stream the same way.  Each generator is drawn from by one
+thread only, in its original order, so every output is the same as
+with the draws inline.  Only these draws leave the main thread: the
+picks, random's k-sets, the folds and the learner stay on it.
+
 Wall time is recorded but is the one column outside the determinism
 contract: with a fixed config and seed everything else is
 reproducible bit for bit.
@@ -20,7 +28,11 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
+import queue
+import threading
 import time
+from collections.abc import Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,6 +54,7 @@ from .selection import (
     ftl_select,
     greedy_select,
     init_selection,
+    sample_perturbation,
 )
 
 __all__ = [
@@ -127,10 +140,61 @@ def _seed_streams(seed: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(4)
 
 
-def _pick(strategy: Strategy, seen: Hindsight, cfg: SelectorConfig, rng: np.random.Generator) -> KSetSelection:
-    """strategy's pick from a ledger that has feedback; rng is the strategy's own selector stream."""
+_END = object()
+
+
+class ReadAhead:
+    """items, drawn one item ahead on a single worker thread.
+
+    Taking item t asks the worker for item t + 1, so the worker draws
+    it while the caller uses item t.  Only the worker advances items.
+    An exception the worker meets is raised where the caller takes
+    that item.  Leaving the with block joins the worker, whether the
+    run returned or raised; an item already asked for is drawn first.
+    """
+
+    def __init__(self, items: Iterator):
+        self._items = items
+        self._asks: queue.SimpleQueue[bool] = queue.SimpleQueue()  # True: draw the next item; False: stop
+        self._drawn: queue.SimpleQueue[tuple] = queue.SimpleQueue()  # (item, None) or (None, its exception)
+        self._worker = threading.Thread(target=self._work, name="ksetsel-ahead")
+        self._worker.start()
+        self._asks.put(True)
+
+    def _work(self) -> None:
+        while self._asks.get():
+            try:
+                self._drawn.put((next(self._items, _END), None))
+            except BaseException as exc:  # raised again on the caller's thread, in __next__
+                self._drawn.put((None, exc))
+                return
+
+    def __next__(self):
+        item, exc = self._drawn.get()
+        if exc is not None:
+            raise exc
+        if item is _END:
+            raise StopIteration
+        self._asks.put(True)
+        return item
+
+    def __enter__(self) -> "ReadAhead":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._asks.put(False)
+        self._worker.join()
+
+
+def _pick(
+    strategy: Strategy, seen: Hindsight, cfg: SelectorConfig, rng: np.random.Generator, noise: np.ndarray | None
+) -> KSetSelection:
+    """strategy's pick from a ledger that has feedback; rng is the strategy's own selector stream.
+
+    noise is FPL's perturbation for this pick, drawn from rng; None for the others.
+    """
     if strategy is Strategy.FPL:
-        return fpl_select(seen.cum, cfg.k, cfg.eta, rng)
+        return fpl_select(seen.cum, cfg.k, cfg.eta, noise)
     if strategy is Strategy.NAIVE:
         return seen.leader
     if strategy is Strategy.GREEDY:
@@ -149,38 +213,53 @@ def run_epochs(
     (theta_t as a RiskVector, the clean mask or None, train accuracy,
     test accuracy).  Epoch 1 gives every strategy the run seed's k-set,
     later epochs each one's own pick, drawn from its own generator on
-    the run seed's selector stream.  Label precision is nan without a
-    clean mask.  wall_ms runs from the first pick to folding theta_t in,
-    alike in every strategy's row.  Selections are not kept; a caller
-    that needs them records them in its feedback.
+    the run seed's selector stream.  FPL draws one perturbation per pick
+    after epoch 1, at any eta; when the run has an FPL strategy these
+    draws run one epoch ahead on a worker thread.  The previous theta
+    is released once the picks are made, so a feedback that reads its
+    stream ahead holds theta_t and theta_{t+1}, not theta_{t-1} too.
+    Label precision is nan without a clean mask.  wall_ms runs from the
+    first pick to folding theta_t in, alike in every strategy's row.
+    Selections are not kept; a caller that needs them records them in
+    its feedback.
     """
     cfg.check_n(n)
     _, _, selector_stream, first_stream = _seed_streams(cfg.seed)
     first = init_selection(n, cfg.k, seed=int(first_stream.generate_state(1)[0]))
     rngs = [np.random.default_rng(selector_stream) for _ in strategies]
+    draws = (
+        [sample_perturbation(rng, n) if s is Strategy.FPL else None for s, rng in zip(strategies, rngs)]
+        for _ in range(epochs - 1)
+    )
     seen = Hindsight(n, cfg.k)
     spent = [0.0] * len(strategies)
     metrics: list[list[EpochMetrics]] = [[] for _ in strategies]
-    for epoch in range(1, epochs + 1):
-        t0 = time.perf_counter()
-        picks = [first if epoch == 1 else _pick(s, seen, cfg, rng) for s, rng in zip(strategies, rngs)]
-        theta, clean_mask, train_acc, test_acc = feedback(epoch, picks)
-        seen.observe(theta)  # first: it rejects a theta of the wrong length
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        for i, selection in enumerate(picks):
-            risk = float(theta.values[selection.indices].sum())
-            spent[i] += risk
-            metrics[i].append(
-                EpochMetrics(
-                    epoch=epoch,
-                    selection_risk=risk,
-                    cum_regret=spent[i] - seen.best_total,
-                    label_precision=float("nan") if clean_mask is None else label_precision(selection, clean_mask),
-                    train_acc=train_acc,
-                    test_acc=test_acc,
-                    wall_ms=wall_ms,
+    with ReadAhead(draws) if Strategy.FPL in strategies else nullcontext(draws) as noises:
+        for epoch in range(1, epochs + 1):
+            t0 = time.perf_counter()
+            if epoch == 1:
+                picks = [first] * len(strategies)
+            else:
+                picks = [_pick(s, seen, cfg, rng, z) for s, rng, z in zip(strategies, rngs, next(noises))]
+            seen.last = None  # greedy's pick was theta_{t-1}'s last use
+            theta, clean_mask, train_acc, test_acc = feedback(epoch, picks)
+            seen.observe(theta)  # first: it rejects a theta of the wrong length
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            for i, selection in enumerate(picks):
+                risk = float(theta.values[selection.indices].sum())
+                spent[i] += risk
+                metrics[i].append(
+                    EpochMetrics(
+                        epoch=epoch,
+                        selection_risk=risk,
+                        cum_regret=spent[i] - seen.best_total,
+                        label_precision=float("nan") if clean_mask is None else label_precision(selection, clean_mask),
+                        train_acc=train_acc,
+                        test_acc=test_acc,
+                        wall_ms=wall_ms,
+                    )
                 )
-            )
+            del theta  # seen.last is now its one reference here, released after the next picks
     return metrics, seen
 
 

@@ -29,6 +29,7 @@ from ksetsel.selection import (
     accumulate,
     fpl_select,
     init_selection,
+    sample_perturbation,
     top_k_smallest,
 )
 from ksetsel.training import select_sequence
@@ -214,7 +215,7 @@ class TestStreamIsBitwiseTheFormula:
             cum = accumulate(cum, theta)
             z = copy.deepcopy(rng).standard_normal(spec.n)
             want = top_k_smallest(cum.sums + eta * z, 60).indices
-            np.testing.assert_array_equal(fpl_select(cum, 60, eta, rng).indices, want)
+            np.testing.assert_array_equal(fpl_select(cum, 60, eta, sample_perturbation(rng, spec.n)).indices, want)
 
 class TestUniformStream:
     def test_deterministic(self):

@@ -8,9 +8,11 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ import ksetsel
 from ksetsel import cli, harness, mlp, selection, training
 from ksetsel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from ksetsel.datasets import LabelNoiseSpec, make_blobs, save_csv_dataset
-from ksetsel.errors import ConfigError, DataError
+from ksetsel.errors import ConfigError, DataError, InputError
 from ksetsel.feedback import load_stream_csv, noise_risk_scores
 from ksetsel.harness import (
     ETA_COEFFICIENT_GRID,
@@ -641,6 +643,120 @@ class TestLockstepSimulate:
         assert len(refs) == 3 * 8
         # the vector just built plus the last one observed, which greedy reads
         assert max(alive_at_build) + 1 <= 2
+
+    def test_holds_at_most_two_risk_vectors_when_the_stream_wins_every_race(self, tmp_path, monkeypatch):
+        # The worst order, forced: theta_{t+1} is built and counted before epoch t's feedback returns theta_t.
+        real_stream, real_run = harness._stream_for_seed, harness.run_epochs
+        refs, alive_at_build = [], []
+        built = threading.Semaphore(0)  # one release per vector built, and one when a stream ends
+
+        def tracked(*args):
+            for theta, mask in real_stream(*args):
+                gc.collect()
+                alive_at_build.append(sum(ref() is not None for ref in refs))
+                refs.append(weakref.ref(theta))
+                built.release()
+                yield theta, mask
+            built.release()
+
+        def run_waiting_for_next_build(strategies, selector_cfg, n, epochs, feedback):
+            def waiting(epoch, picks):
+                out = feedback(epoch, picks)
+                # epoch t waits for theta_{t+1}; epoch 1 also for theta_1 itself
+                for _ in range(2 if epoch == 1 else 1):
+                    assert built.acquire(timeout=30)
+                return out
+
+            return real_run(strategies, selector_cfg, n, epochs, waiting)
+
+        monkeypatch.setattr(harness, "_stream_for_seed", tracked)
+        monkeypatch.setattr(harness, "run_epochs", run_waiting_for_next_build)
+        run_simulate(sim_cfg(tmp_path, epochs=8))
+        assert len(refs) == 3 * 8
+        assert max(alive_at_build) + 1 <= 2
+
+
+    def test_read_ahead_adds_at_most_three_vectors_to_the_traced_peak(self, tmp_path, monkeypatch):
+        # Beside what the draws inline peak at, the worker threads hold at most theta_{t+1},
+        # FPL's next perturbation and a rebuilt means vector of the planted stream.
+        n = 100_000
+        cfg = sim_cfg(tmp_path, seeds=(0,), n=n, k=n // 5, epochs=8)
+        run_simulate(cfg)  # first-call set-up stays out of the traced runs
+
+        def traced_peak():
+            tracemalloc.start()
+            try:
+                run_simulate(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ahead = traced_peak()
+        monkeypatch.setattr(training, "ReadAhead", nullcontext)
+        monkeypatch.setattr(harness, "ReadAhead", nullcontext)
+        inline = traced_peak()
+        assert ahead <= inline + 3 * 8 * n
+
+
+class TestReadAheadStream:
+    """simulate draws each seed's generated stream one epoch ahead on a worker thread, joined when the seed ends."""
+
+    def tracked_stream(self, monkeypatch, fail_at=None, error=None):
+        real, threads = harness._stream_for_seed, []
+
+        def tracked(*args):
+            for t, item in enumerate(real(*args), start=1):
+                threads.append(threading.current_thread())
+                if t == fail_at:
+                    raise error
+                yield item
+
+        monkeypatch.setattr(harness, "_stream_for_seed", tracked)
+        return threads
+
+    @pytest.mark.parametrize("epochs", [1, 6])
+    def test_simulate_joins_its_workers(self, tmp_path, monkeypatch, epochs):
+        threads = self.tracked_stream(monkeypatch)
+        before = threading.active_count()
+        run_simulate(sim_cfg(tmp_path, epochs=epochs))
+        assert threading.active_count() == before
+        assert len(threads) == 3 * epochs
+        assert threading.main_thread() not in threads and not any(t.is_alive() for t in threads)
+
+    def test_outputs_do_not_depend_on_thread_timing(self, tmp_path):
+        # Threads switch every microsecond in the second run, so the draws interleave with the picks at random.
+        for name in ("default", "switchy"):
+            (tmp_path / name).mkdir()
+        run_simulate(sim_cfg(tmp_path / "default", seeds=(0, 1), epochs=12))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_simulate(sim_cfg(tmp_path / "switchy", seeds=(0, 1), epochs=12))
+        finally:
+            sys.setswitchinterval(interval)
+        for strategy in Strategy:
+            name = f"sim_{strategy.value}.csv"
+            assert drop_wall(read_rows(tmp_path / "default" / name)[1]) == drop_wall(
+                read_rows(tmp_path / "switchy" / name)[1]
+            ), strategy
+
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [(InputError("stream broke on its third item"), EXIT_DATA, "data error"),
+         (ConfigError("stream broke on its third item"), EXIT_CONFIG, "config error")],
+    )
+    def test_stream_error_reaches_the_caller(self, tmp_path, monkeypatch, capsys, error, code, prefix):
+        self.tracked_stream(monkeypatch, fail_at=3, error=error)
+        before = threading.active_count()
+        with pytest.raises(type(error), match=r"^stream broke on its third item$"):
+            run_simulate(sim_cfg(tmp_path, epochs=6))
+        assert threading.active_count() == before
+        path = tmp_path / "sim.cfg"
+        path.write_text(f"stream = planted\nn = 60\nk = 12\nepochs = 6\nout = {tmp_path / 'sim.csv'}\n")
+        assert main(["simulate", "--config", str(path)]) == code
+        assert capsys.readouterr().err == f"{prefix}: stream broke on its third item\n"
+        assert threading.active_count() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.cfg"]
 
 
 class TestRunGrid:

@@ -155,13 +155,13 @@ class TestBottomKEntryPoints:
         cum = CumulativeRisk(sums=np.array(scores), epochs_seen=1)
         rng = np.random.default_rng(len(scores) * 7 + k)
         z = copy.deepcopy(rng).standard_normal(cum.n)
-        got = fpl_select(cum, k, eta, rng).indices.tolist()
+        got = fpl_select(cum, k, eta, sample_perturbation(rng, cum.n)).indices.tolist()
         assert got == sorted_topk_oracle(cum.sums + eta * z, k).tolist()
 
     def test_fpl_rejects_perturbed_scores_that_overflow(self):
         cum = CumulativeRisk.zeros(64)  # some of 64 normal draws exceed 1 in magnitude
         with pytest.raises(ParameterError, match=r"^eta=1\.79769e\+308 is too large: the perturbed scores overflow$"):
-            fpl_select(cum, 2, np.finfo(np.float64).max, np.random.default_rng(0))
+            fpl_select(cum, 2, np.finfo(np.float64).max, sample_perturbation(np.random.default_rng(0), 64))
 
 
 class TestNonFiniteRejected:
@@ -221,14 +221,14 @@ class TestFplSelect:
             k = int(rng.integers(1, n + 1))
             sums = rng.uniform(0.0, 7.0, size=n)
             cum = CumulativeRisk(sums=sums, epochs_seen=7)
-            a = fpl_select(cum, k, 0.0, np.random.default_rng(9))
+            a = fpl_select(cum, k, 0.0, sample_perturbation(np.random.default_rng(9), n))
             b = ftl_select(cum, k)
             assert a.indices.tolist() == b.indices.tolist()
 
     def test_tiny_eta_respects_large_gaps(self):
         cum = CumulativeRisk(sums=np.array([5.0, 0.0, 5.0, 0.0]), epochs_seen=5)
         for seed in range(50):
-            sel = fpl_select(cum, 2, 1e-9, np.random.default_rng(seed))
+            sel = fpl_select(cum, 2, 1e-9, sample_perturbation(np.random.default_rng(seed), 4))
             assert sel.indices.tolist() == [1, 3]
 
     def test_uniform_over_subsets_with_equal_sums(self):
@@ -240,7 +240,7 @@ class TestFplSelect:
         rng = np.random.default_rng(21)
         counts = {c: 0 for c in combinations(range(n), k)}
         for _ in range(trials):
-            sel = fpl_select(cum, k, 1.0, rng)
+            sel = fpl_select(cum, k, 1.0, sample_perturbation(rng, n))
             counts[tuple(sel.indices.tolist())] += 1
         expected = trials / len(counts)
         for subset, count in counts.items():
@@ -249,15 +249,31 @@ class TestFplSelect:
     def test_negative_eta_rejected(self):
         cum = CumulativeRisk.zeros(4)
         with pytest.raises(ParameterError):
-            fpl_select(cum, 2, -1.0, np.random.default_rng(0))
+            fpl_select(cum, 2, -1.0, sample_perturbation(np.random.default_rng(0), 4))
 
-    def test_rng_advances_identically_for_any_eta(self):
-        # The perturbation is drawn even at eta = 0, keeping streams aligned.
+    def test_perturbation_of_the_wrong_length_rejected(self):
         cum = CumulativeRisk.zeros(4)
-        rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
-        fpl_select(cum, 2, 0.0, rng_a)
-        fpl_select(cum, 2, 3.0, rng_b)
-        np.testing.assert_array_equal(rng_a.standard_normal(8), rng_b.standard_normal(8))
+        with pytest.raises(InputError, match=r"^perturbation shape \(3,\) does not match n=4$"):
+            fpl_select(cum, 2, 1.0, sample_perturbation(np.random.default_rng(0), 3))
+
+
+    @pytest.mark.parametrize(
+        "noise,eta",
+        [([np.nan, 0, 0, 0], 1.0), ([np.nan, 0, 0, 0], 5.0), ([np.inf, 0, 0, 0], 1.0), ([0, -np.inf, 0, 0], 0.0)],
+        ids=["nan", "nan-large-eta", "inf", "-inf-eta-0"],
+    )
+    def test_non_finite_perturbation_rejected_without_blaming_eta(self, noise, eta):
+        with pytest.raises(InputError, match=r"^perturbation contains non-finite entries$"):
+            fpl_select(CumulativeRisk.zeros(4), 2, eta, np.array(noise, dtype=np.float64))
+
+    @pytest.mark.parametrize(
+        "noise,got",
+        [(np.zeros(4, dtype=np.float32), "float32"), (np.zeros(4, dtype=np.int64), "int64"), ([0.0] * 4, "list")],
+        ids=["float32", "int64", "list"],
+    )
+    def test_perturbation_that_is_not_float64_rejected(self, noise, got):
+        with pytest.raises(InputError, match=rf"^perturbation must be a float64 array, got {got}$"):
+            fpl_select(CumulativeRisk.zeros(4), 2, 1.0, noise)
 
 
 class TestFtlSelect:

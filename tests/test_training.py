@@ -2,15 +2,17 @@
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from ksetsel import training
 from ksetsel.datasets import LabelNoiseSpec, apply_label_noise, make_blobs
 from ksetsel.analytics import SelectionTrace, regret
 from ksetsel.errors import InputError, ParameterError
 from ksetsel.selection import RiskVector, SelectorConfig, Strategy, init_selection
-from ksetsel.training import TrainConfig, run_epochs, train_selective
+from ksetsel.training import TrainConfig, run_epochs, select_sequence, train_selective
 
 
 def small_noisy_dataset(seed=0):
@@ -211,6 +213,36 @@ class TestRunEpochs:
         for rows in metrics:
             assert [(m.label_precision, m.train_acc, m.test_acc) for m in rows] == [(1.0, 0.5, 0.25)] * 3
 
+    def test_rng_advances_identically_for_any_eta(self, monkeypatch):
+        # FPL draws one perturbation per pick after epoch 1, even at eta = 0, keeping its stream aligned.
+        n, k, epochs = 40, 8, 6
+        risks = uniform_risks(n, epochs, 5)
+        real = training.sample_perturbation
+        draws, picks = [], []
+
+        def recorded(rng, size):
+            noise = real(rng, size)
+            draws.append((size, noise.copy(), rng.bit_generator.state["state"]["state"]))
+            return noise
+
+        def feedback(epoch, selections):
+            picks.append([s.indices.tolist() for s in selections])
+            return risks[epoch - 1], None, float("nan"), float("nan")
+
+        monkeypatch.setattr(training, "sample_perturbation", recorded)
+        by_eta = {}
+        for eta in (0.0, 3.0):
+            draws.clear()
+            picks.clear()
+            run_epochs([Strategy.FPL, Strategy.NAIVE], SelectorConfig(k=k, eta=eta, seed=1), n, epochs, feedback)
+            assert [size for size, _, _ in draws] == [n] * (epochs - 1)
+            by_eta[eta] = (list(draws), list(picks))
+        for (_, a, state_a), (_, b, state_b) in zip(by_eta[0.0][0], by_eta[3.0][0]):
+            assert a.tobytes() == b.tobytes() and state_a == state_b
+        # at eta = 0 FPL is the leader: its picks are naive's, bit for bit
+        assert [fpl for fpl, _ in by_eta[0.0][1]] == [naive for _, naive in by_eta[0.0][1]]
+        assert [fpl for fpl, _ in by_eta[3.0][1]] != [naive for _, naive in by_eta[3.0][1]]
+
     @pytest.mark.parametrize("strategy", [Strategy.FPL, Strategy.NAIVE])
     def test_long_horizon_regret_matches_an_fsum_oracle(self, strategy):
         n, k, epochs = 64, 16, 5000
@@ -233,3 +265,63 @@ class TestRunEpochs:
         bound = (epochs + k) * np.finfo(np.float64).eps * (spent + best)
         assert abs(final - (spent - best)) <= bound
         assert bound < 1e-6
+
+
+class TestWorkerThread:
+    """run_epochs draws FPL's perturbations one epoch ahead on one worker thread and joins it when the run ends."""
+
+    @pytest.fixture
+    def drawn_on(self, monkeypatch):
+        threads = []
+        real = training.sample_perturbation
+
+        def recorded(rng, n):
+            threads.append(threading.current_thread())
+            return real(rng, n)
+
+        monkeypatch.setattr(training, "sample_perturbation", recorded)
+        return threads
+
+    def assert_one_worker(self, threads, draws):
+        assert len(threads) == draws
+        assert len(set(threads)) == 1 and threads[0] is not threading.main_thread()
+        assert not threads[0].is_alive()
+
+    def test_train_selective_joins_its_worker(self, drawn_on):
+        before = threading.active_count()
+        train_selective(small_noisy_dataset(), None, TrainConfig(strategy=Strategy.FPL, k=30, epochs=4, hidden=4))
+        assert threading.active_count() == before
+        self.assert_one_worker(drawn_on, 3)
+
+    def test_select_sequence_joins_its_worker(self, drawn_on):
+        before = threading.active_count()
+        select_sequence(uniform_risks(20, 5, 0), Strategy.FPL, SelectorConfig(k=4, eta=1.0))
+        assert threading.active_count() == before
+        self.assert_one_worker(drawn_on, 4)
+
+    def test_feedback_error_joins_the_worker(self, drawn_on):
+        risks = uniform_risks(20, 6, 0)
+
+        def feedback(epoch, picks):
+            if epoch == 3:
+                raise InputError("feedback failed at epoch 3")
+            return risks[epoch - 1], None, float("nan"), float("nan")
+
+        before = threading.active_count()
+        with pytest.raises(InputError, match=r"^feedback failed at epoch 3$"):
+            run_epochs([Strategy.FPL, Strategy.GREEDY], SelectorConfig(k=4, eta=1.0), 20, 6, feedback)
+        assert threading.active_count() == before
+        # epochs 2 to 4: epoch 4's was asked for at epoch 3 and is drawn before the join
+        assert len(drawn_on) == 3 and not drawn_on[0].is_alive()
+
+    def test_one_epoch_draws_nothing_and_leaves_no_thread(self, drawn_on):
+        before = threading.active_count()
+        train_selective(small_noisy_dataset(), None, TrainConfig(strategy=Strategy.FPL, k=30, epochs=1, hidden=4))
+        assert threading.active_count() == before
+        assert drawn_on == []
+
+    def test_runs_without_fpl_start_no_worker(self, drawn_on, monkeypatch):
+        started = []
+        monkeypatch.setattr(training, "ReadAhead", started.append)
+        select_sequence(uniform_risks(20, 5, 0), Strategy.RANDOM, SelectorConfig(k=4))
+        assert started == [] and drawn_on == []
