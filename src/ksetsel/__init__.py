@@ -42,7 +42,6 @@ from .errors import (
 )
 from .feedback import (
     Prediction,
-    RiskStream,
     StreamKind,
     StreamSpec,
     dump_stream_csv,

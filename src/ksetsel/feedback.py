@@ -12,11 +12,13 @@ stream gives a known low-risk subset whose advantage grows over the
 first quarter of the horizon, a drifting variant re-draws that subset
 periodically, a uniform stream is pure iid noise, and the adversary
 stream is the classic two-arm construction that forces the
-unperturbed leader into linear regret.  stream_epochs builds a stream
-one epoch at a time; generate_stream materialises the same floats.
-run_simulate reads stream_epochs one epoch ahead on a worker thread,
-so theta_{t+1} is drawn while the selectors use theta_t; a stream is
-only ever advanced by that one thread, so its floats do not change.
+unperturbed leader into linear regret.  A stream is only ever
+iterated: stream_epochs builds one epoch at a time, dump_stream_csv
+writes each risk vector as it arrives, and load_stream_csv reads a
+dumped stream back as a list of risk vectors.  run_simulate reads
+stream_epochs one epoch ahead on a worker thread, so theta_{t+1} is
+drawn while the selectors use theta_t; a stream is only ever advanced
+by that one thread, so its floats do not change.
 
 A planted epoch costs one normal draw of n values, scaled, shifted by
 the per-sample means and clipped in place; the means vector is rebuilt
@@ -27,7 +29,8 @@ quarter of the horizon a fixed mask reuses it.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator
+import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +45,6 @@ __all__ = [
     "noise_risk_scores",
     "StreamKind",
     "StreamSpec",
-    "RiskStream",
     "stream_epochs",
     "generate_stream",
     "dump_stream_csv",
@@ -121,22 +123,6 @@ class StreamSpec:
             raise ParameterError(f"adversary stream is defined for n=2, got n={self.n}")
 
 
-@dataclass(frozen=True)
-class RiskStream:
-    """Generated risk vectors plus, when known, the per-epoch clean mask."""
-
-    risks: list[RiskVector]
-    clean_masks: np.ndarray | None = None  # (epochs, n) bool
-
-    @property
-    def n(self) -> int:
-        return self.risks[0].n
-
-    @property
-    def epochs(self) -> int:
-        return len(self.risks)
-
-
 def _plant_means(t: int, epochs: int) -> tuple[float, float]:
     # Low-risk mean slides 0.5 -> 0.05 and high-risk 0.5 -> 0.95,
     # linearly over the first quarter of the horizon, then holds.
@@ -190,23 +176,33 @@ def stream_epochs(spec: StreamSpec) -> Iterator[tuple[RiskVector, np.ndarray | N
     raise ParameterError(f"unknown stream kind {spec.kind!r}")  # pragma: no cover
 
 
-def generate_stream(spec: StreamSpec) -> RiskStream:
-    """The stream of stream_epochs(spec), materialised: the same floats."""
-    risks, masks = zip(*stream_epochs(spec))
-    return RiskStream(risks=list(risks), clean_masks=None if masks[0] is None else np.stack(masks))
+def generate_stream(spec: StreamSpec) -> list[RiskVector]:
+    """The risk vectors of stream_epochs(spec), all at once: the same floats.
 
-
-def dump_stream_csv(stream: RiskStream, path) -> None:
-    """Write one row per epoch: epoch,theta_0,...,theta_{n-1}.
-
-    Values are written with 17 significant digits so a replay
-    reproduces the floats exactly.
+    The package itself only iterates streams; the benchmark's set-up
+    (bench/workloads.build_inputs) and its traced layer list
+    (bench/worker.LAYER_FUNCTIONS) call this by name.
     """
-    rows = ((t, *theta.values.tolist()) for t, theta in enumerate(stream.risks, start=1))
-    write_table(path, ["epoch", *(f"theta_{i}" for i in range(stream.n))], rows, ".17g")
+    return [theta for theta, _ in stream_epochs(spec)]
 
 
-def load_stream_csv(path) -> RiskStream:
+def dump_stream_csv(risks: Iterable[RiskVector], path) -> None:
+    """Write one row per epoch, epoch,theta_0,...,theta_{n-1}, as each risk vector arrives.
+
+    The first vector sets the header's width, so a stream given as an
+    iterator is never held whole.  An empty stream raises InputError
+    before the file is opened.  Values are written with 17 significant digits so a
+    replay reproduces the floats exactly.
+    """
+    risks = iter(risks)
+    first = next(risks, None)
+    if first is None:
+        raise InputError("stream is empty")
+    rows = ((t, *theta.values.tolist()) for t, theta in enumerate(itertools.chain([first], risks), start=1))
+    write_table(path, ["epoch", *(f"theta_{i}" for i in range(first.n))], rows, ".17g")
+
+
+def load_stream_csv(path) -> list[RiskVector]:
     """Replay a stream dumped by dump_stream_csv; its epoch column must read 1, 2, ..., T."""
     epochs, values, lines = read_table(path, "epoch", "theta_", "values", InputError)
     wrong = np.flatnonzero(epochs != np.arange(1, epochs.shape[0] + 1))
@@ -216,4 +212,4 @@ def load_stream_csv(path) -> RiskStream:
     outside = np.flatnonzero(((values < 0.0) | (values > 1.0)).any(axis=1))
     if outside.size:
         raise InputError(f"{path}: row {lines[outside[0]]}: risk values must lie in [0, 1]")
-    return RiskStream(risks=[RiskVector(theta) for theta in values], clean_masks=None)
+    return [RiskVector(theta) for theta in values]

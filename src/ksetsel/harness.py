@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,12 +32,11 @@ from .feedback import (
     StreamKind,
     StreamSpec,
     dump_stream_csv,
-    generate_stream,
     load_stream_csv,
     stream_epochs,
 )
 from .mlp import evaluate
-from .selection import KSetSelection, RiskVector, SelectorConfig, Strategy
+from .selection import KSetSelection, SelectorConfig, Strategy
 from .tables import write_table
 from .training import EpochMetrics, ReadAhead, TrainConfig, run_epochs, train_selective
 
@@ -296,10 +294,6 @@ def _stream_spec(cfg: ExperimentConfig, seed: int) -> StreamSpec:
     )
 
 
-def _stream_for_seed(cfg: ExperimentConfig, seed: int) -> Iterator[tuple[RiskVector, np.ndarray | None]]:
-    return stream_epochs(_stream_spec(cfg, seed))
-
-
 @dataclass
 class SimulateResult:
     reports: dict[Strategy, BoundReport]
@@ -321,13 +315,15 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
     a time.  Either is read one epoch ahead on a worker thread, so
     theta_{t+1} is drawn while the selectors use theta_t, and a
     generated stream holds at most these two risk vectors at once.
+    dump_stream writes the first seed's stream one epoch at a time as
+    it is generated, so dumping never holds the whole stream.
     """
     out = _require_out(cfg)
     if cfg.stream == "csv":
         if not cfg.stream_csv:
             raise ConfigError("stream = csv needs stream_csv = PATH")
         replay = load_stream_csv(cfg.stream_csv)
-        n, epochs = replay.n, replay.epochs
+        n, epochs = replay[0].n, len(replay)
     else:
         replay = None
         spec = _stream_spec(cfg, cfg.seeds[0])  # checks the stream parameters before k
@@ -335,7 +331,7 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
     k = cfg.resolve_k(n)
     eta = resolve_eta(cfg.eta_coefficient, k, epochs)
     if cfg.dump_stream:
-        dump_stream_csv(generate_stream(spec) if replay is None else replay, cfg.dump_stream)
+        dump_stream_csv((theta for theta, _ in stream_epochs(spec)) if replay is None else replay, cfg.dump_stream)
     try:
         ceiling = regret_bound(n, k, epochs)
     except ParameterError:
@@ -344,7 +340,7 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
     best_totals: list[float] = []  # per seed; every selector on a seed's stream shares it
 
     def run_seed(seed: int, strategies: list[Strategy]) -> list[list[EpochMetrics]]:
-        source = _stream_for_seed(cfg, seed) if replay is None else ((t, None) for t in replay.risks)
+        source = stream_epochs(_stream_spec(cfg, seed)) if replay is None else ((t, None) for t in replay)
         nan = float("nan")
 
         def feedback(epoch: int, picks: list[KSetSelection]):

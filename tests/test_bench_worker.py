@@ -1,13 +1,19 @@
-"""The benchmark's traced run names real functions of the package.
+"""The benchmark's traced run and set-up name real functions of the package.
 
 bench/worker.py wraps every LAYER_FUNCTIONS entry wherever the cli,
 harness and training modules bind it, looking each one up without a
 default, so a deleted or renamed layer function crashes the traced run.
+Each workload's set-up (bench/workloads.build_inputs) calls public
+functions by name too; it runs here at toy size with one call.
 """
 
+import dataclasses
 import importlib.util
+import sys
 import threading
 from pathlib import Path
+
+import pytest
 
 import ksetsel
 import ksetsel.cli  # noqa: F401  (trace_targets reads ksetsel.cli)
@@ -35,11 +41,43 @@ def test_every_layer_function_exists(monkeypatch):
     assert missing == []
 
 
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = load_bench_module("workloads")
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS.WORKLOADS))
+def test_workload_set_up_and_one_call_run_at_toy_size(tmp_path, name):
+    w = dataclasses.replace(WORKLOADS.WORKLOADS[name], n=60, epochs=2)
+    seed = 1
+    run_seed = w.run_seeds(seed)[0]
+    idx_paths = None
+    if w.name == "idx_train":
+        (tmp_path / "idx").mkdir()
+        idx_paths = load_bench_module("idxgen").write_synthetic_split(
+            tmp_path / "idx", 60, 30, WORKLOADS.IDX_CLASSES, seed
+        )
+    WORKLOADS.build_inputs(ksetsel, w, seed, run_seed, idx_paths)
+    out = tmp_path / "out" / "metrics.csv"
+    out.parent.mkdir()
+    config = tmp_path / f"{w.name}.cfg"
+    config.write_text(WORKLOADS.config_text(w, seed, str(out), idx_paths))
+    assert main([w.mode, "--config", str(config), "--seed", str(run_seed)]) == EXIT_OK
+    expected = WORKLOADS.expected_rows(w, str(out))
+    rows = {file: len((out.parent / file).read_text().splitlines()) - 1 for file in expected}
+    assert rows == expected
+
+
 def test_trace_targets_runs(monkeypatch):
     worker = load_worker(monkeypatch)
     targets = worker.trace_targets(ksetsel)
     names = {name for _, _, name, _ in targets}
-    assert {"feedback.generate_stream", "selection.ftl_select", "training.train_selective"} <= names
+    assert {"feedback.noise_risk_scores", "selection.ftl_select", "training.train_selective"} <= names
     assert {"harness.run_simulate", "harness.run_train", "harness.run_ablate"} <= names
 
 

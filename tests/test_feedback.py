@@ -12,7 +12,6 @@ from ksetsel.analytics import SelectionTrace, regret, total_selection_risk
 from ksetsel.errors import InputError, ParameterError
 from ksetsel.feedback import (
     Prediction,
-    RiskStream,
     StreamKind,
     StreamSpec,
     dump_stream_csv,
@@ -83,62 +82,64 @@ class TestNoiseRisk:
             noise_risk_scores(np.array([0]), np.array([0.0]), np.array([0]))
 
 
+def masks_of(spec: StreamSpec) -> np.ndarray:
+    """The (epochs, n) stack of a planted or drifting stream's per-epoch clean masks."""
+    return np.stack([mask for _, mask in stream_epochs(spec)])
+
+
 class TestPlantedStream:
     def test_deterministic(self):
         spec = StreamSpec(kind=StreamKind.PLANTED, n=30, epochs=20, seed=9)
-        a, b = generate_stream(spec), generate_stream(spec)
-        for ra, rb in zip(a.risks, b.risks):
+        for ra, rb in zip(generate_stream(spec), generate_stream(spec), strict=True):
             np.testing.assert_array_equal(ra.values, rb.values)
-        np.testing.assert_array_equal(a.clean_masks, b.clean_masks)
+        np.testing.assert_array_equal(masks_of(spec), masks_of(spec))
 
     def test_clean_count_and_constant_mask(self):
         spec = StreamSpec(kind=StreamKind.PLANTED, n=40, epochs=12, seed=3, clean_fraction=0.25)
-        stream = generate_stream(spec)
-        assert stream.clean_masks.shape == (12, 40)
-        assert (stream.clean_masks.sum(axis=1) == 10).all()
-        assert (stream.clean_masks == stream.clean_masks[0]).all()
+        masks = masks_of(spec)
+        assert masks.shape == (12, 40)
+        assert (masks.sum(axis=1) == 10).all()
+        assert (masks == masks[0]).all()
 
     def test_clean_fraction_one_tracks_low_mean(self):
         spec = StreamSpec(kind=StreamKind.PLANTED, n=50, epochs=100, seed=5, clean_fraction=1.0)
-        stream = generate_stream(spec)
-        late = np.mean([r.values.mean() for r in stream.risks[-20:]])
+        risks = generate_stream(spec)
+        late = np.mean([r.values.mean() for r in risks[-20:]])
         assert late < 0.12  # mean has converged near 0.05
 
     def test_means_separate_after_warmup(self):
         spec = StreamSpec(kind=StreamKind.PLANTED, n=200, epochs=80, seed=6, clean_fraction=0.5)
-        stream = generate_stream(spec)
-        mask = stream.clean_masks[0]
-        late = np.mean([r.values[mask].mean() for r in stream.risks[-20:]])
-        late_noisy = np.mean([r.values[~mask].mean() for r in stream.risks[-20:]])
+        risks = generate_stream(spec)
+        mask = masks_of(spec)[0]
+        late = np.mean([r.values[mask].mean() for r in risks[-20:]])
+        late_noisy = np.mean([r.values[~mask].mean() for r in risks[-20:]])
         assert late < 0.12 and late_noisy > 0.88
 
     def test_values_in_unit_interval(self):
         spec = StreamSpec(kind=StreamKind.PLANTED, n=64, epochs=40, seed=7, noise_scale=0.5)
-        for theta in generate_stream(spec).risks:
+        for theta in generate_stream(spec):
             assert theta.values.min() >= 0.0 and theta.values.max() <= 1.0
 
     def test_hindsight_prefers_planted_indices(self):
         spec = StreamSpec(kind=StreamKind.PLANTED, n=100, epochs=200, seed=8, clean_fraction=0.5)
-        stream = generate_stream(spec)
-        totals = np.sum([r.values for r in stream.risks], axis=0)
+        totals = np.sum([r.values for r in generate_stream(spec)], axis=0)
         best = top_k_smallest(totals, 50)
-        overlap = stream.clean_masks[0][best.indices].mean()
+        overlap = masks_of(spec)[0][best.indices].mean()
         assert overlap >= 0.95
 
 
 class TestDriftingStream:
     def test_period_beyond_horizon_equals_planted(self):
         base = dict(n=30, epochs=25, seed=4, clean_fraction=0.4)
-        planted = generate_stream(StreamSpec(kind=StreamKind.PLANTED, **base))
-        drifting = generate_stream(StreamSpec(kind=StreamKind.DRIFTING, drift_period=25, **base))
-        for ra, rb in zip(planted.risks, drifting.risks):
+        planted = StreamSpec(kind=StreamKind.PLANTED, **base)
+        drifting = StreamSpec(kind=StreamKind.DRIFTING, drift_period=25, **base)
+        for ra, rb in zip(generate_stream(planted), generate_stream(drifting), strict=True):
             np.testing.assert_array_equal(ra.values, rb.values)
-        np.testing.assert_array_equal(planted.clean_masks, drifting.clean_masks)
+        np.testing.assert_array_equal(masks_of(planted), masks_of(drifting))
 
     def test_mask_redraws_on_period(self):
         spec = StreamSpec(kind=StreamKind.DRIFTING, n=100, epochs=30, seed=4, drift_period=10)
-        stream = generate_stream(spec)
-        masks = stream.clean_masks
+        masks = masks_of(spec)
         assert (masks[0] == masks[9]).all()
         assert not (masks[9] == masks[10]).all()  # redraw boundary
 
@@ -149,8 +150,8 @@ class TestDriftingStream:
             StreamSpec(kind=StreamKind.DRIFTING, n=n, epochs=epochs, seed=2, drift_period=1)
         )
         slow = generate_stream(StreamSpec(kind=StreamKind.PLANTED, n=n, epochs=epochs, seed=2))
-        def best_ratio(stream):
-            totals = np.sum([r.values for r in stream.risks], axis=0)
+        def best_ratio(risks):
+            totals = np.sum([r.values for r in risks], axis=0)
             best = totals[top_k_smallest(totals, k).indices].sum()
             mean_total = totals.mean() * k
             return best / mean_total
@@ -221,17 +222,18 @@ class TestUniformStream:
     def test_deterministic(self):
         a = generate_stream(StreamSpec(kind=StreamKind.UNIFORM, n=20, epochs=10, seed=1))
         b = generate_stream(StreamSpec(kind=StreamKind.UNIFORM, n=20, epochs=10, seed=1))
-        for ra, rb in zip(a.risks, b.risks):
+        for ra, rb in zip(a, b, strict=True):
             np.testing.assert_array_equal(ra.values, rb.values)
 
     def test_concentration(self):
-        stream = generate_stream(StreamSpec(kind=StreamKind.UNIFORM, n=1000, epochs=1000, seed=2))
-        values = np.stack([r.values for r in stream.risks])
+        risks = generate_stream(StreamSpec(kind=StreamKind.UNIFORM, n=1000, epochs=1000, seed=2))
+        values = np.stack([r.values for r in risks])
         assert abs(values.mean() - 0.5) < 0.005
         assert abs(values.var() - 1.0 / 12.0) < 0.005
 
     def test_no_clean_mask(self):
-        assert generate_stream(StreamSpec(kind=StreamKind.UNIFORM, n=5, epochs=5, seed=0)).clean_masks is None
+        spec = StreamSpec(kind=StreamKind.UNIFORM, n=5, epochs=5, seed=0)
+        assert [mask for _, mask in stream_epochs(spec)] == [None] * 5
 
     def test_bad_sizes(self):
         with pytest.raises(ParameterError):
@@ -242,17 +244,17 @@ class TestUniformStream:
 
 class TestFtlAdversary:
     def test_first_and_alternating_vectors(self):
-        stream = generate_stream(StreamSpec(kind=StreamKind.ADVERSARY, n=2, epochs=5))
-        assert stream.risks[0].values.tolist() == [0.5, 0.0]
-        assert stream.risks[1].values.tolist() == [0.0, 1.0]
-        assert stream.risks[2].values.tolist() == [1.0, 0.0]
-        assert stream.risks[3].values.tolist() == [0.0, 1.0]
+        risks = generate_stream(StreamSpec(kind=StreamKind.ADVERSARY, n=2, epochs=5))
+        assert risks[0].values.tolist() == [0.5, 0.0]
+        assert risks[1].values.tolist() == [0.0, 1.0]
+        assert risks[2].values.tolist() == [1.0, 0.0]
+        assert risks[3].values.tolist() == [0.0, 1.0]
 
     def test_leader_flips_every_epoch_and_pays(self):
-        stream = generate_stream(StreamSpec(kind=StreamKind.ADVERSARY, n=2, epochs=100))
+        risks = generate_stream(StreamSpec(kind=StreamKind.ADVERSARY, n=2, epochs=100))
         cfg = SelectorConfig(k=1)
-        sels = select_sequence(stream.risks, Strategy.NAIVE, cfg)
-        per_epoch = [float(r.values[s.indices].sum()) for s, r in zip(sels, stream.risks)]
+        sels = select_sequence(risks, Strategy.NAIVE, cfg)
+        per_epoch = [float(r.values[s.indices].sum()) for s, r in zip(sels, risks)]
         # epoch 1 is run seed 0's seeded k-set, index 1, which theta_1 = (0.5, 0) charges nothing
         seeded = init_selection(2, 1, seed=int(np.random.SeedSequence(0).spawn(4)[3].generate_state(1)[0]))
         assert sels[0].indices.tolist() == seeded.indices.tolist() == [1]
@@ -260,9 +262,9 @@ class TestFtlAdversary:
         assert all(v == 1.0 for v in per_epoch[1:])
 
     def test_leader_regret_grows_linearly(self):
-        stream = generate_stream(StreamSpec(kind=StreamKind.ADVERSARY, n=2, epochs=500))
+        risks = generate_stream(StreamSpec(kind=StreamKind.ADVERSARY, n=2, epochs=500))
         cfg = SelectorConfig(k=1)
-        trace = SelectionTrace(select_sequence(stream.risks, Strategy.NAIVE, cfg), stream.risks)
+        trace = SelectionTrace(select_sequence(risks, Strategy.NAIVE, cfg), risks)
         assert regret(trace) >= 0.4 * 500
 
 
@@ -270,8 +272,8 @@ class TestGenerateStream:
     def test_dispatch(self):
         for kind, n in [(StreamKind.UNIFORM, 7), (StreamKind.PLANTED, 7), (StreamKind.ADVERSARY, 2)]:
             spec = StreamSpec(kind=kind, n=n, epochs=4, seed=0)
-            stream = generate_stream(spec)
-            assert stream.epochs == 4 and stream.n == n
+            risks = generate_stream(spec)
+            assert len(risks) == 4 and all(theta.n == n for theta in risks)
 
     @pytest.mark.parametrize("kind", list(StreamKind))
     def test_equals_the_epoch_stream_bitwise(self, kind):
@@ -280,15 +282,8 @@ class TestGenerateStream:
             drift_period=3 if kind is StreamKind.DRIFTING else None,
         )
         # snapshot each epoch as it is yielded, before the next one is built
-        epochs = [
-            (theta.values.tobytes(), None if mask is None else mask.copy()) for theta, mask in stream_epochs(spec)
-        ]
-        stream = generate_stream(spec)
-        assert [theta.values.tobytes() for theta in stream.risks] == [values for values, _ in epochs]
-        if kind in (StreamKind.PLANTED, StreamKind.DRIFTING):
-            np.testing.assert_array_equal(stream.clean_masks, np.stack([mask for _, mask in epochs]))
-        else:
-            assert stream.clean_masks is None and all(mask is None for _, mask in epochs)
+        epochs = [theta.values.tobytes() for theta, _ in stream_epochs(spec)]
+        assert [theta.values.tobytes() for theta in generate_stream(spec)] == epochs
 
     def test_adversary_needs_two_indices(self):
         with pytest.raises(ParameterError):
@@ -303,18 +298,24 @@ class TestGenerateStream:
 
 class TestStreamCsv:
     def test_roundtrip_is_exact(self, tmp_path):
-        stream = generate_stream(StreamSpec(kind=StreamKind.PLANTED, n=13, epochs=9, seed=12))
+        spec = StreamSpec(kind=StreamKind.PLANTED, n=13, epochs=9, seed=12)
         path = tmp_path / "stream.csv"
-        dump_stream_csv(stream, path)
+        dump_stream_csv((theta for theta, _ in stream_epochs(spec)), path)  # rows written as they are drawn
         loaded = load_stream_csv(path)
-        assert loaded.epochs == stream.epochs and loaded.n == stream.n
-        for ra, rb in zip(stream.risks, loaded.risks):
+        assert len(loaded) == 9 and all(theta.n == 13 for theta in loaded)
+        for ra, rb in zip(generate_stream(spec), loaded, strict=True):
             np.testing.assert_array_equal(ra.values, rb.values)
 
+    def test_empty_stream_writes_no_file(self, tmp_path):
+        path = tmp_path / "stream.csv"
+        with pytest.raises(InputError, match=r"^stream is empty$"):
+            dump_stream_csv(iter([]), path)
+        assert not path.exists()
+
     def test_header_format(self, tmp_path):
-        stream = generate_stream(StreamSpec(kind=StreamKind.UNIFORM, n=3, epochs=2, seed=0))
+        risks = generate_stream(StreamSpec(kind=StreamKind.UNIFORM, n=3, epochs=2, seed=0))
         path = tmp_path / "s.csv"
-        dump_stream_csv(stream, path)
+        dump_stream_csv(risks, path)
         assert path.read_text().splitlines()[0] == "epoch,theta_0,theta_1,theta_2"
 
     def test_malformed_header_rejected(self, tmp_path):

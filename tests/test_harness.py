@@ -344,7 +344,7 @@ class TestRunSimulate:
             stream="planted", n=40, k=10, epochs=12, eta_coefficient=0.05, dump_stream=str(dump),
         )
         run_simulate(cfg)
-        risks = load_stream_csv(dump).risks
+        risks = load_stream_csv(dump)
         eta = resolve_eta(0.05, 10, 12)
         for strategy in Strategy:
             sels = select_sequence(risks, strategy, SelectorConfig(k=10, eta=eta, seed=4))
@@ -385,6 +385,23 @@ class TestRunSimulate:
         header, rows = read_rows(tmp_path / "stream.csv")
         assert header.startswith("epoch,theta_0")
         assert len(rows) == 4
+
+    def test_dump_holds_one_risk_vector_not_the_stream(self, tmp_path):
+        # Each row is written as its epoch is drawn, so ten times the epochs leaves the traced peak flat.
+        n = 50_000
+        dump = str(tmp_path / "stream.csv")
+        run_simulate(sim_cfg(tmp_path, seeds=(0,), n=n, k=n // 5, epochs=2, dump_stream=dump))  # first-call set-up
+
+        def traced_peak(epochs):
+            tracemalloc.start()
+            try:
+                run_simulate(sim_cfg(tmp_path, seeds=(0,), n=n, k=n // 5, epochs=epochs, dump_stream=dump))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = traced_peak(4), traced_peak(40)
+        assert long <= 1.25 * short, (short, long)
 
     def test_replayed_stream_csv(self, tmp_path):
         dump = tmp_path / "stream.csv"
@@ -506,7 +523,7 @@ class TestSeedBySeedRuns:
 
     @pytest.mark.parametrize(
         "builder, make_cfg, run",
-        [("_stream_for_seed", sim_cfg, run_simulate), ("_noisy_copy", ablate_cfg, run_ablate)],
+        [("stream_epochs", sim_cfg, run_simulate), ("_noisy_copy", ablate_cfg, run_ablate)],
     )
     def test_one_seed_inputs_alive_at_a_time(self, tmp_path, monkeypatch, builder, make_cfg, run):
         real = getattr(harness, builder)
@@ -628,7 +645,7 @@ class TestLockstepSimulate:
         assert trained.selections[0].indices.tolist() == replayed.indices.tolist()
 
     def test_holds_at_most_two_risk_vectors(self, tmp_path, monkeypatch):
-        real = harness._stream_for_seed
+        real = harness.stream_epochs
         refs, alive_at_build = [], []
 
         def tracked(*args):
@@ -638,7 +655,7 @@ class TestLockstepSimulate:
                 refs.append(weakref.ref(theta))
                 yield theta, mask
 
-        monkeypatch.setattr(harness, "_stream_for_seed", tracked)
+        monkeypatch.setattr(harness, "stream_epochs", tracked)
         run_simulate(sim_cfg(tmp_path, epochs=8))
         assert len(refs) == 3 * 8
         # the vector just built plus the last one observed, which greedy reads
@@ -646,7 +663,7 @@ class TestLockstepSimulate:
 
     def test_holds_at_most_two_risk_vectors_when_the_stream_wins_every_race(self, tmp_path, monkeypatch):
         # The worst order, forced: theta_{t+1} is built and counted before epoch t's feedback returns theta_t.
-        real_stream, real_run = harness._stream_for_seed, harness.run_epochs
+        real_stream, real_run = harness.stream_epochs, harness.run_epochs
         refs, alive_at_build = [], []
         built = threading.Semaphore(0)  # one release per vector built, and one when a stream ends
 
@@ -669,7 +686,7 @@ class TestLockstepSimulate:
 
             return real_run(strategies, selector_cfg, n, epochs, waiting)
 
-        monkeypatch.setattr(harness, "_stream_for_seed", tracked)
+        monkeypatch.setattr(harness, "stream_epochs", tracked)
         monkeypatch.setattr(harness, "run_epochs", run_waiting_for_next_build)
         run_simulate(sim_cfg(tmp_path, epochs=8))
         assert len(refs) == 3 * 8
@@ -702,7 +719,7 @@ class TestReadAheadStream:
     """simulate draws each seed's generated stream one epoch ahead on a worker thread, joined when the seed ends."""
 
     def tracked_stream(self, monkeypatch, fail_at=None, error=None):
-        real, threads = harness._stream_for_seed, []
+        real, threads = harness.stream_epochs, []
 
         def tracked(*args):
             for t, item in enumerate(real(*args), start=1):
@@ -711,7 +728,7 @@ class TestReadAheadStream:
                     raise error
                 yield item
 
-        monkeypatch.setattr(harness, "_stream_for_seed", tracked)
+        monkeypatch.setattr(harness, "stream_epochs", tracked)
         return threads
 
     @pytest.mark.parametrize("epochs", [1, 6])
