@@ -198,8 +198,8 @@ def dump_stream_csv(risks: Iterable[RiskVector], path) -> None:
     first = next(risks, None)
     if first is None:
         raise InputError("stream is empty")
-    rows = ((t, *theta.values.tolist()) for t, theta in enumerate(itertools.chain([first], risks), start=1))
-    write_table(path, ["epoch", *(f"theta_{i}" for i in range(first.n))], rows, ".17g")
+    rows = ((t, theta.values) for t, theta in enumerate(itertools.chain([first], risks), start=1))
+    write_table(path, itertools.chain(["epoch"], (f"theta_{i}" for i in range(first.n))), rows, ".17g")
 
 
 def load_stream_csv(path) -> list[RiskVector]:

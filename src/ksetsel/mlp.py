@@ -9,16 +9,25 @@ familiar (probs - onehot) error signal pushed back through the relu.
 Everything is float64 and seeded; two runs from the same seed produce
 bitwise-identical parameters.  Inputs may also be u8 rows meaning
 value / 255 (an IDX Dataset's features): training converts the rows
-of each batch, and scoring converts one chunk at a time into one
-reused buffer, so no whole float64 copy of the inputs is made.  The
-forward pass writes each step into the array the step before made, so
-scoring holds at most one hidden-sized (chunk, h) temporary per chunk;
-training checks its inputs once per epoch, not once per batch, and
-its SGD step scales the gradients it owns in place.
+of each batch, and scoring converts one chunk at a time into a buffer
+each scoring thread reuses, so no whole float64 copy of the inputs is
+made.  The forward pass writes each step into the array the step
+before made, so a scoring thread holds at most one hidden-sized
+(chunk, h) temporary per chunk; training checks its inputs once per
+epoch, not once per batch, and its SGD step scales the gradients it
+owns in place.
+
+Scoring rows that span two or more chunks runs on two threads: one
+worker thread scores every other chunk while the caller scores the
+rest.  The chunk boundaries are fixed by the chunk size alone, and a
+row's bits can depend on the row count of the GEMM it is scored in,
+so the chunk size is part of the output contract and a chunk is never
+split between threads.  Training stays on the calling thread.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,25 +246,60 @@ def train_epoch(
     return model
 
 
-def predict_batch(model: MlpModel, x: np.ndarray, chunk: int = 4096) -> tuple[np.ndarray, np.ndarray]:
-    """Argmax labels and their probabilities; ties go to the smaller class.
+def _score_chunks(
+    model: MlpModel, x: np.ndarray, starts: range, chunk: int, labels: np.ndarray, conf: np.ndarray
+) -> None:
+    """Score the chunk-row chunks of checked rows x that begin at starts into labels and conf.
 
-    x is float rows, or u8 rows meaning value / 255, which are
-    converted chunk by chunk into one (chunk, d) float64 buffer.
+    u8 rows are converted into one (chunk, d) float64 buffer that every
+    chunk reuses.
     """
-    if chunk < 1:
-        raise ParameterError(f"chunk must be >= 1, got {chunk}")
-    x = _check_width(model, x)
-    labels = np.empty(x.shape[0], dtype=np.int64)
-    conf = np.empty(x.shape[0], dtype=np.float64)
     buf = np.empty((min(chunk, x.shape[0]), x.shape[1])) if x.dtype == np.uint8 else None
-    for start in range(0, x.shape[0], chunk):
+    for start in starts:
         stop = min(start + chunk, x.shape[0])
         rows = float_rows(x, slice(start, stop), None if buf is None else buf[: stop - start])
         probs = _forward(model, rows)[2]
         part = probs.argmax(axis=1)
         labels[start:stop] = part
         conf[start:stop] = probs[np.arange(probs.shape[0]), part]
+
+
+def predict_batch(model: MlpModel, x: np.ndarray, chunk: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+    """Argmax labels and their probabilities; ties go to the smaller class.
+
+    x is float rows, or u8 rows meaning value / 255, scored in chunks of
+    chunk rows.  When x spans two or more chunks, one worker thread
+    scores every other chunk (the second, fourth, ...) while this
+    thread scores the rest; the thread is joined before this returns
+    or raises, and its exception is raised here.  Each chunk is the
+    same computation on the same rows whichever thread runs it, so the
+    result does not depend on the split.
+    """
+    if chunk < 1:
+        raise ParameterError(f"chunk must be >= 1, got {chunk}")
+    x = _check_width(model, x)
+    labels = np.empty(x.shape[0], dtype=np.int64)
+    conf = np.empty(x.shape[0], dtype=np.float64)
+    starts = range(0, x.shape[0], chunk)
+    if len(starts) < 2:
+        _score_chunks(model, x, starts, chunk, labels, conf)
+        return labels, conf
+    failed = []
+
+    def work() -> None:
+        try:
+            _score_chunks(model, x, starts[1::2], chunk, labels, conf)
+        except BaseException as exc:  # raised again on the calling thread, after the join
+            failed.append(exc)
+
+    worker = threading.Thread(target=work, name="ksetsel-score")
+    worker.start()
+    try:
+        _score_chunks(model, x, starts[::2], chunk, labels, conf)
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
     return labels, conf
 
 

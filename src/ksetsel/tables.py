@@ -7,15 +7,41 @@ they sit and names every error by its file and line, blank lines counted.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+
+_SLICE = 4096  # cells formatted and written at a time, so a wide row is never held whole as text
+
+
+def _cells(row):
+    """row's cells in order; a 1-D array cell stands for its values, taken as Python scalars a slice at a time."""
+    for cell in row:
+        if isinstance(cell, np.ndarray):
+            for start in range(0, cell.shape[0], _SLICE):
+                yield from cell[start : start + _SLICE].tolist()
+        else:
+            yield cell
 
 
 def write_table(path, header, rows, float_format: str = ".10g") -> None:
-    """Write header, then each row; floats (numpy's too) take float_format, other cells str."""
+    """Write header, then each row; floats (numpy's too) take float_format, other cells str.
+
+    A 1-D array cell is written as its values in place of the cell.
+    Lines are written a fixed number of cells at a time, so writing a
+    row holds the text of one slice of it, however wide it is.
+    """
+
+    def text(v) -> str:
+        return format(v, float_format) if isinstance(v, float) else str(v)
+
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format(v, float_format) if isinstance(v, float) else str(v) for v in row) + "\n")
+        for row in itertools.chain([header], rows):
+            cells, sep = _cells(row), ""
+            while part := list(itertools.islice(cells, _SLICE)):
+                fh.write(sep + ",".join(map(text, part)))
+                sep = ","
+            fh.write("\n")
 
 
 def read_table(path, key: str, prefix: str, noun: str, error: type[Exception]):

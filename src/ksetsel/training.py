@@ -18,8 +18,11 @@ each one an epoch ahead on a worker thread (ReadAhead) while the main
 thread picks, runs the feedback and folds; run_simulate reads its
 generated stream the same way.  Each generator is drawn from by one
 thread only, in its original order, so every output is the same as
-with the draws inline.  Only these draws leave the main thread: the
-picks, random's k-sets, the folds and the learner stay on it.
+with the draws inline.  Besides these draws, only the learner's
+scoring leaves the main thread, and only in part: predict_batch hands
+every other chunk of a multi-chunk call to its own worker thread.  The
+picks, random's k-sets, the folds, training and the predict_batch call
+itself stay on the main thread.
 
 Wall time is recorded but is the one column outside the determinism
 contract: with a fixed config and seed everything else is

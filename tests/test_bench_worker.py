@@ -17,6 +17,7 @@ import pytest
 
 import ksetsel
 import ksetsel.cli  # noqa: F401  (trace_targets reads ksetsel.cli)
+from ksetsel import mlp
 from ksetsel.cli import EXIT_OK, main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -82,8 +83,8 @@ def test_trace_targets_runs(monkeypatch):
 
 
 def test_traced_calls_stay_on_the_main_thread(monkeypatch, tmp_path):
-    # The bench's span recorder keeps one span stack without locking, so
-    # nothing it wraps may run on run_epochs' or run_simulate's worker thread.
+    # The bench's span recorder keeps one span stack without locking, so nothing
+    # it wraps may run on run_epochs', run_simulate's or predict_batch's worker thread.
     worker = load_worker(monkeypatch)
     calls = []
     for namespace, attr, name, _ in worker.trace_targets(ksetsel):
@@ -108,6 +109,22 @@ def test_traced_calls_stay_on_the_main_thread(monkeypatch, tmp_path):
     simulated = [name for name, _ in calls].count("selection.fpl_select")
     assert main(["train", "--config", str(train)]) == EXIT_OK
     trained = [name for name, _ in calls].count("selection.fpl_select") - simulated
+    # 9000 training rows are three scoring chunks, so predict_batch hands one of them to its worker thread
+    scored_on = []
+    real_forward = mlp._forward
+
+    def forward(*args, **kwargs):
+        scored_on.append(threading.current_thread())
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(mlp, "_forward", forward)
+    chunked = tmp_path / "chunked.cfg"
+    chunked.write_text(
+        "dataset = blobs\nn = 9000\ndim = 4\nclasses = 3\nhidden = 4\nk_frac = 0.3\nepochs = 2\n"
+        f"seeds = 0\nout = {tmp_path / 'chunked.csv'}\n"
+    )
+    assert main(["train", "--config", str(chunked)]) == EXIT_OK
+    assert any(thread is not threading.main_thread() for thread in scored_on)
     assert {"harness.run_simulate", "harness.run_train", "selection.accumulate"} <= {name for name, _ in calls}
     assert [name for name, thread in calls if thread is not threading.main_thread()] == []
     # one fpl_select call per FPL pick after epoch 1, so the traced count matches an unthreaded run

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ksetsel.selection import (
     CumulativeRisk,
     SelectorConfig,
     Strategy,
+    RiskVector,
     accumulate,
     fpl_select,
     init_selection,
@@ -311,6 +313,27 @@ class TestStreamCsv:
         with pytest.raises(InputError, match=r"^stream is empty$"):
             dump_stream_csv(iter([]), path)
         assert not path.exists()
+
+    def test_wide_row_bytes_span_write_slices(self, tmp_path):
+        # 2 * 4096 + 3 values: the row and the header are written in three slices each
+        values = np.random.default_rng(0).random(2 * 4096 + 3)
+        path = tmp_path / "wide.csv"
+        dump_stream_csv([RiskVector(values), RiskVector(values[::-1].copy())], path)
+        names = ",".join(f"theta_{i}" for i in range(values.shape[0]))
+        rows = [",".join(format(v, ".17g") for v in row.tolist()) for row in (values, values[::-1])]
+        assert path.read_text() == f"epoch,{names}\n1,{rows[0]}\n2,{rows[1]}\n"
+
+    def test_one_wide_row_is_not_held_as_text(self, tmp_path):
+        theta = RiskVector(np.random.default_rng(1).random(200_000))
+        path = tmp_path / "wide.csv"
+        tracemalloc.start()
+        try:
+            dump_stream_csv([theta], path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * theta.values.nbytes
+        np.testing.assert_array_equal(load_stream_csv(path)[0].values, theta.values)
 
     def test_header_format(self, tmp_path):
         risks = generate_stream(StreamSpec(kind=StreamKind.UNIFORM, n=3, epochs=2, seed=0))

@@ -1121,24 +1121,25 @@ class TestCli:
         assert [str(w.message) for w in caught] == [warned] * 2
 
     def test_train_columns_match_across_blas_thread_counts(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text(
-            "n = 1500\ndim = 32\nclasses = 4\ntest_n = 300\nhidden = 64\nepochs = 3\n"
-            "k_frac = 0.3\nnoise = sym:0.4\nseeds = 0, 1\n"
-        )
         src = str(Path(ksetsel.__file__).resolve().parents[1])
-        columns = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"m{threads}.csv"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-            subprocess.run(
-                [sys.executable, "-m", "ksetsel.cli", "train", "--config", str(path), "--out", str(out)],
-                env=env, check=True, capture_output=True,
+        # n = 9000 and test_n = 5000 score both splits in two or more chunks, so predict_batch's worker runs
+        for sizes in ("n = 1500\ntest_n = 300\n", "n = 9000\ntest_n = 5000\n"):
+            path = tmp_path / "run.cfg"
+            path.write_text(
+                f"{sizes}dim = 32\nclasses = 4\nhidden = 64\nepochs = 3\nk_frac = 0.3\nnoise = sym:0.4\nseeds = 0, 1\n"
             )
-            columns.append(drop_wall(read_rows(out)[1]))
-        assert len(columns[0]) == 6
-        assert columns[0] == columns[1]
+            columns = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"m{threads}.csv"
+                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+                env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+                subprocess.run(
+                    [sys.executable, "-m", "ksetsel.cli", "train", "--config", str(path), "--out", str(out)],
+                    env=env, check=True, capture_output=True,
+                )
+                columns.append(drop_wall(read_rows(out)[1]))
+            assert len(columns[0]) == 6
+            assert columns[0] == columns[1], sizes
 
     def test_simulate_cli_prints_report(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

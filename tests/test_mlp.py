@@ -6,6 +6,8 @@ analytic derivation.  The in-place forward pass is checked bitwise
 against the out-of-place formulas kept below as the reference.
 """
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -40,10 +42,12 @@ def ref_forward(model, x):
 
 
 def ref_predict_batch(model, x, chunk):
+    """One chunk after another on this thread; u8 rows are divided by 255 a chunk at a time."""
     labels = np.empty(x.shape[0], dtype=np.int64)
     conf = np.empty(x.shape[0], dtype=np.float64)
     for start in range(0, x.shape[0], chunk):
-        probs = ref_forward(model, x[start : start + chunk])[2]
+        rows = x[start : start + chunk]
+        probs = ref_forward(model, rows.astype(np.float64) / 255.0 if rows.dtype == np.uint8 else rows)[2]
         part = probs.argmax(axis=1)
         labels[start : start + chunk] = part
         conf[start : start + chunk] = probs[np.arange(probs.shape[0]), part]
@@ -232,6 +236,94 @@ class TestPredictBatch:
         model = init_mlp(3, 4, 2, seed=0)
         with pytest.raises(ParameterError, match="chunk"):
             predict_batch(model, np.zeros((5, 3)), chunk=chunk)
+
+
+class TestScoringWorker:
+    """x of two or more chunks: one worker thread scores every other chunk, joined before predict_batch ends."""
+
+    @staticmethod
+    def rows(dtype, m, d, seed):
+        rng = np.random.default_rng(seed)
+        if dtype == "u8":
+            return rng.integers(0, 256, size=(m, d), dtype=np.uint8)
+        return rng.normal(size=(m, d))
+
+    @pytest.fixture
+    def switchy(self):
+        # Threads switch every microsecond, so the two threads' chunks interleave at random.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.fixture
+    def scored_on(self, monkeypatch):
+        """(thread, rows) of every chunk _forward scores."""
+        calls, real = [], mlp._forward
+
+        def recorded(model, x, keep_pre=False):
+            calls.append((threading.current_thread(), x.shape[0]))
+            return real(model, x, keep_pre)
+
+        monkeypatch.setattr(mlp, "_forward", recorded)
+        return calls
+
+    def assert_matches_reference(self, model, x, chunk):
+        labels, conf = predict_batch(model, x, chunk=chunk)
+        ref_labels, ref_conf = ref_predict_batch(model, x, chunk)
+        np.testing.assert_array_equal(labels, ref_labels)
+        np.testing.assert_array_equal(conf.view(np.int64), ref_conf.view(np.int64))
+
+    @pytest.mark.parametrize("dtype", ["u8", "float"])
+    @pytest.mark.parametrize("m", [4096, 4096 + 517, 2 * 4096 + 517, 3 * 4096 + 517])
+    def test_idx_width_matches_reference(self, switchy, dtype, m):
+        model = init_mlp(784, 16, 10, seed=0)
+        self.assert_matches_reference(model, self.rows(dtype, m, 784, 1), 4096)
+
+    @pytest.mark.parametrize("dtype", ["u8", "float"])
+    @pytest.mark.parametrize("chunk, m", [(7, 7), (7, 12), (7, 19), (7, 23), (16, 50), (1, 5)])
+    def test_small_chunks_match_reference(self, switchy, dtype, chunk, m):
+        model = init_mlp(9, 6, 3, seed=2)
+        model.w2 *= 50.0  # far-apart logits: some confidences reach 1.0
+        self.assert_matches_reference(model, self.rows(dtype, m, 9, 3), chunk)
+
+    def test_worker_scores_every_other_chunk(self, scored_on):
+        before = threading.active_count()
+        predict_batch(init_mlp(9, 6, 3, seed=0), self.rows("u8", 23, 9, 1), chunk=7)
+        assert threading.active_count() == before
+        main = threading.main_thread()
+        # rows 0-7 and 14-21 on this thread, rows 7-14 and the remainder 21-23 on the worker
+        assert [rows for thread, rows in scored_on if thread is main] == [7, 7]
+        on_worker = [(thread, rows) for thread, rows in scored_on if thread is not main]
+        assert [rows for _, rows in on_worker] == [7, 2]
+        assert len({thread for thread, _ in on_worker}) == 1 and not on_worker[0][0].is_alive()
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch, scored_on):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-chunk call started a thread")
+
+        monkeypatch.setattr(mlp.threading, "Thread", no_thread)
+        model = init_mlp(9, 6, 3, seed=0)
+        for m in (0, 1, 7):
+            predict_batch(model, self.rows("u8", m, 9, 1), chunk=7)
+        assert [thread for thread, _ in scored_on] == [threading.main_thread()] * 2  # m = 0 scores nothing
+
+    @pytest.mark.parametrize("on_worker", [True, False])
+    def test_chunk_error_reaches_the_caller_and_leaves_no_thread(self, monkeypatch, on_worker):
+        real = mlp._forward
+
+        def failing(model, x, keep_pre=False):
+            if (threading.current_thread() is not threading.main_thread()) == on_worker:
+                raise InputError("chunk failed")
+            return real(model, x, keep_pre)
+
+        monkeypatch.setattr(mlp, "_forward", failing)
+        before = threading.active_count()
+        with pytest.raises(InputError, match=r"^chunk failed$"):
+            predict_batch(init_mlp(9, 6, 3, seed=0), self.rows("float", 30, 9, 1), chunk=7)
+        assert threading.active_count() == before
 
 
 class TestInit:
