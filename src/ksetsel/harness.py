@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .ahead import ReadAhead
 from .analytics import BoundReport, avg_risk_bound, regret_bound
 from .datasets import Dataset, LabelNoiseSpec, apply_label_noise, load_csv_dataset, load_idx, make_blobs
 from .errors import ConfigError, ParameterError
@@ -38,7 +39,7 @@ from .feedback import (
 from .mlp import evaluate
 from .selection import KSetSelection, SelectorConfig, Strategy
 from .tables import write_table
-from .training import EpochMetrics, ReadAhead, TrainConfig, run_epochs, train_selective
+from .training import EpochMetrics, TrainConfig, run_epochs, train_selective
 
 __all__ = [
     "METRICS_HEADER",
@@ -137,9 +138,11 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         if not self.selectors:
             raise ConfigError("selector list is empty")
-        for name in ("n", "epochs"):
+        for name in ("n", "epochs", "hidden", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (np.isfinite(self.lr) and self.lr >= 0.0):
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if self.test_n is not None and self.test_n < 1:
             raise ConfigError(f"test_n must be >= 1, got {self.test_n}")
         if self.dataset not in ("blobs", "idx", "csv"):
@@ -249,6 +252,8 @@ def _suffixed(out: str, tag: str) -> str:
 def _require_out(cfg: ExperimentConfig) -> str:
     if not cfg.out:
         raise ConfigError(f"mode {cfg.mode!r} needs an output path (out = ... or --out)")
+    if not Path(cfg.out).parent.is_dir():
+        raise ConfigError(f"out = {cfg.out}: directory {Path(cfg.out).parent} does not exist")
     return cfg.out
 
 

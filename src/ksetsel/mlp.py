@@ -17,8 +17,8 @@ before made, so a scoring thread holds at most one hidden-sized
 epoch, not once per batch, and its SGD step scales the gradients it
 owns in place.
 
-Scoring rows that span two or more chunks runs on two threads: one
-worker thread scores every other chunk while the caller scores the
+Scoring rows that span two or more chunks runs on two threads: a
+ReadAhead worker scores every other chunk while the caller scores the
 rest.  The chunk boundaries are fixed by the chunk size alone, and a
 row's bits can depend on the row count of the GEMM it is scored in,
 so the chunk size is part of the output contract and a chunk is never
@@ -27,11 +27,11 @@ split between threads.  Training stays on the calling thread.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from .ahead import ReadAhead
 from .datasets import Dataset, float_rows
 from .errors import DivergenceError, InputError, ParameterError
 from .feedback import Prediction
@@ -268,12 +268,13 @@ def predict_batch(model: MlpModel, x: np.ndarray, chunk: int = 4096) -> tuple[np
     """Argmax labels and their probabilities; ties go to the smaller class.
 
     x is float rows, or u8 rows meaning value / 255, scored in chunks of
-    chunk rows.  When x spans two or more chunks, one worker thread
-    scores every other chunk (the second, fourth, ...) while this
-    thread scores the rest; the thread is joined before this returns
-    or raises, and its exception is raised here.  Each chunk is the
-    same computation on the same rows whichever thread runs it, so the
-    result does not depend on the split.
+    chunk rows.  When x spans two or more chunks, a ReadAhead worker
+    scores every other chunk (the second, fourth, ...) as its one item
+    while this thread scores the rest, then takes that item: the
+    worker is joined before this returns or raises, and its exception
+    is raised here.  Each chunk is the same computation on the same
+    rows whichever thread runs it, so the result does not depend on
+    the split.
     """
     if chunk < 1:
         raise ParameterError(f"chunk must be >= 1, got {chunk}")
@@ -284,22 +285,10 @@ def predict_batch(model: MlpModel, x: np.ndarray, chunk: int = 4096) -> tuple[np
     if len(starts) < 2:
         _score_chunks(model, x, starts, chunk, labels, conf)
         return labels, conf
-    failed = []
-
-    def work() -> None:
-        try:
-            _score_chunks(model, x, starts[1::2], chunk, labels, conf)
-        except BaseException as exc:  # raised again on the calling thread, after the join
-            failed.append(exc)
-
-    worker = threading.Thread(target=work, name="ksetsel-score")
-    worker.start()
-    try:
+    odd = (_score_chunks(model, x, part, chunk, labels, conf) for part in (starts[1::2],))
+    with ReadAhead(odd) as worker:
         _score_chunks(model, x, starts[::2], chunk, labels, conf)
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
+        next(worker)
     return labels, conf
 
 

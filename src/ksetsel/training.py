@@ -14,15 +14,12 @@ noise-risk from a full forward pass.  In every mode epoch 1 takes one
 seeded uniformly random k-set because no feedback exists yet.
 
 FPL's perturbation does not depend on feedback, so run_epochs draws
-each one an epoch ahead on a worker thread (ReadAhead) while the main
-thread picks, runs the feedback and folds; run_simulate reads its
-generated stream the same way.  Each generator is drawn from by one
-thread only, in its original order, so every output is the same as
-with the draws inline.  Besides these draws, only the learner's
-scoring leaves the main thread, and only in part: predict_batch hands
-every other chunk of a multi-chunk call to its own worker thread.  The
-picks, random's k-sets, the folds, training and the predict_batch call
-itself stay on the main thread.
+each one an epoch ahead through a ReadAhead (see ahead.py) while the
+main thread picks, runs the feedback and folds.  Each generator is
+drawn from by one thread only, in its original order, so every output
+is the same as with the draws inline.  The picks, random's k-sets, the
+folds, training and the predict_batch call itself stay on the main
+thread.
 
 Wall time is recorded but is the one column outside the determinism
 contract: with a fixed config and seed everything else is
@@ -31,16 +28,14 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
-from collections.abc import Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .ahead import ReadAhead
 from .analytics import label_precision
 from .datasets import Dataset
 from .errors import InputError, ParameterError
@@ -141,52 +136,6 @@ class Hindsight:
 def _seed_streams(seed: int) -> list[np.random.SeedSequence]:
     """The run seed's streams: model init, batch shuffle, selector RNG, epoch-1 k-set; data uses the seed itself."""
     return np.random.SeedSequence(seed).spawn(4)
-
-
-_END = object()
-
-
-class ReadAhead:
-    """items, drawn one item ahead on a single worker thread.
-
-    Taking item t asks the worker for item t + 1, so the worker draws
-    it while the caller uses item t.  Only the worker advances items.
-    An exception the worker meets is raised where the caller takes
-    that item.  Leaving the with block joins the worker, whether the
-    run returned or raised; an item already asked for is drawn first.
-    """
-
-    def __init__(self, items: Iterator):
-        self._items = items
-        self._asks: queue.SimpleQueue[bool] = queue.SimpleQueue()  # True: draw the next item; False: stop
-        self._drawn: queue.SimpleQueue[tuple] = queue.SimpleQueue()  # (item, None) or (None, its exception)
-        self._worker = threading.Thread(target=self._work, name="ksetsel-ahead")
-        self._worker.start()
-        self._asks.put(True)
-
-    def _work(self) -> None:
-        while self._asks.get():
-            try:
-                self._drawn.put((next(self._items, _END), None))
-            except BaseException as exc:  # raised again on the caller's thread, in __next__
-                self._drawn.put((None, exc))
-                return
-
-    def __next__(self):
-        item, exc = self._drawn.get()
-        if exc is not None:
-            raise exc
-        if item is _END:
-            raise StopIteration
-        self._asks.put(True)
-        return item
-
-    def __enter__(self) -> "ReadAhead":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._asks.put(False)
-        self._worker.join()
 
 
 def _pick(

@@ -1107,6 +1107,44 @@ class TestCli:
         assert capsys.readouterr().err == f"config error: {key} must be >= 1, got 0\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
+    def test_learner_key_is_checked_before_the_data_is_read(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        missing = tmp_path / "missing.idx"
+        path.write_text(
+            f"dataset = idx\nidx_images = {missing}\nidx_labels = {missing}\nepochs = 2\nk_frac = 0.5\n"
+            f"hidden = 0\nout = {tmp_path / 'm.csv'}\n"
+        )
+        assert main(["train", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: hidden must be >= 1, got 0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_simulate_rejects_a_nan_learning_rate(self, tmp_path, capsys):
+        path = tmp_path / "sim.cfg"
+        path.write_text(f"stream = planted\nn = 60\nk = 12\nepochs = 3\nlr = nan\nout = {tmp_path / 'm.csv'}\n")
+        assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: lr must be finite and >= 0, got nan\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sim.cfg"]
+
+    @pytest.mark.parametrize(
+        "mode, lines",
+        [("train", "dataset = idx\nidx_images = {missing}\nidx_labels = {missing}\nepochs = 2\nk_frac = 0.5\n"),
+         ("simulate", "stream = planted\nn = 60\nk = 12\nepochs = 3\n")],
+        ids=["train", "simulate"],
+    )
+    def test_missing_output_directory_exit_one_before_any_work(self, tmp_path, capsys, monkeypatch, mode, lines):
+        # train's idx paths are missing too: reading them first would exit 2 with a data error
+        def no_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_epochs", no_run)
+        monkeypatch.setattr(harness, "train_selective", no_run)
+        out = tmp_path / "absent" / "m.csv"
+        path = tmp_path / "run.cfg"
+        path.write_text(lines.format(missing=tmp_path / "missing.idx") + f"out = {out}\n")
+        assert main([mode, "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: out = {out}: directory {out.parent} does not exist\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
     def test_k_equals_n_warns_once_per_run(self, tmp_path, capsys):
         # one run per seed, each under one SelectorConfig however many selectors it drives
         path = tmp_path / "sim.cfg"

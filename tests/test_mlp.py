@@ -239,7 +239,7 @@ class TestPredictBatch:
 
 
 class TestScoringWorker:
-    """x of two or more chunks: one worker thread scores every other chunk, joined before predict_batch ends."""
+    """x of two or more chunks: a ReadAhead worker scores every other chunk, joined before predict_batch ends."""
 
     @staticmethod
     def rows(dtype, m, d, seed):
@@ -300,11 +300,29 @@ class TestScoringWorker:
         assert [rows for _, rows in on_worker] == [7, 2]
         assert len({thread for thread, _ in on_worker}) == 1 and not on_worker[0][0].is_alive()
 
+    def test_worker_scores_its_chunks_without_waiting_for_the_caller(self, monkeypatch):
+        # The caller's first chunk waits until the worker has scored all three of its chunks,
+        # which a worker that scores one chunk per step of the caller never does.
+        real, worker_chunks, worker_done = mlp._forward, [], threading.Event()
+
+        def gated(model, x, keep_pre=False):
+            if threading.current_thread() is threading.main_thread():
+                assert worker_done.wait(timeout=20), "the worker waited for the caller"
+            else:
+                worker_chunks.append(x.shape[0])
+                if len(worker_chunks) == 3:
+                    worker_done.set()
+            return real(model, x, keep_pre)
+
+        monkeypatch.setattr(mlp, "_forward", gated)
+        predict_batch(init_mlp(9, 6, 3, seed=0), self.rows("u8", 40, 9, 1), chunk=7)
+        assert worker_chunks == [7, 7, 5]  # rows 7-14, 21-28 and 35-40
+
     def test_one_chunk_starts_no_thread(self, monkeypatch, scored_on):
         def no_thread(*args, **kwargs):
             raise AssertionError("a one-chunk call started a thread")
 
-        monkeypatch.setattr(mlp.threading, "Thread", no_thread)
+        monkeypatch.setattr(mlp, "ReadAhead", no_thread)
         model = init_mlp(9, 6, 3, seed=0)
         for m in (0, 1, 7):
             predict_batch(model, self.rows("u8", m, 9, 1), chunk=7)
