@@ -269,6 +269,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         raw_labels = fh.read()
 
     (count, rows, cols), offset = _read_idx_header(raw_images, images_path, IDX_IMAGE_MAGIC, 3)
+    if rows == 0 or cols == 0:
+        raise DataError(f"{images_path}: images of {rows}x{cols} pixels have no features")
     expected = offset + count * rows * cols
     if len(raw_images) != expected:
         raise IdxTruncatedError(

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ahead import ReadAhead
+from .ahead import ReadAhead, fork_map
 from .analytics import BoundReport, avg_risk_bound, regret_bound
 from .datasets import Dataset, LabelNoiseSpec, apply_label_noise, load_csv_dataset, load_idx, make_blobs
 from .errors import ConfigError, ParameterError
@@ -147,6 +147,10 @@ class ExperimentConfig:
             raise ConfigError(f"test_n must be >= 1, got {self.test_n}")
         if self.dataset not in ("blobs", "idx", "csv"):
             raise ConfigError(f"dataset must be blobs, idx, or csv, got {self.dataset!r}")
+        if (self.idx_test_images is None) != (self.idx_test_labels is None):
+            raise ConfigError("set both idx_test_images and idx_test_labels, or neither")
+        if not 0.0 < self.validation_fraction < 1.0:
+            raise ConfigError(f"validation_fraction must lie in (0, 1), got {self.validation_fraction}")
 
     def resolve_k(self, n: int) -> int:
         if self.k is not None:
@@ -400,7 +404,7 @@ def _load_base_datasets(cfg: ExperimentConfig, with_test: bool = True) -> tuple[
             raise ConfigError("dataset = idx needs idx_images and idx_labels paths")
         train = load_idx(cfg.idx_images, cfg.idx_labels)
         test = None
-        if with_test and cfg.idx_test_images and cfg.idx_test_labels:
+        if with_test and cfg.idx_test_images:
             test = load_idx(cfg.idx_test_images, cfg.idx_test_labels)
     else:
         if not cfg.csv_path:
@@ -435,14 +439,22 @@ def _train_cfg(cfg: ExperimentConfig, strategy: Strategy, k: int, eta: float, se
 
 
 def _train_seeds(cfg: ExperimentConfig, out: str) -> dict[Strategy, list[tuple[float, float]]]:
-    """Train every selector per seed; returns {strategy: [last-10 (test acc, precision) per seed]}."""
+    """Train every selector per seed; returns {strategy: [last-10 (test acc, precision) per seed]}.
+
+    A seed's selectors train on its one noisy copy, side by side in
+    forked children where ahead.fork_map can fork.
+    """
     train_base, test_set = _load_base_datasets(cfg)
     k = cfg.resolve_k(train_base.n)
     eta = resolve_eta(cfg.eta_coefficient, k, cfg.epochs)
 
     def run_seed(seed: int, strategies: list[Strategy]) -> list[list[EpochMetrics]]:
         noisy = _noisy_copy(train_base, cfg, seed)
-        return [train_selective(noisy, test_set, _train_cfg(cfg, s, k, eta, seed)).metrics for s in strategies]
+
+        def run(strategy: Strategy) -> list[EpochMetrics]:
+            return train_selective(noisy, test_set, _train_cfg(cfg, strategy, k, eta, seed)).metrics
+
+        return fork_map(run, strategies)
 
     runs, _ = _run_seeds(cfg, out, run_seed)
     return {strategy: [_last10(metrics) for metrics in seed_runs] for strategy, seed_runs in runs.items()}

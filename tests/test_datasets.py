@@ -293,6 +293,14 @@ class TestLoadIdx:
         with pytest.raises(IdxTruncatedError):
             load_idx(ipath, lpath)
 
+    @pytest.mark.parametrize("rows, cols", [(0, 28), (28, 0), (0, 0)])
+    def test_images_without_pixels_are_a_data_error_naming_the_file(self, tmp_path, rows, cols):
+        ipath, lpath, *_ = self.make_pair(tmp_path)
+        write_idx_images(ipath, np.zeros((20, rows, cols), dtype=np.uint8))
+        with pytest.raises(DataError) as exc:
+            load_idx(ipath, lpath)
+        assert str(exc.value) == f"{ipath}: images of {rows}x{cols} pixels have no features"
+
     def test_count_mismatch(self, tmp_path):
         ipath, lpath, _, labels = self.make_pair(tmp_path)
         write_idx_labels(lpath, labels[:-1])

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import math
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ksetsel
-from ksetsel import cli, harness, mlp, selection, training
+from ksetsel import ahead, cli, harness, mlp, selection, training
 from ksetsel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from ksetsel.datasets import LabelNoiseSpec, make_blobs, save_csv_dataset
 from ksetsel.errors import ConfigError, DataError, InputError
@@ -190,6 +191,11 @@ class TestConfigParsing:
             ({"epochs": -2}, "epochs must be >= 1, got -2"),
             ({"test_n": 0}, "test_n must be >= 1, got 0"),
             ({"dataset": "parquet"}, "dataset must be blobs, idx, or csv, got 'parquet'"),
+            ({"idx_test_images": "t.idx"}, "set both idx_test_images and idx_test_labels, or neither"),
+            ({"idx_test_labels": "t.idx"}, "set both idx_test_images and idx_test_labels, or neither"),
+            ({"validation_fraction": 0.0}, "validation_fraction must lie in (0, 1), got 0.0"),
+            ({"validation_fraction": 1.0}, "validation_fraction must lie in (0, 1), got 1.0"),
+            ({"validation_fraction": float("nan")}, "validation_fraction must lie in (0, 1), got nan"),
         ],
     )
     def test_direct_config_checks_itself(self, fields, message):
@@ -557,12 +563,13 @@ class TestSeedBySeedRuns:
         [("run_epochs", sim_cfg, run_simulate, (0, 1)), ("train_selective", ablate_cfg, run_ablate, (0,))],
     )
     def test_failed_run_writes_no_metrics(self, tmp_path, monkeypatch, runner, make_cfg, run, seeds):
+        # The second run is simulate's second seed, or ablate's second selector, which a forked child
+        # runs: children share no call count, so the run is told by its config.
         real = getattr(harness, runner)
-        calls = []
+        force_fork(monkeypatch)
 
         def fails_second(*args):
-            calls.append(None)
-            if len(calls) == 2:
+            if args[1].seed == 1 if runner == "run_epochs" else args[2].strategy is Strategy.NAIVE:
                 raise ConfigError("second run fails")
             return real(*args)
 
@@ -570,6 +577,165 @@ class TestSeedBySeedRuns:
         with pytest.raises(ConfigError, match="second run fails"):
             run(make_cfg(tmp_path, seeds=seeds))
         assert list(tmp_path.iterdir()) == []
+
+
+def force_fork(monkeypatch):
+    """Let fork_map fork in this test process on any host; its BLAS pool would keep every run inline."""
+    monkeypatch.setattr(ahead, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ahead, "_one_thread", lambda: True)
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # neither running nor waiting to be reaped
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestForkedSelectors:
+    """ablate trains a seed's selectors side by side in forked children (ahead.fork_map)."""
+
+    def record_runs(self, monkeypatch, tmp_path, fail=None):
+        """Wrap train_selective so each run logs '<pid> <selector>'; fail(cfg) runs in the child."""
+        real = harness.train_selective
+        log = tmp_path / "runs.log"
+
+        def recorded(dataset, test_set, cfg):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {cfg.strategy.value}\n")
+            if fail is not None:
+                fail(cfg)
+            return real(dataset, test_set, cfg)
+
+        monkeypatch.setattr(harness, "train_selective", recorded)
+        return lambda: [(int(pid), name) for pid, name in (line.split() for line in log.read_text().splitlines())]
+
+    def cfg(self, tmp_path, **over):
+        (tmp_path / "out").mkdir(exist_ok=True)
+        return ablate_cfg(tmp_path / "out", **{"seeds": (0, 1), **over})
+
+    @pytest.mark.skipif(sys.platform != "linux" or ahead._usable_cpus() < 2, reason="forks on Linux with two CPUs")
+    def test_forked_and_inline_runs_write_the_same_bytes(self, tmp_path):
+        # Fresh processes with one BLAS thread, as a user would run it; the inline one is pinned to one CPU.
+        script = (
+            "import os, sys\n"
+            "from ksetsel import cli, harness\n"
+            "real = harness.train_selective\n"
+            "def recorded(*args):\n"
+            "    with open(sys.argv[3], 'a') as fh:\n"
+            "        fh.write(f'{os.getpid()}\\n')\n"
+            "    return real(*args)\n"
+            "harness.train_selective = recorded\n"
+            "if sys.argv[4] == 'inline':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "print(os.getpid())\n"
+            "sys.exit(cli.main(['ablate', '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
+        )
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "n = 300\ndim = 4\nclasses = 3\ntest_n = 60\nhidden = 16\nepochs = 6\nk_frac = 0.3\n"
+            "noise = sym:0.4\nseeds = 0, 1\nselectors = fpl, naive, greedy, random\n"
+        )
+        src = str(Path(ksetsel.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        pids = {}
+        for how in ("forked", "inline"):
+            (tmp_path / how).mkdir()
+            log = tmp_path / f"{how}.log"
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(config), str(tmp_path / how / "cmp.csv"), str(log), how],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            pids[how] = (int(done.stdout.split()[0]), [int(pid) for pid in log.read_text().split()])
+        parent, runs = pids["forked"]
+        # each seed's four selectors go to min(4, usable CPUs) children of their own
+        assert len(runs) == 8 and parent not in runs and len(set(runs)) == 2 * min(4, ahead._usable_cpus())
+        parent, runs = pids["inline"]
+        assert runs == [parent] * 8
+        names = sorted(path.name for path in (tmp_path / "forked").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "inline").iterdir()) and len(names) == 5
+        for name in names:
+            forked, inline = (read_rows(tmp_path / how / name) for how in ("forked", "inline"))
+            if name == "cmp.csv":
+                assert forked == inline
+            else:
+                assert forked[0] == inline[0] == METRICS_HEADER
+                assert drop_wall(forked[1]) == drop_wall(inline[1]), name
+
+    def test_a_childs_config_error_exits_one_and_writes_no_csv(self, tmp_path, monkeypatch, capsys):
+        force_fork(monkeypatch)
+
+        def fail(cfg):
+            if cfg.strategy is Strategy.GREEDY:
+                raise ConfigError(f"greedy failed in {os.getpid()}")
+
+        runs = self.record_runs(monkeypatch, tmp_path, fail)
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "n = 120\ndim = 4\nclasses = 3\ntest_n = 40\nhidden = 8\nepochs = 2\nk_frac = 0.5\n"
+            f"selectors = fpl, naive, greedy, random\nout = {tmp_path / 'out' / 'cmp.csv'}\n"
+        )
+        (tmp_path / "out").mkdir()
+        assert main(["ablate", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: greedy failed in ")
+        child = int(err.split()[-1])
+        assert child != os.getpid() and (child, "greedy") in runs()
+        assert list((tmp_path / "out").iterdir()) == []
+        assert_reaped({pid for pid, _ in runs()})
+
+    def test_a_warning_in_a_child_reaches_pytest_warns(self, tmp_path, monkeypatch):
+        force_fork(monkeypatch)
+
+        def warn(cfg):
+            warnings.warn(f"{cfg.strategy.value} ran in {os.getpid()}", UserWarning)
+
+        self.record_runs(monkeypatch, tmp_path, warn)
+        with pytest.warns(UserWarning, match="ran in") as caught:
+            run_ablate(self.cfg(tmp_path))
+        messages = [str(w.message).split(" ran in ") for w in caught]
+        assert [name for name, _ in messages] == [s.value for s in Strategy] * 2  # selector order, seed by seed
+        assert os.getpid() not in {int(pid) for _, pid in messages}
+
+    @pytest.mark.parametrize("outcome", ["returned", "raised", "killed"])
+    def test_no_child_is_left_after_a_run(self, tmp_path, monkeypatch, outcome):
+        force_fork(monkeypatch)
+
+        def fail(cfg):
+            if cfg.strategy is Strategy.RANDOM and cfg.seed == 1:
+                if outcome == "raised":
+                    raise ConfigError("random failed")
+                if outcome == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+        runs = self.record_runs(monkeypatch, tmp_path, fail)
+        expected = {
+            "returned": nullcontext(),
+            "raised": pytest.raises(ConfigError, match="^random failed$"),
+            "killed": pytest.raises(ChildProcessError, match="^forked run 4 of 4 died by signal SIGKILL$"),
+        }[outcome]
+        with expected:
+            run_ablate(self.cfg(tmp_path))
+        pids = {pid for pid, _ in runs()}
+        assert len(pids) == 4 and os.getpid() not in pids  # two children for each of the two seeds
+        assert_reaped(pids)
+        assert (len(list((tmp_path / "out").iterdir())) == 5) is (outcome == "returned")
+
+    def test_forked_seed_inputs_die_with_the_seed(self, tmp_path, monkeypatch):
+        force_fork(monkeypatch)
+        real, refs, alive_at_build = harness._noisy_copy, [], []
+
+        def tracked(*args):
+            gc.collect()
+            alive_at_build.append(sum(ref() is not None for ref in refs))
+            inputs = real(*args)
+            refs.append(weakref.ref(inputs))
+            return inputs
+
+        monkeypatch.setattr(harness, "_noisy_copy", tracked)
+        run_ablate(self.cfg(tmp_path, seeds=(0, 1, 2)))
+        gc.collect()
+        assert alive_at_build == [0, 0, 0] and [ref() for ref in refs] == [None] * 3
 
 
 class TestLockstepSimulate:
@@ -1037,6 +1203,43 @@ class TestCli:
         )
         assert main(["train", "--config", str(path)]) == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    def test_idx_images_without_pixels_exit_two(self, tmp_path, capsys):
+        # 20 images of 0x28 pixels: a file that is well formed but holds no features
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        images.write_bytes(struct.pack(">IIII", 0x803, 20, 0, 28))
+        labels.write_bytes(struct.pack(">II", 0x801, 20) + bytes(20))
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"dataset = idx\nidx_images = {images}\nidx_labels = {labels}\nk_frac = 0.3\nepochs = 1\n"
+            f"out = {tmp_path / 'm.csv'}\n"
+        )
+        assert main(["train", "--config", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {images}: images of 0x28 pixels have no features\n"
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize(
+        "mode, lines, message",
+        [
+            ("train", "idx_test_images = {missing}\n", "set both idx_test_images and idx_test_labels, or neither"),
+            ("train", "idx_test_labels = {missing}\n", "set both idx_test_images and idx_test_labels, or neither"),
+            ("grid", "noise_rate_estimate = 0.4\nvalidation_fraction = 1.5\n",
+             "validation_fraction must lie in (0, 1), got 1.5"),
+        ],
+        ids=["test_images_alone", "test_labels_alone", "validation_fraction"],
+    )
+    def test_data_free_keys_are_checked_before_the_data_is_read(self, tmp_path, capsys, mode, lines, message):
+        # every idx path is missing: reading any of them first would exit 2 with a data error
+        path = tmp_path / "run.cfg"
+        missing = tmp_path / "missing.idx"
+        path.write_text(
+            f"dataset = idx\nidx_images = {missing}\nidx_labels = {missing}\nepochs = 2\nk_frac = 0.5\n"
+            + lines.format(missing=missing)
+            + f"out = {tmp_path / 'm.csv'}\n"
+        )
+        assert main([mode, "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_flags_override_config_file(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
