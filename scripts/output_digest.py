@@ -22,9 +22,10 @@ otherwise; ablate; validate-risk; grid; train (with a test split) and
 grid on an IDX image/label pair the script also writes itself, with
 more training rows than one 4096-row scoring chunk; bounds.  Under
 `OPENBLAS_NUM_THREADS=1` on two or more usable CPUs the ablate config
-(four selectors, seeds 0 and 1) trains each seed's selectors in forked
-children (`ksetsel.ahead.fork_map`), so its digest checks that forked
-runs write the same bytes as inline ones.
+(four selectors, seeds 0 and 1) trains each seed's selectors, and the
+grid and validate-risk configs their grid points and clean fractions,
+in forked children (`ksetsel.ahead.fork_map`), so their digests check
+that forked runs write the same bytes as inline ones.
 """
 
 from __future__ import annotations

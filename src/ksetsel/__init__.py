@@ -51,7 +51,7 @@ from .feedback import (
     noise_risk_scores,
     stream_epochs,
 )
-from .mlp import MlpModel, backward, evaluate, forward, init_mlp, train_epoch
+from .mlp import LearnerSpec, MlpModel, backward, evaluate, forward, init_mlp, train_epoch
 from .selection import (
     CumulativeRisk,
     KSetSelection,

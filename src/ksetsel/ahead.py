@@ -2,8 +2,8 @@
 
 FPL's perturbations and simulate's stream are drawn through ReadAhead an
 epoch ahead, and predict_batch scores every other chunk of a
-multi-chunk call through it.  fork_map runs one seed's independent
-training runs side by side in forked children.
+multi-chunk call through it.  fork_map runs independent training runs
+side by side in forked children: ablate's, grid's and validate-risk's.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from .feedback import (
     load_stream_csv,
     stream_epochs,
 )
-from .mlp import evaluate
+from .mlp import LearnerSpec, evaluate
 from .selection import KSetSelection, SelectorConfig, Strategy
 from .tables import write_table
 from .training import EpochMetrics, TrainConfig, run_epochs, train_selective
@@ -78,8 +78,9 @@ class ExperimentConfig:
     """Everything a run mode needs; unused fields are ignored by each mode.
 
     Construction checks every field that does not depend on the data
-    (resolve_k checks k against n) and keeps the first of a repeated
-    selector.
+    (resolve_k checks k against n), keeps the first of a repeated
+    selector and builds learner, the LearnerSpec of hidden, lr and
+    batch_size that every run is handed; its checks raise ConfigError.
     """
 
     mode: str = "train"
@@ -138,11 +139,13 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         if not self.selectors:
             raise ConfigError("selector list is empty")
-        for name in ("n", "epochs", "hidden", "batch_size"):
+        for name in ("n", "epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (np.isfinite(self.lr) and self.lr >= 0.0):
-            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
+        try:
+            object.__setattr__(self, "learner", LearnerSpec(hidden=self.hidden, lr=self.lr, batch_size=self.batch_size))
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from None
         if self.test_n is not None and self.test_n < 1:
             raise ConfigError(f"test_n must be >= 1, got {self.test_n}")
         if self.dataset not in ("blobs", "idx", "csv"):
@@ -151,6 +154,9 @@ class ExperimentConfig:
             raise ConfigError("set both idx_test_images and idx_test_labels, or neither")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError(f"validation_fraction must lie in (0, 1), got {self.validation_fraction}")
+        resolve_eta(self.eta_coefficient, 0, 0)  # checks eta_coefficient
+        if self.k_frac is not None and not 0.0 < self.k_frac <= 1.0:
+            raise ConfigError(f"k_frac={self.k_frac} outside (0, 1]")
 
     def resolve_k(self, n: int) -> int:
         if self.k is not None:
@@ -158,8 +164,6 @@ class ExperimentConfig:
                 raise ConfigError(f"k={self.k} outside [1, {n}]")
             return self.k
         if self.k_frac is not None:
-            if not 0.0 < self.k_frac <= 1.0:
-                raise ConfigError(f"k_frac={self.k_frac} outside (0, 1]")
             return min(n, max(1, int(round(self.k_frac * n))))
         raise ConfigError("one of k or k_frac must be set")
 
@@ -425,19 +429,6 @@ def _noisy_copy(train: Dataset, cfg: ExperimentConfig, seed: int) -> Dataset:
     return apply_label_noise(train, dataclasses.replace(cfg.noise, seed=seed))
 
 
-def _train_cfg(cfg: ExperimentConfig, strategy: Strategy, k: int, eta: float, seed: int) -> TrainConfig:
-    return TrainConfig(
-        strategy=strategy,
-        k=k,
-        epochs=cfg.epochs,
-        eta=eta,
-        hidden=cfg.hidden,
-        lr=cfg.lr,
-        batch_size=cfg.batch_size,
-        seed=seed,
-    )
-
-
 def _train_seeds(cfg: ExperimentConfig, out: str) -> dict[Strategy, list[tuple[float, float]]]:
     """Train every selector per seed; returns {strategy: [last-10 (test acc, precision) per seed]}.
 
@@ -450,9 +441,10 @@ def _train_seeds(cfg: ExperimentConfig, out: str) -> dict[Strategy, list[tuple[f
 
     def run_seed(seed: int, strategies: list[Strategy]) -> list[list[EpochMetrics]]:
         noisy = _noisy_copy(train_base, cfg, seed)
+        selector = SelectorConfig(k=k, eta=eta, seed=seed)
 
         def run(strategy: Strategy) -> list[EpochMetrics]:
-            return train_selective(noisy, test_set, _train_cfg(cfg, strategy, k, eta, seed)).metrics
+            return train_selective(noisy, test_set, TrainConfig(strategy, cfg.epochs, selector, cfg.learner)).metrics
 
         return fork_map(run, strategies)
 
@@ -595,8 +587,9 @@ def run_grid_search(cfg: ExperimentConfig) -> GridResult:
 
     The noisy training set is split stratified by assigned label; each
     grid point trains the FPL selector on the large part and scores
-    accuracy against the held-out noisy labels.  Largest validation
-    accuracy wins, first in scan order on ties.
+    accuracy against the held-out noisy labels, the points side by side
+    through ahead.fork_map.  Largest validation accuracy wins, first in
+    scan order on ties.
     """
     out = _require_out(cfg)
     if cfg.noise_rate_estimate is None:
@@ -609,30 +602,23 @@ def run_grid_search(cfg: ExperimentConfig) -> GridResult:
     fit_set = noisy.subset(train_idx)
     val_set = noisy.subset(val_idx)
 
-    rows: list[tuple[float, float, int, float]] = []
-    clamped = False
-    for coef in ETA_COEFFICIENT_GRID:
-        for frac in fractions:
-            k = int(round(frac * fit_set.n))
-            if k < 1 or k > fit_set.n:
-                clamped = True
-                k = min(fit_set.n, max(1, k))
-            eta = resolve_eta(coef, k, cfg.epochs)
-            result = train_selective(fit_set, None, _train_cfg(cfg, Strategy.FPL, k, eta, seed))
-            val_acc = evaluate(result.model, val_set.features, val_set.assigned_labels).accuracy
-            rows.append((coef, frac, k, val_acc))
+    ks = [int(round(frac * fit_set.n)) for frac in fractions]
+    clamped = not all(1 <= k <= fit_set.n for k in ks)
+    ks = [min(fit_set.n, max(1, k)) for k in ks]
+    points = [(coef, frac, k) for coef in ETA_COEFFICIENT_GRID for frac, k in zip(fractions, ks)]
+
+    def val_acc(point: tuple[float, float, int]) -> float:
+        coef, _, k = point
+        selector = SelectorConfig(k=k, eta=resolve_eta(coef, k, cfg.epochs), seed=seed)
+        model = train_selective(fit_set, None, TrainConfig(Strategy.FPL, cfg.epochs, selector, cfg.learner)).model
+        return evaluate(model, val_set.features, val_set.assigned_labels).accuracy
+
+    rows = [(*point, acc) for point, acc in zip(points, fork_map(val_acc, points))]
     if clamped:
         warnings.warn("k grid clamped to [1, n]; the fraction grid exceeded the valid range", UserWarning)
     write_table(out, ("eta_coefficient", "k_frac", "k", "val_acc"), rows)
     best = max(rows, key=lambda row: row[3])
-    return GridResult(
-        csv_path=out,
-        best_eta_coefficient=best[0],
-        best_k_frac=best[1],
-        best_k=best[2],
-        best_val_acc=best[3],
-        rows=rows,
-    )
+    return GridResult(out, *best, rows)
 
 
 # ----------------------------------------------------------- validate-risk
@@ -658,7 +644,8 @@ def run_validate_risk(cfg: ExperimentConfig) -> ValidateRiskResult:
     runs on just those k rows, so every pick is the whole set, the
     model trains only on it, and each epoch's selection risk is the
     set's total risk; more noise in the set should mean more total
-    risk.  Runs are seeded like train's.
+    risk.  Runs are seeded like train's.  A seed's fractions run through
+    ahead.fork_map, so only one seed's noisy copy is ever alive.
     """
     out = _require_out(cfg)
     train_base, _ = _load_base_datasets(cfg, with_test=False)
@@ -670,7 +657,9 @@ def run_validate_risk(cfg: ExperimentConfig) -> ValidateRiskResult:
         noisy = _noisy_copy(train_base, cfg, seed)
         clean_idx = np.flatnonzero(noisy.clean_mask)
         noisy_idx = np.flatnonzero(~noisy.clean_mask)
-        for frac in VALIDATE_RISK_FRACTIONS:
+        train_cfg = TrainConfig(Strategy.NAIVE, cfg.epochs, SelectorConfig(k=k, seed=seed), cfg.learner)
+
+        def risks(frac: float) -> list[float]:
             n_clean = int(round(frac * k))
             n_noisy = k - n_clean
             if n_clean > clean_idx.shape[0] or n_noisy > noisy_idx.shape[0]:
@@ -683,11 +672,14 @@ def run_validate_risk(cfg: ExperimentConfig) -> ValidateRiskResult:
             fixed = np.sort(np.concatenate([clean, rng.choice(noisy_idx, size=n_noisy, replace=False)]))
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "k = n selects every sample", UserWarning)
-                run = train_selective(noisy.subset(fixed), None, _train_cfg(cfg, Strategy.NAIVE, k, 0.0, seed))
+                run = train_selective(noisy.subset(fixed), None, train_cfg)
+            return [m.selection_risk for m in run.metrics]
+
+        for frac, fixed_risks in zip(VALIDATE_RISK_FRACTIONS, fork_map(risks, VALIDATE_RISK_FRACTIONS)):
             cum_risk = 0.0
-            for m in run.metrics:
-                cum_risk += m.selection_risk
-                rows.append((frac, seed, m.epoch, m.selection_risk, cum_risk))
+            for epoch, risk in enumerate(fixed_risks, start=1):
+                cum_risk += risk
+                rows.append((frac, seed, epoch, risk, cum_risk))
             totals[frac].append(cum_risk)
 
     write_table(out, ("clean_fraction", "run_seed", "epoch", "selection_risk", "cum_selection_risk"), rows)

@@ -1,4 +1,4 @@
-"""Single-hidden-layer MLP trained by plain mini-batch SGD.
+"""Single-hidden-layer MLP trained by plain mini-batch SGD; LearnerSpec holds and checks its settings.
 
 Forward: relu(x W1 + b1) W2 + b2 -> softmax, with the row max
 subtracted from the logits before exponentiation so huge logits do
@@ -38,6 +38,7 @@ from .feedback import Prediction
 from .selection import KSetSelection
 
 __all__ = [
+    "LearnerSpec",
     "MlpModel",
     "Gradients",
     "EvalReport",
@@ -51,6 +52,22 @@ __all__ = [
     "predict_batch",
     "evaluate",
 ]
+
+
+@dataclass(frozen=True)
+class LearnerSpec:
+    """A run's learner settings, the one place they are checked: hidden width, SGD learning rate, batch size."""
+
+    hidden: int = 256
+    lr: float = 0.05
+    batch_size: int = 32
+
+    def __post_init__(self):
+        for name in ("hidden", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (np.isfinite(self.lr) and self.lr >= 0.0):
+            raise ParameterError(f"lr must be finite and >= 0, got {self.lr}")
 
 
 @dataclass

@@ -8,8 +8,9 @@ risk vector theta_t, the ledger folds theta_t into its sums once, and
 each strategy is charged its prefix regret against the best fixed
 k-set over epochs 1..t.
 
-train_selective plugs the learner in as feedback: train the model on
-the selected k samples, then score every training sample's
+train_selective plugs the learner in as feedback, under a TrainConfig
+that holds the run's SelectorConfig and LearnerSpec as built: train the
+model on the selected k samples, then score every training sample's
 noise-risk from a full forward pass.  In every mode epoch 1 takes one
 seeded uniformly random k-set because no feedback exists yet.
 
@@ -40,7 +41,7 @@ from .analytics import label_precision
 from .datasets import Dataset
 from .errors import InputError, ParameterError
 from .feedback import noise_risk_scores
-from .mlp import MlpModel, init_mlp, predict_batch, train_epoch
+from .mlp import LearnerSpec, MlpModel, init_mlp, predict_batch, train_epoch
 from .selection import (
     CumulativeRisk,
     KSetSelection,
@@ -68,27 +69,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for one training run; SelectorConfig holds the k and eta rules."""
+    """One training run: its strategy and epoch count, and the specs of its selector and learner."""
 
     strategy: Strategy
-    k: int
     epochs: int
-    eta: float = 0.0
-    hidden: int = 256
-    lr: float = 0.05
-    batch_size: int = 32
-    seed: int = 0
+    selector: SelectorConfig
+    learner: LearnerSpec = LearnerSpec()
 
     def __post_init__(self):
-        self.selector_config()
-        for name in ("epochs", "hidden", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (np.isfinite(self.lr) and self.lr >= 0.0):
-            raise ParameterError(f"lr must be finite and >= 0, got {self.lr}")
-
-    def selector_config(self) -> SelectorConfig:
-        return SelectorConfig(k=self.k, eta=self.eta, seed=self.seed)
+        if self.epochs < 1:
+            raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass(frozen=True)
@@ -243,15 +233,15 @@ def train_selective(dataset: Dataset, test_set: Dataset | None, cfg: TrainConfig
     if test_set is not None and (test_set.dim != dataset.dim or test_set.num_classes != dataset.num_classes):
         raise InputError("test set shape or class count does not match the training set")
 
-    init, shuffle = _seed_streams(cfg.seed)[:2]
-    model = init_mlp(dataset.dim, cfg.hidden, dataset.num_classes, seed=int(init.generate_state(1)[0]))
+    init, shuffle = _seed_streams(cfg.selector.seed)[:2]
+    model = init_mlp(dataset.dim, cfg.learner.hidden, dataset.num_classes, seed=int(init.generate_state(1)[0]))
     shuffle_rng = np.random.default_rng(shuffle)
     clean_mask = dataset.clean_mask
     selections: list[KSetSelection] = []
 
     def feedback(epoch: int, picks: list[KSetSelection]):
         selections.append(picks[0])
-        train_epoch(model, dataset, picks[0], cfg.lr, cfg.batch_size, shuffle_rng)
+        train_epoch(model, dataset, picks[0], cfg.learner.lr, cfg.learner.batch_size, shuffle_rng)
         predicted, conf = predict_batch(model, dataset.features)
         theta = RiskVector(noise_risk_scores(predicted, conf, dataset.assigned_labels))
         train_acc = float((predicted == dataset.assigned_labels).mean())
@@ -262,5 +252,5 @@ def train_selective(dataset: Dataset, test_set: Dataset | None, cfg: TrainConfig
             test_acc = float("nan")
         return theta, clean_mask, train_acc, test_acc
 
-    (metrics,), seen = run_epochs([cfg.strategy], cfg.selector_config(), dataset.n, cfg.epochs, feedback)
+    (metrics,), seen = run_epochs([cfg.strategy], cfg.selector, dataset.n, cfg.epochs, feedback)
     return TrainResult(model=model, metrics=metrics, selections=selections, cum=seen.cum)

@@ -25,7 +25,7 @@ import ksetsel
 from ksetsel import ahead, cli, harness, mlp, selection, training
 from ksetsel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from ksetsel.datasets import LabelNoiseSpec, make_blobs, save_csv_dataset
-from ksetsel.errors import ConfigError, DataError, InputError
+from ksetsel.errors import ConfigError, DataError, InputError, ParameterError
 from ksetsel.feedback import load_stream_csv, noise_risk_scores
 from ksetsel.harness import (
     ETA_COEFFICIENT_GRID,
@@ -202,6 +202,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig(**fields)
         assert message in str(exc.value)
+
+    @pytest.mark.parametrize("key, value", [("hidden", "0"), ("batch_size", "0"), ("lr", "-1")])
+    def test_learner_keys_are_checked_by_learner_spec_alone(self, monkeypatch, key, value):
+        # LearnerSpec's check is the one a config reports; nothing else checks these keys
+        def sentinel(spec):
+            raise ParameterError("sentinel learner check")
+
+        monkeypatch.setattr(mlp.LearnerSpec, "__post_init__", sentinel)
+        with pytest.raises(ConfigError, match="^sentinel learner check$"):
+            build_config({key: value})
+        monkeypatch.setattr(mlp.LearnerSpec, "__post_init__", lambda spec: None)
+        cfg = build_config({key: value})
+        assert getattr(cfg.learner, key) == getattr(cfg, key)
+        assert TrainConfig(Strategy.FPL, 1, SelectorConfig(k=1), cfg.learner).learner is cfg.learner
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == ["strategy", "epochs", "selector", "learner"]
 
     def test_direct_config_counts_a_repeated_selector_once(self):
         cfg = ExperimentConfig(selectors=(Strategy.FPL, Strategy.NAIVE, Strategy.FPL))
@@ -585,6 +600,52 @@ def force_fork(monkeypatch):
     monkeypatch.setattr(ahead, "_one_thread", lambda: True)
 
 
+def force_inline(monkeypatch):
+    """Keep fork_map inline, so a spy in this test process sees every run.
+
+    A fork makes OpenBLAS stop its pool until a large GEMM restarts it,
+    so after one, fork_map may fork in this process too.
+    """
+    monkeypatch.setattr(ahead, "_usable_cpus", lambda: 1)
+
+
+needs_two_cpus = pytest.mark.skipif(
+    sys.platform != "linux" or ahead._usable_cpus() < 2, reason="forks on Linux with two CPUs"
+)
+
+
+def run_recorded(tmp_path, mode, config, out_name, how):
+    """Run mode in a fresh process with one BLAS thread, as a user would, into tmp_path / how / out_name.
+
+    how is "forked", or "inline" pinned to one CPU.  Returns the
+    process's pid and the pid of each train_selective call in call order.
+    """
+    script = (
+        "import os, sys\n"
+        "from ksetsel import cli, harness\n"
+        "real = harness.train_selective\n"
+        "def recorded(*args):\n"
+        "    with open(sys.argv[4], 'a') as fh:\n"
+        "        fh.write(f'{os.getpid()}\\n')\n"
+        "    return real(*args)\n"
+        "harness.train_selective = recorded\n"
+        "if sys.argv[5] == 'inline':\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "print(os.getpid())\n"
+        "sys.exit(cli.main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]]))\n"
+    )
+    src = str(Path(ksetsel.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    (tmp_path / how).mkdir()
+    log = tmp_path / f"{how}.log"
+    done = subprocess.run(
+        [sys.executable, "-c", script, mode, str(config), str(tmp_path / how / out_name), str(log), how],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return int(done.stdout.split()[0]), [int(pid) for pid in log.read_text().split()]
+
+
 def assert_reaped(pids):
     for pid in pids:
         with pytest.raises(ChildProcessError):  # neither running nor waiting to be reaped
@@ -613,40 +674,14 @@ class TestForkedSelectors:
         (tmp_path / "out").mkdir(exist_ok=True)
         return ablate_cfg(tmp_path / "out", **{"seeds": (0, 1), **over})
 
-    @pytest.mark.skipif(sys.platform != "linux" or ahead._usable_cpus() < 2, reason="forks on Linux with two CPUs")
+    @needs_two_cpus
     def test_forked_and_inline_runs_write_the_same_bytes(self, tmp_path):
-        # Fresh processes with one BLAS thread, as a user would run it; the inline one is pinned to one CPU.
-        script = (
-            "import os, sys\n"
-            "from ksetsel import cli, harness\n"
-            "real = harness.train_selective\n"
-            "def recorded(*args):\n"
-            "    with open(sys.argv[3], 'a') as fh:\n"
-            "        fh.write(f'{os.getpid()}\\n')\n"
-            "    return real(*args)\n"
-            "harness.train_selective = recorded\n"
-            "if sys.argv[4] == 'inline':\n"
-            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-            "print(os.getpid())\n"
-            "sys.exit(cli.main(['ablate', '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
-        )
         config = tmp_path / "run.cfg"
         config.write_text(
             "n = 300\ndim = 4\nclasses = 3\ntest_n = 60\nhidden = 16\nepochs = 6\nk_frac = 0.3\n"
             "noise = sym:0.4\nseeds = 0, 1\nselectors = fpl, naive, greedy, random\n"
         )
-        src = str(Path(ksetsel.__file__).resolve().parents[1])
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        pids = {}
-        for how in ("forked", "inline"):
-            (tmp_path / how).mkdir()
-            log = tmp_path / f"{how}.log"
-            done = subprocess.run(
-                [sys.executable, "-c", script, str(config), str(tmp_path / how / "cmp.csv"), str(log), how],
-                env=env, capture_output=True, text=True, check=True,
-            )
-            pids[how] = (int(done.stdout.split()[0]), [int(pid) for pid in log.read_text().split()])
+        pids = {how: run_recorded(tmp_path, "ablate", config, "cmp.csv", how) for how in ("forked", "inline")}
         parent, runs = pids["forked"]
         # each seed's four selectors go to min(4, usable CPUs) children of their own
         assert len(runs) == 8 and parent not in runs and len(set(runs)) == 2 * min(4, ahead._usable_cpus())
@@ -702,7 +737,7 @@ class TestForkedSelectors:
         force_fork(monkeypatch)
 
         def fail(cfg):
-            if cfg.strategy is Strategy.RANDOM and cfg.seed == 1:
+            if cfg.strategy is Strategy.RANDOM and cfg.selector.seed == 1:
                 if outcome == "raised":
                     raise ConfigError("random failed")
                 if outcome == "killed":
@@ -806,7 +841,9 @@ class TestLockstepSimulate:
         stream = [RiskVector(np.full(n, 0.5))] * 2
         replayed = select_sequence(stream, Strategy.GREEDY, SelectorConfig(k=k, seed=seed))[0]
         data = make_blobs(n, 3, 2, separation=5.0, seed=1)
-        trained = train_selective(data, None, TrainConfig(strategy=Strategy.FPL, k=k, epochs=1, hidden=4, seed=seed))
+        trained = train_selective(
+            data, None, TrainConfig(Strategy.FPL, 1, SelectorConfig(k=k, seed=seed), mlp.LearnerSpec(hidden=4))
+        )
         assert firsts == [replayed.indices.tolist()] * len(Strategy)
         assert trained.selections[0].indices.tolist() == replayed.indices.tolist()
 
@@ -942,6 +979,27 @@ class TestReadAheadStream:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.cfg"]
 
 
+class TestForkedGridAndFractions:
+    """grid's points and validate-risk's fractions run side by side in forked children (ahead.fork_map)."""
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("mode, runs_per_map, maps", [("grid", 28, 1), ("validate-risk", 5, 2)])
+    def test_forked_and_inline_runs_write_the_same_bytes(self, tmp_path, mode, runs_per_map, maps):
+        # grid maps its 28 points for the first seed; validate-risk maps five fractions per seed
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "n = 120\ndim = 4\nclasses = 3\nhidden = 8\nepochs = 3\nk_frac = 0.3\nnoise = sym:0.4\n"
+            "noise_rate_estimate = 0.4\nseeds = 0, 1\n"
+        )
+        pids = {how: run_recorded(tmp_path, mode, config, "out.csv", how) for how in ("forked", "inline")}
+        parent, runs = pids["forked"]
+        assert len(runs) == maps * runs_per_map and parent not in runs
+        assert len(set(runs)) == maps * min(runs_per_map, ahead._usable_cpus())
+        parent, runs = pids["inline"]
+        assert runs == [parent] * (maps * runs_per_map)
+        assert (tmp_path / "forked" / "out.csv").read_bytes() == (tmp_path / "inline" / "out.csv").read_bytes()
+
+
 class TestRunGrid:
     def test_scans_full_grid_and_picks_max(self, tmp_path):
         cfg = tiny_train_cfg(
@@ -1026,6 +1084,7 @@ class TestRunValidateRisk:
             runs.append((dataset.n, train_cfg.strategy, [m.selection_risk for m in result.metrics]))
             return result
 
+        force_inline(monkeypatch)
         monkeypatch.setattr(harness, "train_selective", spy)
         run_validate_risk(cfg)
 
@@ -1117,6 +1176,7 @@ class TestTrainOnlyModesReadNoTestSplit:
             widths.append(dataset.num_classes)
             return training.train_selective(dataset, test_set, train_cfg)
 
+        force_inline(monkeypatch)
         monkeypatch.setattr(harness, "train_selective", spy)
         run_train(tiny_train_cfg(tmp_path, **keys, seeds=(0,), epochs=2))
         assert widths == [3]
@@ -1311,15 +1371,29 @@ class TestCli:
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_learner_key_is_checked_before_the_data_is_read(self, tmp_path, capsys):
-        path = tmp_path / "run.cfg"
+        # train's idx pair and simulate's stream csv are missing: reading either first would exit 2
         missing = tmp_path / "missing.idx"
-        path.write_text(
-            f"dataset = idx\nidx_images = {missing}\nidx_labels = {missing}\nepochs = 2\nk_frac = 0.5\n"
-            f"hidden = 0\nout = {tmp_path / 'm.csv'}\n"
-        )
-        assert main(["train", "--config", str(path)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == "config error: hidden must be >= 1, got 0\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+        modes = {
+            "train": f"dataset = idx\nidx_images = {missing}\nidx_labels = {missing}\nepochs = 2\n",
+            "simulate": f"stream = csv\nstream_csv = {missing}\n",
+        }
+        ranges = [
+            ("eta_coefficient = -1", "eta_coefficient must be finite and >= 0, got -1.0"),
+            ("eta_coefficient = nan", "eta_coefficient must be finite and >= 0, got nan"),
+            ("k_frac = 1.5", "k_frac=1.5 outside (0, 1]"),
+            ("k_frac = 0", "k_frac=0.0 outside (0, 1]"),
+        ]
+        cases = [("train", "hidden = 0", "hidden must be >= 1, got 0")]
+        cases += [(mode, line, message) for mode in modes for line, message in ranges]
+        for i, (mode, line, message) in enumerate(cases):
+            case = tmp_path / f"case{i}"
+            case.mkdir()
+            path = case / "run.cfg"
+            k_frac = "" if line.startswith("k_frac") else "k_frac = 0.5\n"
+            path.write_text(f"{modes[mode]}{k_frac}{line}\nout = {case / 'm.csv'}\n")
+            assert main([mode, "--config", str(path)]) == EXIT_CONFIG, (mode, line)
+            assert capsys.readouterr().err == f"config error: {message}\n"
+            assert [p.name for p in case.iterdir()] == ["run.cfg"]
 
     def test_simulate_rejects_a_nan_learning_rate(self, tmp_path, capsys):
         path = tmp_path / "sim.cfg"

@@ -11,6 +11,7 @@ from ksetsel import training
 from ksetsel.datasets import LabelNoiseSpec, apply_label_noise, make_blobs
 from ksetsel.analytics import SelectionTrace, regret
 from ksetsel.errors import InputError, ParameterError
+from ksetsel.mlp import LearnerSpec
 from ksetsel.selection import RiskVector, SelectorConfig, Strategy, init_selection
 from ksetsel.training import TrainConfig, run_epochs, select_sequence, train_selective
 
@@ -34,17 +35,17 @@ def strip_wall(metrics):
 class TestTrainSelective:
     def test_fpl_at_eta_zero_equals_naive(self):
         data = small_noisy_dataset()
-        base = dict(k=30, epochs=8, hidden=16, lr=0.05, batch_size=16, seed=42)
-        fpl = train_selective(data, None, TrainConfig(strategy=Strategy.FPL, eta=0.0, **base))
-        naive = train_selective(data, None, TrainConfig(strategy=Strategy.NAIVE, eta=0.0, **base))
+        base = dict(epochs=8, selector=SelectorConfig(k=30, eta=0.0, seed=42), learner=LearnerSpec(16, 0.05, 16))
+        fpl = train_selective(data, None, TrainConfig(strategy=Strategy.FPL, **base))
+        naive = train_selective(data, None, TrainConfig(strategy=Strategy.NAIVE, **base))
         assert strip_wall(fpl.metrics) == strip_wall(naive.metrics)
         for a, b in zip(fpl.selections, naive.selections):
             np.testing.assert_array_equal(a.indices, b.indices)
 
     def test_deterministic_across_reruns(self):
         data = small_noisy_dataset()
-        config = TrainConfig(strategy=Strategy.FPL, k=30, epochs=6, eta=2.0,
-                             hidden=16, lr=0.05, batch_size=16, seed=7)
+        config = TrainConfig(strategy=Strategy.FPL, epochs=6, selector=SelectorConfig(k=30, eta=2.0, seed=7),
+                             learner=LearnerSpec(hidden=16, lr=0.05, batch_size=16))
         a = train_selective(data, None, config)
         b = train_selective(data, None, config)
         assert strip_wall(a.metrics) == strip_wall(b.metrics)
@@ -53,10 +54,9 @@ class TestTrainSelective:
 
     def test_seed_changes_trajectory(self):
         data = small_noisy_dataset()
-        base = dict(strategy=Strategy.FPL, k=30, epochs=6, eta=2.0,
-                    hidden=16, lr=0.05, batch_size=16)
-        a = train_selective(data, None, TrainConfig(seed=1, **base))
-        b = train_selective(data, None, TrainConfig(seed=2, **base))
+        base = dict(strategy=Strategy.FPL, epochs=6, learner=LearnerSpec(hidden=16, lr=0.05, batch_size=16))
+        a = train_selective(data, None, TrainConfig(selector=SelectorConfig(k=30, eta=2.0, seed=1), **base))
+        b = train_selective(data, None, TrainConfig(selector=SelectorConfig(k=30, eta=2.0, seed=2), **base))
         assert [m.selection_risk for m in a.metrics] != [m.selection_risk for m in b.metrics]
 
     def test_epoch_metrics_shape_and_ranges(self):
@@ -65,8 +65,8 @@ class TestTrainSelective:
         result = train_selective(
             data,
             test_data,
-            TrainConfig(strategy=Strategy.FPL, k=24, epochs=5, eta=1.0,
-                        hidden=16, lr=0.05, batch_size=16, seed=3),
+            TrainConfig(strategy=Strategy.FPL, epochs=5, selector=SelectorConfig(k=24, eta=1.0, seed=3),
+                        learner=LearnerSpec(hidden=16, lr=0.05, batch_size=16)),
         )
         assert len(result.metrics) == 5
         assert len(result.selections) == 5
@@ -86,8 +86,8 @@ class TestTrainSelective:
         result = train_selective(
             data,
             None,
-            TrainConfig(strategy=Strategy.NAIVE, k=20, epochs=3, eta=0.0,
-                        hidden=8, lr=0.05, batch_size=16, seed=0),
+            TrainConfig(strategy=Strategy.NAIVE, epochs=3, selector=SelectorConfig(k=20, eta=0.0, seed=0),
+                        learner=LearnerSpec(hidden=8, lr=0.05, batch_size=16)),
         )
         assert all(np.isnan(m.test_acc) for m in result.metrics)
 
@@ -96,7 +96,7 @@ class TestTrainSelective:
         wrong_dim = make_blobs(30, 5, 3, separation=8.0, seed=1)
         with pytest.raises(InputError):
             train_selective(data, wrong_dim,
-                            TrainConfig(strategy=Strategy.FPL, k=10, epochs=2, seed=0))
+                            TrainConfig(strategy=Strategy.FPL, epochs=2, selector=SelectorConfig(k=10, seed=0)))
 
     def test_cum_regret_is_prefix_consistent(self):
         # Regret at epoch t uses hindsight over epochs 1..t, so the final
@@ -105,8 +105,8 @@ class TestTrainSelective:
         result = train_selective(
             data,
             None,
-            TrainConfig(strategy=Strategy.FPL, k=20, epochs=6, eta=1.0,
-                        hidden=16, lr=0.05, batch_size=16, seed=5),
+            TrainConfig(strategy=Strategy.FPL, epochs=6, selector=SelectorConfig(k=20, eta=1.0, seed=5),
+                        learner=LearnerSpec(hidden=16, lr=0.05, batch_size=16)),
         )
         total = sum(m.selection_risk for m in result.metrics)
         assert result.cum.epochs_seen == 6
@@ -119,8 +119,8 @@ class TestTrainSelective:
             result = train_selective(
                 data,
                 None,
-                TrainConfig(strategy=Strategy.RANDOM, k=120, epochs=3, eta=0.0,
-                            hidden=8, lr=0.05, batch_size=16, seed=0),
+                TrainConfig(strategy=Strategy.RANDOM, epochs=3, selector=SelectorConfig(k=120, eta=0.0, seed=0),
+                            learner=LearnerSpec(hidden=8, lr=0.05, batch_size=16)),
             )
         for sel in result.selections:
             np.testing.assert_array_equal(sel.indices, np.arange(120))
@@ -132,22 +132,22 @@ class TestTrainSelective:
         result = train_selective(
             data,
             None,
-            TrainConfig(strategy=Strategy.FPL, k=30, epochs=15, eta=0.5,
-                        hidden=32, lr=0.05, batch_size=16, seed=13),
+            TrainConfig(strategy=Strategy.FPL, epochs=15, selector=SelectorConfig(k=30, eta=0.5, seed=13),
+                        learner=LearnerSpec(hidden=32, lr=0.05, batch_size=16)),
         )
         assert result.metrics[-1].label_precision > 0.6
 
     def test_invalid_k(self):
         data = small_noisy_dataset()
         with pytest.raises(ParameterError):
-            TrainConfig(strategy=Strategy.FPL, k=0, epochs=2, eta=0.0, seed=0)
+            TrainConfig(strategy=Strategy.FPL, epochs=2, selector=SelectorConfig(k=0, eta=0.0, seed=0))
         with pytest.raises(ParameterError):
             train_selective(data, None,
-                            TrainConfig(strategy=Strategy.FPL, k=121, epochs=2, eta=0.0, seed=0))
+                            TrainConfig(strategy=Strategy.FPL, epochs=2, selector=SelectorConfig(k=121, seed=0)))
 
     def test_negative_eta_rejected(self):
         with pytest.raises(ParameterError):
-            TrainConfig(strategy=Strategy.FPL, k=10, epochs=2, eta=-1.0, seed=0)
+            TrainConfig(strategy=Strategy.FPL, epochs=2, selector=SelectorConfig(k=10, eta=-1.0, seed=0))
 
 
 def uniform_risks(n, epochs, seed):
@@ -289,7 +289,7 @@ class TestWorkerThread:
 
     def test_train_selective_joins_its_worker(self, drawn_on):
         before = threading.active_count()
-        train_selective(small_noisy_dataset(), None, TrainConfig(strategy=Strategy.FPL, k=30, epochs=4, hidden=4))
+        train_selective(small_noisy_dataset(), None, TrainConfig(Strategy.FPL, 4, SelectorConfig(30), LearnerSpec(4)))
         assert threading.active_count() == before
         self.assert_one_worker(drawn_on, 3)
 
@@ -316,7 +316,7 @@ class TestWorkerThread:
 
     def test_one_epoch_draws_nothing_and_leaves_no_thread(self, drawn_on):
         before = threading.active_count()
-        train_selective(small_noisy_dataset(), None, TrainConfig(strategy=Strategy.FPL, k=30, epochs=1, hidden=4))
+        train_selective(small_noisy_dataset(), None, TrainConfig(Strategy.FPL, 1, SelectorConfig(30), LearnerSpec(4)))
         assert threading.active_count() == before
         assert drawn_on == []
 
