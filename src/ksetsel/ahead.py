@@ -1,74 +1,57 @@
 """The package's concurrency: ReadAhead, its one worker thread, and fork_map.
 
-FPL's perturbations and simulate's stream are drawn through ReadAhead an
-epoch ahead, and predict_batch scores every other chunk of a
-multi-chunk call through it.  fork_map runs independent training runs
-side by side in forked children: ablate's, grid's and validate-risk's.
+ReadAhead draws an iterator's items one item ahead on a one-worker
+ThreadPoolExecutor: FPL's perturbations and simulate's stream an epoch
+ahead, and every other chunk of a multi-chunk predict_batch call.
+fork_map runs independent training runs side by side in forked
+children: ablate's, grid's and validate-risk's.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import queue
 import signal
 import sys
-import threading
 import warnings
 from collections.abc import Callable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from typing import NoReturn
 
 __all__ = ["ReadAhead", "fork_map"]
 
 
 class ReadAhead:
-    """items, drawn one item ahead on a single worker thread.
+    """items, drawn one item ahead on a one-worker ThreadPoolExecutor.
 
     Building it asks for item 1.  Taking item t asks the worker for
     item t + 1, so the worker draws it while the caller uses item t.
     Only the worker advances items.  An exception the worker meets,
     StopIteration once the items run out included, is raised where the
-    caller takes that item.  Leaving the with block joins the worker,
-    whether the run returned or raised; an item already asked for is
-    drawn first.
+    caller takes that item and at every take after it.  Leaving the
+    with block shuts the executor down, joining its thread, whether the
+    run returned or raised; an item already asked for is drawn first.
     """
 
     def __init__(self, items: Iterator):
         self._items = items
-        self._asks: queue.SimpleQueue[bool] = queue.SimpleQueue()  # True: draw the next item; False: stop
-        self._drawn: queue.SimpleQueue[tuple] = queue.SimpleQueue()  # (item, None) or (None, its exception)
-        self._worker = threading.Thread(target=self._work, name="ksetsel-ahead")
-        self._worker.start()
-        self._asks.put(True)
-
-    def _work(self) -> None:
-        while self._asks.get():
-            try:
-                self._drawn.put((next(self._items), None))
-            except BaseException as exc:  # raised again on the caller's thread, in __next__
-                self._drawn.put((None, exc))
-                return
+        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ksetsel-ahead")
+        self._drawn = self._pool.submit(next, items)
 
     def __next__(self):
-        item, exc = self._drawn.get()
-        if exc is not None:
-            raise exc
-        self._asks.put(True)
+        item = self._drawn.result()  # a failed draw stays in _drawn, so every later take raises it again
+        self._drawn = self._pool.submit(next, self._items)
         return item
 
     def __enter__(self) -> "ReadAhead":
         return self
 
     def __exit__(self, *exc) -> None:
-        self._asks.put(False)
-        self._worker.join()
+        self._pool.shutdown(wait=True)
 
 
 def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
 def _one_thread() -> bool:
@@ -107,8 +90,8 @@ def fork_map(fn: Callable, items: list) -> list:
     interrupted is killed.
     """
     items = list(items)
-    workers = min(len(items), _usable_cpus())
-    if workers < 2 or not _one_thread():
+    workers = min(len(items), _usable_cpus()) if len(items) > 1 and _one_thread() else 1
+    if workers < 2:
         return [fn(item) for item in items]
     children: list[tuple] = []  # (pid, the pipe read from it, its item indices), until reaped
     outcomes: dict[int, tuple] = {}  # item index -> (result, exception, warnings)

@@ -19,7 +19,7 @@ owns in place.
 
 Scoring rows that span two or more chunks runs on two threads: a
 ReadAhead worker scores every other chunk while the caller scores the
-rest.  The chunk boundaries are fixed by the chunk size alone, and a
+rest.  The chunk boundaries are fixed by SCORE_CHUNK alone, and a
 row's bits can depend on the row count of the GEMM it is scored in,
 so the chunk size is part of the output contract and a chunk is never
 split between threads.  Training stays on the calling thread.
@@ -52,6 +52,8 @@ __all__ = [
     "predict_batch",
     "evaluate",
 ]
+
+SCORE_CHUNK = 4096  # rows per scoring GEMM, part of the output contract (see above)
 
 
 @dataclass(frozen=True)
@@ -281,20 +283,19 @@ def _score_chunks(
         conf[start:stop] = probs[np.arange(probs.shape[0]), part]
 
 
-def predict_batch(model: MlpModel, x: np.ndarray, chunk: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+def predict_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Argmax labels and their probabilities; ties go to the smaller class.
 
     x is float rows, or u8 rows meaning value / 255, scored in chunks of
-    chunk rows.  When x spans two or more chunks, a ReadAhead worker
-    scores every other chunk (the second, fourth, ...) as its one item
-    while this thread scores the rest, then takes that item: the
-    worker is joined before this returns or raises, and its exception
-    is raised here.  Each chunk is the same computation on the same
-    rows whichever thread runs it, so the result does not depend on
-    the split.
+    SCORE_CHUNK rows.  When x spans two or more chunks, a ReadAhead
+    worker (the thread of a one-worker ThreadPoolExecutor) scores every
+    other chunk (the second, fourth, ...) as its one item while this
+    thread scores the rest, then takes that item: the worker is joined
+    before this returns or raises, and its exception is raised here.
+    Each chunk is the same computation on the same rows whichever
+    thread runs it, so the result does not depend on the split.
     """
-    if chunk < 1:
-        raise ParameterError(f"chunk must be >= 1, got {chunk}")
+    chunk = SCORE_CHUNK
     x = _check_width(model, x)
     labels = np.empty(x.shape[0], dtype=np.int64)
     conf = np.empty(x.shape[0], dtype=np.float64)

@@ -42,12 +42,33 @@ class Tracked:
         assert self.threads and self.threads[0] is not threading.main_thread() and not self.threads[0].is_alive()
 
 
+def take(ahead):
+    """next(ahead), taken on a daemon thread so that a take that never returns fails the test instead of hanging it."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((next(ahead), None))
+        except BaseException as exc:
+            outcome.append((None, exc))
+
+    taker = threading.Thread(target=run, daemon=True)
+    taker.start()
+    taker.join(timeout=20)
+    if taker.is_alive():
+        pytest.fail("a take from ReadAhead did not return within 20 s")
+    item, exc = outcome[0]
+    if exc is not None:
+        raise exc
+    return item
+
+
 def test_items_come_back_in_order_and_then_stop():
     items, before = Tracked(5), threading.active_count()
     with ReadAhead(items.items()) as ahead:
-        assert [next(ahead) for _ in range(5)] == [1, 2, 3, 4, 5]
+        assert [take(ahead) for _ in range(5)] == [1, 2, 3, 4, 5]
         with pytest.raises(StopIteration):
-            next(ahead)
+            take(ahead)
     items.assert_joined(before)
 
 
@@ -55,24 +76,47 @@ def test_no_items_stop_at_once():
     items, before = Tracked(0), threading.active_count()
     with ReadAhead(items.items()) as ahead:
         with pytest.raises(StopIteration):
-            next(ahead)
+            take(ahead)
     items.assert_joined(before)
 
 
 def test_an_items_exception_reaches_the_caller_where_it_takes_that_item():
     items, before = Tracked(5, fail_at=3), threading.active_count()
     with ReadAhead(items.items()) as ahead:
-        assert [next(ahead), next(ahead)] == [1, 2]
+        assert [take(ahead), take(ahead)] == [1, 2]
         with pytest.raises(ValueError, match=r"^item 3 failed$"):
-            next(ahead)
+            take(ahead)
     items.assert_joined(before)
     assert items.drawn == [1, 2]
+
+
+def test_every_take_after_a_failed_item_raises_it_again():
+    items, before = Tracked(5, fail_at=2), threading.active_count()
+    with ReadAhead(items.items()) as ahead:
+        assert take(ahead) == 1
+        raised = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^item 2 failed$") as caught:
+                take(ahead)
+            raised.append(caught.value)
+    items.assert_joined(before)
+    assert items.drawn == [1] and raised[0] is raised[1]
+
+
+def test_every_take_after_the_last_item_stops():
+    items, before = Tracked(2), threading.active_count()
+    with ReadAhead(items.items()) as ahead:
+        assert [take(ahead), take(ahead)] == [1, 2]
+        for _ in range(3):
+            with pytest.raises(StopIteration):
+                take(ahead)
+    items.assert_joined(before)
 
 
 def test_leaving_early_draws_only_the_item_asked_for():
     items, before = Tracked(5), threading.active_count()
     with ReadAhead(items.items()) as ahead:
-        assert next(ahead) == 1
+        assert take(ahead) == 1
     items.assert_joined(before)
     assert items.drawn == [1, 2]
 
@@ -82,7 +126,7 @@ def test_a_caller_error_joins_after_the_item_asked_for_is_drawn():
     items, before = Tracked(5, gate=2), threading.active_count()
     with pytest.raises(KeyError, match="caller failed"):
         with ReadAhead(items.items()) as ahead:
-            assert next(ahead) == 1
+            assert take(ahead) == 1
             opener = threading.Timer(0.05, items.release.set)
             opener.start()
             raise KeyError("caller failed")
@@ -139,6 +183,17 @@ def test_runs_inline(monkeypatch, forked, why):
         monkeypatch.setattr(ahead, "_one_thread", lambda: False)
     items = [5] if why == "one item" else [5, 6, 7]
     assert fork_map(lambda item: (item, os.getpid()), items) == [(item, os.getpid()) for item in items]
+
+
+def test_an_inline_run_counts_no_cpus(monkeypatch):
+    def counted():
+        raise AssertionError("fork_map counted CPUs for a run it keeps inline")
+
+    monkeypatch.setattr(ahead, "_usable_cpus", counted)
+    monkeypatch.setattr(ahead, "_one_thread", lambda: False)
+    assert fork_map(lambda item: (item, os.getpid()), [5, 6]) == [(5, os.getpid()), (6, os.getpid())]
+    monkeypatch.setattr(ahead, "_one_thread", lambda: True)
+    assert fork_map(lambda item: (item, os.getpid()), [5]) == [(5, os.getpid())]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")

@@ -1226,7 +1226,7 @@ class TestIdxMemory:
             f"out = {tmp_path / 'm.csv'}\n"
         )
         # Score 64 rows a chunk: the default 4096 would convert all 2000 rows at once.
-        monkeypatch.setattr(mlp.predict_batch, "__defaults__", (64,))
+        monkeypatch.setattr(mlp, "SCORE_CHUNK", 64)
         tracemalloc.start()
         try:
             assert main([mode, "--config", str(path)]) == EXIT_OK

@@ -143,10 +143,11 @@ class TestInPlaceMatchesReference:
         np.testing.assert_array_equal(forward_batch(model, x), ref_forward(model, x)[2])
 
     @pytest.mark.parametrize("scale", [0.01, 1.0, 300.0])
-    def test_predict_batch_across_chunk_boundaries(self, scale):
+    def test_predict_batch_across_chunk_boundaries(self, monkeypatch, scale):
         model, x = self.model_and_inputs(1, 200, scale)
         for chunk in (1, 7, 200, 4096):
-            labels, conf = predict_batch(model, x, chunk=chunk)
+            monkeypatch.setattr(mlp, "SCORE_CHUNK", chunk)
+            labels, conf = predict_batch(model, x)
             ref_labels, ref_conf = ref_predict_batch(model, x, chunk)
             np.testing.assert_array_equal(labels, ref_labels)
             np.testing.assert_array_equal(conf, ref_conf)
@@ -188,12 +189,13 @@ class TestU8Inputs:
         assert u8.features.dtype == np.uint8 and floats.features.dtype == np.float64
         return u8, floats
 
-    def test_predict_batch_and_evaluate(self):
+    def test_predict_batch_and_evaluate(self, monkeypatch):
         u8, floats = self.u8_and_float(0)
         model = init_mlp(9, 6, 3, seed=1)
         for chunk in (1, 7, 16, 50, 4096):  # 7 and 16 do not divide n = 50
-            labels, conf = predict_batch(model, u8.features, chunk=chunk)
-            ref_labels, ref_conf = predict_batch(model, floats.features, chunk=chunk)
+            monkeypatch.setattr(mlp, "SCORE_CHUNK", chunk)
+            labels, conf = predict_batch(model, u8.features)
+            ref_labels, ref_conf = predict_batch(model, floats.features)
             np.testing.assert_array_equal(labels, ref_labels)
             np.testing.assert_array_equal(conf.view(np.int64), ref_conf.view(np.int64))
         report = evaluate(model, u8.features, u8.true_labels)
@@ -231,12 +233,6 @@ class TestPredictBatch:
             tracemalloc.stop()
         assert peak <= 1.25 * m * hidden * 8
 
-    @pytest.mark.parametrize("chunk", [0, -1])
-    def test_chunk_below_one_is_rejected(self, chunk):
-        model = init_mlp(3, 4, 2, seed=0)
-        with pytest.raises(ParameterError, match="chunk"):
-            predict_batch(model, np.zeros((5, 3)), chunk=chunk)
-
 
 class TestScoringWorker:
     """x of two or more chunks: a ReadAhead worker scores every other chunk, joined before predict_batch ends."""
@@ -270,28 +266,30 @@ class TestScoringWorker:
         monkeypatch.setattr(mlp, "_forward", recorded)
         return calls
 
-    def assert_matches_reference(self, model, x, chunk):
-        labels, conf = predict_batch(model, x, chunk=chunk)
+    def assert_matches_reference(self, monkeypatch, model, x, chunk):
+        monkeypatch.setattr(mlp, "SCORE_CHUNK", chunk)
+        labels, conf = predict_batch(model, x)
         ref_labels, ref_conf = ref_predict_batch(model, x, chunk)
         np.testing.assert_array_equal(labels, ref_labels)
         np.testing.assert_array_equal(conf.view(np.int64), ref_conf.view(np.int64))
 
     @pytest.mark.parametrize("dtype", ["u8", "float"])
     @pytest.mark.parametrize("m", [4096, 4096 + 517, 2 * 4096 + 517, 3 * 4096 + 517])
-    def test_idx_width_matches_reference(self, switchy, dtype, m):
+    def test_idx_width_matches_reference(self, monkeypatch, switchy, dtype, m):
         model = init_mlp(784, 16, 10, seed=0)
-        self.assert_matches_reference(model, self.rows(dtype, m, 784, 1), 4096)
+        self.assert_matches_reference(monkeypatch, model, self.rows(dtype, m, 784, 1), 4096)
 
     @pytest.mark.parametrize("dtype", ["u8", "float"])
     @pytest.mark.parametrize("chunk, m", [(7, 7), (7, 12), (7, 19), (7, 23), (16, 50), (1, 5)])
-    def test_small_chunks_match_reference(self, switchy, dtype, chunk, m):
+    def test_small_chunks_match_reference(self, monkeypatch, switchy, dtype, chunk, m):
         model = init_mlp(9, 6, 3, seed=2)
         model.w2 *= 50.0  # far-apart logits: some confidences reach 1.0
-        self.assert_matches_reference(model, self.rows(dtype, m, 9, 3), chunk)
+        self.assert_matches_reference(monkeypatch, model, self.rows(dtype, m, 9, 3), chunk)
 
-    def test_worker_scores_every_other_chunk(self, scored_on):
+    def test_worker_scores_every_other_chunk(self, monkeypatch, scored_on):
         before = threading.active_count()
-        predict_batch(init_mlp(9, 6, 3, seed=0), self.rows("u8", 23, 9, 1), chunk=7)
+        monkeypatch.setattr(mlp, "SCORE_CHUNK", 7)
+        predict_batch(init_mlp(9, 6, 3, seed=0), self.rows("u8", 23, 9, 1))
         assert threading.active_count() == before
         main = threading.main_thread()
         # rows 0-7 and 14-21 on this thread, rows 7-14 and the remainder 21-23 on the worker
@@ -315,7 +313,8 @@ class TestScoringWorker:
             return real(model, x, keep_pre)
 
         monkeypatch.setattr(mlp, "_forward", gated)
-        predict_batch(init_mlp(9, 6, 3, seed=0), self.rows("u8", 40, 9, 1), chunk=7)
+        monkeypatch.setattr(mlp, "SCORE_CHUNK", 7)
+        predict_batch(init_mlp(9, 6, 3, seed=0), self.rows("u8", 40, 9, 1))
         assert worker_chunks == [7, 7, 5]  # rows 7-14, 21-28 and 35-40
 
     def test_one_chunk_starts_no_thread(self, monkeypatch, scored_on):
@@ -323,9 +322,10 @@ class TestScoringWorker:
             raise AssertionError("a one-chunk call started a thread")
 
         monkeypatch.setattr(mlp, "ReadAhead", no_thread)
+        monkeypatch.setattr(mlp, "SCORE_CHUNK", 7)
         model = init_mlp(9, 6, 3, seed=0)
         for m in (0, 1, 7):
-            predict_batch(model, self.rows("u8", m, 9, 1), chunk=7)
+            predict_batch(model, self.rows("u8", m, 9, 1))
         assert [thread for thread, _ in scored_on] == [threading.main_thread()] * 2  # m = 0 scores nothing
 
     @pytest.mark.parametrize("on_worker", [True, False])
@@ -338,9 +338,10 @@ class TestScoringWorker:
             return real(model, x, keep_pre)
 
         monkeypatch.setattr(mlp, "_forward", failing)
+        monkeypatch.setattr(mlp, "SCORE_CHUNK", 7)
         before = threading.active_count()
         with pytest.raises(InputError, match=r"^chunk failed$"):
-            predict_batch(init_mlp(9, 6, 3, seed=0), self.rows("float", 30, 9, 1), chunk=7)
+            predict_batch(init_mlp(9, 6, 3, seed=0), self.rows("float", 30, 9, 1))
         assert threading.active_count() == before
 
 
