@@ -78,9 +78,11 @@ class ExperimentConfig:
     """Everything a run mode needs; unused fields are ignored by each mode.
 
     Construction checks every field that does not depend on the data
-    (resolve_k checks k against n), keeps the first of a repeated
-    selector and builds learner, the LearnerSpec of hidden, lr and
-    batch_size that every run is handed; its checks raise ConfigError.
+    (resolve_k checks k against n), turns each selector name into its
+    Strategy, any case, keeps the first of a repeated selector and
+    builds learner, the LearnerSpec of hidden, lr and batch_size that
+    every run is handed; its checks raise ConfigError.  The learner and
+    stream defaults are LearnerSpec's and StreamSpec's.
     """
 
     mode: str = "train"
@@ -109,13 +111,13 @@ class ExperimentConfig:
     # label noise; each run replaces its seed with the run seed
     noise: LabelNoiseSpec | None = None
     # learner
-    hidden: int = 256
-    lr: float = 0.05
-    batch_size: int = 32
+    hidden: int = LearnerSpec.hidden
+    lr: float = LearnerSpec.lr
+    batch_size: int = LearnerSpec.batch_size
     # streams (simulate mode)
     stream: str = "uniform"
-    clean_fraction: float = 0.5
-    noise_scale: float = 0.1
+    clean_fraction: float = StreamSpec.clean_fraction
+    noise_scale: float = StreamSpec.noise_scale
     drift_period: int = 50
     stream_csv: str | None = None
     dump_stream: str | None = None
@@ -126,7 +128,14 @@ class ExperimentConfig:
     alpha: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "selectors", tuple(dict.fromkeys(self.selectors)))
+        if isinstance(self.selectors, str):
+            raise ConfigError(f"selectors must be a sequence of names, got the string {self.selectors!r}")
+        valid = [s.value for s in Strategy]
+        names = [s.lower() if isinstance(s, str) else s for s in self.selectors]  # members too: Strategy is a str
+        for name in names:
+            if name not in valid:
+                raise ConfigError(f"unknown selector {name!r}; valid: {', '.join(valid)}")
+        object.__setattr__(self, "selectors", tuple(dict.fromkeys(map(Strategy, names))))
         if self.k is not None and self.k_frac is not None:
             raise ConfigError("set only one of k and k_frac")
         if self.mode not in MODES:
@@ -146,6 +155,8 @@ class ExperimentConfig:
             object.__setattr__(self, "learner", LearnerSpec(hidden=self.hidden, lr=self.lr, batch_size=self.batch_size))
         except ParameterError as exc:
             raise ConfigError(str(exc)) from None
+        if self.noise is not None and not isinstance(self.noise, LabelNoiseSpec):
+            raise ConfigError(f"noise must be a LabelNoiseSpec, got {self.noise!r}")
         if self.test_n is not None and self.test_n < 1:
             raise ConfigError(f"test_n must be >= 1, got {self.test_n}")
         if self.dataset not in ("blobs", "idx", "csv"):
@@ -175,20 +186,8 @@ def resolve_eta(eta_coefficient: float, k: int, epochs: int) -> float:
     return eta_coefficient * float(np.sqrt(k * epochs))
 
 
-def _parse_int_list(v: str) -> tuple[int, ...]:
-    return tuple(int(p.strip()) for p in v.split(",") if p.strip())
-
-
-def _parse_selectors(v: str) -> tuple[Strategy, ...]:
-    names = [p.strip().lower() for p in v.split(",") if p.strip()]
-    out = []
-    for name in names:
-        try:
-            out.append(Strategy(name))
-        except ValueError:
-            valid = ", ".join(s.value for s in Strategy)
-            raise ConfigError(f"unknown selector {name!r}; valid: {valid}") from None
-    return tuple(out)
+def _split(v: str) -> tuple[str, ...]:
+    return tuple(p.strip() for p in v.split(",") if p.strip())
 
 
 def parse_noise(v: str) -> LabelNoiseSpec:
@@ -204,8 +203,8 @@ _TYPE_PARSERS = {
     "int": int,
     "float": float,
     "str": str,
-    "tuple[int, ...]": _parse_int_list,
-    "tuple[Strategy, ...]": _parse_selectors,
+    "tuple[int, ...]": lambda v: tuple(map(int, _split(v))),
+    "tuple[Strategy, ...]": _split,  # ExperimentConfig turns the names into Strategy members
     "LabelNoiseSpec": parse_noise,
 }
 _KEY_PARSERS = {
@@ -257,11 +256,14 @@ def _suffixed(out: str, tag: str) -> str:
     return str(p.with_name(f"{p.stem}_{tag}{p.suffix or '.csv'}"))
 
 
-def _require_out(cfg: ExperimentConfig) -> str:
+def _require_out(cfg: ExperimentConfig, *also: str) -> str:
+    """cfg.out, once its directory and those of the path keys in also that are set are known to exist."""
     if not cfg.out:
         raise ConfigError(f"mode {cfg.mode!r} needs an output path (out = ... or --out)")
-    if not Path(cfg.out).parent.is_dir():
-        raise ConfigError(f"out = {cfg.out}: directory {Path(cfg.out).parent} does not exist")
+    for key in ("out", *also):
+        path = getattr(cfg, key)
+        if path and not Path(path).parent.is_dir():
+            raise ConfigError(f"{key} = {path}: directory {Path(path).parent} does not exist")
     return cfg.out
 
 
@@ -329,9 +331,10 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
     theta_{t+1} is drawn while the selectors use theta_t, and a
     generated stream holds at most these two risk vectors at once.
     dump_stream writes the first seed's stream one epoch at a time as
-    it is generated, so dumping never holds the whole stream.
+    it is generated, so dumping never holds the whole stream; its
+    directory must exist, like out's, and both are checked first.
     """
-    out = _require_out(cfg)
+    out = _require_out(cfg, "dump_stream")
     if cfg.stream == "csv":
         if not cfg.stream_csv:
             raise ConfigError("stream = csv needs stream_csv = PATH")

@@ -14,8 +14,8 @@ each scoring thread reuses, so no whole float64 copy of the inputs is
 made.  The forward pass writes each step into the array the step
 before made, so a scoring thread holds at most one hidden-sized
 (chunk, h) temporary per chunk; training checks its inputs once per
-epoch, not once per batch, and its SGD step scales the gradients it
-owns in place.
+epoch, not once per batch (its LearnerSpec checked itself when built),
+and its SGD step scales the gradients it owns in place.
 
 Scoring rows that span two or more chunks runs on two threads: a
 ReadAhead worker scores every other chunk while the caller scores the
@@ -137,11 +137,6 @@ def _check_labels(model: MlpModel, labels: np.ndarray) -> None:
         raise InputError(f"labels must lie in [0, {model.num_classes - 1}]")
 
 
-def _check_lr(lr: float) -> None:
-    if not (np.isfinite(lr) and lr >= 0.0):
-        raise ParameterError(f"learning rate must be finite and >= 0, got {lr}")
-
-
 def _softmax(z: np.ndarray) -> None:
     """Turn the (m, C) logits z into probabilities, in place."""
     z -= z.max(axis=-1, keepdims=True)
@@ -214,10 +209,9 @@ def backward(model: MlpModel, x: np.ndarray, label: int) -> Gradients:
     return batch_gradients(model, x[None, :], np.array([label]))
 
 
-def sgd_step(model: MlpModel, grads: Gradients, lr: float) -> None:
-    """model -= lr * grads; grads are left as they were."""
-    _check_lr(lr)
-    _step(model, Gradients(grads.w1.copy(), grads.b1.copy(), grads.w2.copy(), grads.b2.copy()), lr)
+def sgd_step(model: MlpModel, grads: Gradients, learner: LearnerSpec) -> None:
+    """model -= learner.lr * grads; grads are left as they were."""
+    _step(model, Gradients(grads.w1.copy(), grads.b1.copy(), grads.w2.copy(), grads.b2.copy()), learner.lr)
 
 
 def _step(model: MlpModel, grads: Gradients, lr: float) -> None:
@@ -231,23 +225,19 @@ def train_epoch(
     model: MlpModel,
     dataset: Dataset,
     selection: KSetSelection,
-    lr: float,
-    batch_size: int,
+    learner: LearnerSpec,
     rng: np.random.Generator,
 ) -> MlpModel:
-    """One pass of mini-batch SGD over the selected samples.
+    """One pass of mini-batch SGD over the selected samples, at learner's lr and batch_size.
 
     The selected indices are shuffled, then visited exactly once in
-    batches of batch_size (last batch may be short).  Labels are the
-    assigned ones; the learner never sees true labels.  lr = 0 leaves
-    the model bitwise unchanged.  The learning rate, feature width and
-    label range are checked once, before the first batch.  Raises
-    DivergenceError if a parameter is no longer finite at the end of
-    the pass.
+    batches of learner.batch_size (last batch may be short).  Labels
+    are the assigned ones; the learner never sees true labels.  lr = 0
+    leaves the model bitwise unchanged.  learner was checked when it was
+    built; the feature width and label range are checked once, before
+    the first batch.  Raises DivergenceError if a parameter is no longer
+    finite at the end of the pass.
     """
-    if batch_size < 1:
-        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
-    _check_lr(lr)
     if selection.indices[-1] >= dataset.n:
         raise InputError(f"selection index {selection.indices[-1]} out of range for n={dataset.n}")
     if dataset.dim != model.dim:
@@ -255,13 +245,13 @@ def train_epoch(
     order = selection.indices[rng.permutation(selection.k)]
     labels = dataset.assigned_labels[order]
     _check_labels(model, labels)
-    for start in range(0, order.shape[0], batch_size):
-        batch = order[start : start + batch_size]
-        grads = _gradients(model, dataset.rows(batch), labels[start : start + batch_size])
-        _step(model, grads, lr)
+    for start in range(0, order.shape[0], learner.batch_size):
+        batch = order[start : start + learner.batch_size]
+        grads = _gradients(model, dataset.rows(batch), labels[start : start + learner.batch_size])
+        _step(model, grads, learner.lr)
     for name in ("w1", "b1", "w2", "b2"):
         if not np.isfinite(getattr(model, name)).all():
-            raise DivergenceError(f"training diverged: {name} is no longer finite at learning rate {lr}")
+            raise DivergenceError(f"training diverged: {name} is no longer finite at learning rate {learner.lr}")
     return model
 
 

@@ -69,16 +69,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """One training run: its strategy and epoch count, and the specs of its selector and learner."""
+    """One training run: its strategy, its epoch count (run_epochs checks it) and its selector and learner specs."""
 
     strategy: Strategy
     epochs: int
     selector: SelectorConfig
     learner: LearnerSpec = LearnerSpec()
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass(frozen=True)
@@ -163,8 +159,10 @@ def run_epochs(
     Label precision is nan without a clean mask.  wall_ms runs from the
     first pick to folding theta_t in, alike in every strategy's row.
     Selections are not kept; a caller that needs them records them in
-    its feedback.
+    its feedback.  epochs must be >= 1.
     """
+    if epochs < 1:
+        raise ParameterError(f"epochs must be >= 1, got {epochs}")
     cfg.check_n(n)
     _, _, selector_stream, first_stream = _seed_streams(cfg.seed)
     first = init_selection(n, cfg.k, seed=int(first_stream.generate_state(1)[0]))
@@ -241,7 +239,7 @@ def train_selective(dataset: Dataset, test_set: Dataset | None, cfg: TrainConfig
 
     def feedback(epoch: int, picks: list[KSetSelection]):
         selections.append(picks[0])
-        train_epoch(model, dataset, picks[0], cfg.learner.lr, cfg.learner.batch_size, shuffle_rng)
+        train_epoch(model, dataset, picks[0], cfg.learner, shuffle_rng)
         predicted, conf = predict_batch(model, dataset.features)
         theta = RiskVector(noise_risk_scores(predicted, conf, dataset.assigned_labels))
         train_acc = float((predicted == dataset.assigned_labels).mean())

@@ -26,7 +26,7 @@ from ksetsel import ahead, cli, harness, mlp, selection, training
 from ksetsel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from ksetsel.datasets import LabelNoiseSpec, make_blobs, save_csv_dataset
 from ksetsel.errors import ConfigError, DataError, InputError, ParameterError
-from ksetsel.feedback import load_stream_csv, noise_risk_scores
+from ksetsel.feedback import StreamSpec, load_stream_csv, noise_risk_scores
 from ksetsel.harness import (
     ETA_COEFFICIENT_GRID,
     METRICS_HEADER,
@@ -196,6 +196,9 @@ class TestConfigParsing:
             ({"validation_fraction": 0.0}, "validation_fraction must lie in (0, 1), got 0.0"),
             ({"validation_fraction": 1.0}, "validation_fraction must lie in (0, 1), got 1.0"),
             ({"validation_fraction": float("nan")}, "validation_fraction must lie in (0, 1), got nan"),
+            ({"selectors": ("fpl", "xyz")}, "unknown selector 'xyz'; valid: fpl, naive, greedy, random"),
+            ({"selectors": "fpl"}, "selectors must be a sequence of names, got the string 'fpl'"),
+            ({"noise": "sym:0.4"}, "noise must be a LabelNoiseSpec, got 'sym:0.4'"),
         ],
     )
     def test_direct_config_checks_itself(self, fields, message):
@@ -217,6 +220,17 @@ class TestConfigParsing:
         assert getattr(cfg.learner, key) == getattr(cfg, key)
         assert TrainConfig(Strategy.FPL, 1, SelectorConfig(k=1), cfg.learner).learner is cfg.learner
         assert [f.name for f in dataclasses.fields(TrainConfig)] == ["strategy", "epochs", "selector", "learner"]
+
+    def test_direct_config_turns_selector_names_into_strategies(self):
+        cfg = ExperimentConfig(selectors=("fpl", "NAIVE", Strategy.FPL, "Greedy"))
+        assert cfg.selectors == (Strategy.FPL, Strategy.NAIVE, Strategy.GREEDY)
+        assert all(type(s) is Strategy for s in cfg.selectors)
+
+    def test_defaults_are_the_specs_defaults(self):
+        cfg = ExperimentConfig()
+        assert cfg.learner == mlp.LearnerSpec()
+        defaults = {f.name: f.default for f in dataclasses.fields(StreamSpec)}
+        assert (cfg.clean_fraction, cfg.noise_scale) == (defaults["clean_fraction"], defaults["noise_scale"])
 
     def test_direct_config_counts_a_repeated_selector_once(self):
         cfg = ExperimentConfig(selectors=(Strategy.FPL, Strategy.NAIVE, Strategy.FPL))
@@ -517,6 +531,17 @@ class TestRunAblate:
         _, rows = read_rows(tmp_path / "cmp.csv")
         assert [row.split(",")[0] for row in rows] == ["fpl", "naive"]
         assert sum(row.endswith(",1") for row in rows) == 1
+
+    def test_selector_names_write_the_same_bytes_as_members(self, tmp_path):
+        written = []
+        for tag, selectors in (("names", ("fpl", "naive")), ("members", (Strategy.FPL, Strategy.NAIVE))):
+            (tmp_path / tag).mkdir()
+            run_ablate(ablate_cfg(tmp_path, out=str(tmp_path / tag / "cmp.csv"), seeds=(0, 1), selectors=selectors))
+            files = sorted((tmp_path / tag).iterdir())
+            written.append({p.name: p.read_text() if p.name == "cmp.csv" else drop_wall(p.read_text().splitlines())
+                            for p in files})
+        assert list(written[0]) == ["cmp.csv", "cmp_fpl.csv", "cmp_naive.csv"]
+        assert written[0] == written[1]
 
     def test_needs_two_selectors(self, tmp_path):
         cfg = tiny_train_cfg(tmp_path, mode="ablate", selectors=(Strategy.FPL,))
@@ -1106,7 +1131,7 @@ class TestRunValidateRisk:
                 shuffle_rng = np.random.default_rng(streams[1])
                 risks = []
                 for _ in range(cfg.epochs):
-                    mlp.train_epoch(model, noisy, fixed, cfg.lr, cfg.batch_size, shuffle_rng)
+                    mlp.train_epoch(model, noisy, fixed, cfg.learner, shuffle_rng)
                     predicted, conf = mlp.predict_batch(model, noisy.samples)
                     theta = noise_risk_scores(predicted, conf, noisy.assigned_labels)
                     risks.append(float(theta[fixed.indices].sum()))
@@ -1421,6 +1446,26 @@ class TestCli:
         assert main([mode, "--config", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: out = {out}: directory {out.parent} does not exist\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("stream", ["planted", "csv"])
+    def test_missing_dump_directory_exits_one_before_any_stream(self, tmp_path, capsys, monkeypatch, stream):
+        # csv replays a file that does not exist: reading it first would exit 2 with a data error
+        def no_stream(*args):
+            raise AssertionError("a stream was drawn or read")
+
+        monkeypatch.setattr(harness, "stream_epochs", no_stream)
+        monkeypatch.setattr(harness, "load_stream_csv", no_stream)
+        monkeypatch.setattr(harness, "run_epochs", no_stream)
+        dump = tmp_path / "absent" / "s.csv"
+        path = tmp_path / "sim.cfg"
+        path.write_text(
+            f"stream = {stream}\nstream_csv = {tmp_path / 'replay.csv'}\nn = 60\nk = 12\nepochs = 3\n"
+            f"dump_stream = {dump}\nout = {tmp_path / 'm.csv'}\n"
+        )
+        assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+        message = f"dump_stream = {dump}: directory {dump.parent} does not exist"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sim.cfg"]
 
     def test_k_equals_n_warns_once_per_run(self, tmp_path, capsys):
         # one run per seed, each under one SelectorConfig however many selectors it drives

@@ -17,6 +17,7 @@ from ksetsel import mlp
 from ksetsel.datasets import Dataset, make_blobs
 from ksetsel.errors import DivergenceError, InputError, ParameterError
 from ksetsel.mlp import (
+    LearnerSpec,
     MlpModel,
     backward,
     batch_gradients,
@@ -166,12 +167,12 @@ class TestInPlaceMatchesReference:
         model = init_mlp(4, 10, 3, seed=6)
         reference = model.copy()
         for epoch in range(3):
-            train_epoch(model, data, sel, lr=0.1, batch_size=5, rng=np.random.default_rng(epoch))
+            train_epoch(model, data, sel, LearnerSpec(lr=0.1, batch_size=5), rng=np.random.default_rng(epoch))
             order = sel.indices[np.random.default_rng(epoch).permutation(sel.k)]
             for start in range(0, order.shape[0], 5):
                 batch = order[start : start + 5]
                 grads = batch_gradients(reference, data.samples[batch], data.assigned_labels[batch])
-                sgd_step(reference, grads, 0.1)
+                sgd_step(reference, grads, LearnerSpec(lr=0.1))
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(model, name), getattr(reference, name))
 
@@ -209,7 +210,7 @@ class TestU8Inputs:
         models = [init_mlp(9, 6, 3, seed=4) for _ in range(2)]
         for epoch in range(3):
             for model, data in zip(models, (u8, floats)):
-                train_epoch(model, data, sel, lr=0.1, batch_size=8, rng=np.random.default_rng(epoch))
+                train_epoch(model, data, sel, LearnerSpec(lr=0.1, batch_size=8), rng=np.random.default_rng(epoch))
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(models[0], name).view(np.int64), getattr(models[1], name).view(np.int64))
 
@@ -408,7 +409,7 @@ class TestTrainEpoch:
         model = init_mlp(3, 8, 2, seed=1)
         before = model.copy()
         sel = init_selection(40, 10, seed=2)
-        train_epoch(model, data, sel, lr=0.0, batch_size=4, rng=np.random.default_rng(3))
+        train_epoch(model, data, sel, LearnerSpec(lr=0.0, batch_size=4), rng=np.random.default_rng(3))
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(model, name), getattr(before, name))
 
@@ -417,9 +418,9 @@ class TestTrainEpoch:
         model = init_mlp(3, 4, 2, seed=1)
         reference = model.copy()
         sel = KSetSelection(np.array([6]))
-        train_epoch(model, data, sel, lr=0.1, batch_size=1, rng=np.random.default_rng(0))
+        train_epoch(model, data, sel, LearnerSpec(lr=0.1, batch_size=1), rng=np.random.default_rng(0))
         grads = backward(reference, data.samples[6], int(data.assigned_labels[6]))
-        sgd_step(reference, grads, 0.1)
+        sgd_step(reference, grads, LearnerSpec(lr=0.1))
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_allclose(getattr(model, name), getattr(reference, name), atol=1e-14)
 
@@ -429,25 +430,21 @@ class TestTrainEpoch:
         expected = {name: getattr(model, name).copy() for name in ("w1", "b1", "w2", "b2")}
         grads = batch_gradients(model, data.samples, data.assigned_labels)
         kept = {name: getattr(grads, name).copy() for name in expected}
-        sgd_step(model, grads, 0.3)
+        sgd_step(model, grads, LearnerSpec(lr=0.3))
         for name, before in expected.items():
             np.testing.assert_array_equal(getattr(grads, name), kept[name])
             np.testing.assert_array_equal(getattr(model, name), before - 0.3 * kept[name])
 
-    def test_learning_rate_is_checked_once_per_epoch(self, monkeypatch):
+    def test_learner_settings_are_checked_only_when_the_spec_is_built(self, monkeypatch):
+        learner = LearnerSpec(lr=0.05, batch_size=32)
         checked = []
-        real = mlp._check_lr
-
-        def counted(lr):
-            checked.append(lr)
-            real(lr)
-
-        monkeypatch.setattr(mlp, "_check_lr", counted)
+        monkeypatch.setattr(LearnerSpec, "__post_init__", lambda spec: checked.append(spec))
         data = make_blobs(300, 4, 3, separation=8.0, seed=5)
         model = init_mlp(4, 8, 3, seed=6)
-        train_epoch(model, data, KSetSelection(np.arange(300)), lr=0.05, batch_size=32, rng=np.random.default_rng(7))
-        # ten batches, one check
-        assert checked == [0.05]
+        train_epoch(model, data, KSetSelection(np.arange(300)), learner, rng=np.random.default_rng(7))
+        sgd_step(model, batch_gradients(model, data.samples[:5], data.assigned_labels[:5]), learner)
+        # ten batches and one step, no check
+        assert checked == []
 
     def test_learns_clean_blobs(self):
         data = make_blobs(300, 4, 3, separation=8.0, seed=5)
@@ -455,7 +452,7 @@ class TestTrainEpoch:
         sel = KSetSelection(np.arange(300))
         rng = np.random.default_rng(7)
         for _ in range(50):
-            train_epoch(model, data, sel, lr=0.05, batch_size=16, rng=rng)
+            train_epoch(model, data, sel, LearnerSpec(lr=0.05, batch_size=16), rng=rng)
         report = evaluate(model, data.samples, data.true_labels)
         assert report.accuracy > 0.99
 
@@ -464,7 +461,7 @@ class TestTrainEpoch:
         sel = init_selection(60, 20, seed=1)
         def run():
             model = init_mlp(3, 8, 2, seed=2)
-            train_epoch(model, data, sel, lr=0.05, batch_size=8, rng=np.random.default_rng(9))
+            train_epoch(model, data, sel, LearnerSpec(lr=0.05, batch_size=8), rng=np.random.default_rng(9))
             return model
         a, b = run(), run()
         for name in ("w1", "b1", "w2", "b2"):
@@ -474,13 +471,13 @@ class TestTrainEpoch:
         data = make_blobs(10, 2, 2, separation=5.0, seed=0)
         model = init_mlp(2, 4, 2, seed=0)
         with pytest.raises(InputError):
-            train_epoch(model, data, KSetSelection(np.array([11])), 0.1, 4, np.random.default_rng(0))
+            train_epoch(model, data, KSetSelection(np.array([11])), LearnerSpec(4, 0.1, 4), np.random.default_rng(0))
 
     def test_bad_batch_size(self):
         data = make_blobs(10, 2, 2, separation=5.0, seed=0)
         model = init_mlp(2, 4, 2, seed=0)
         with pytest.raises(ParameterError):
-            train_epoch(model, data, KSetSelection(np.array([0])), 0.1, 0, np.random.default_rng(0))
+            train_epoch(model, data, KSetSelection(np.array([0])), LearnerSpec(4, 0.1, 0), np.random.default_rng(0))
 
     def test_label_range_checked_before_any_update(self):
         # Only the last of the three batches holds a label the 2-class model lacks.
@@ -491,21 +488,24 @@ class TestTrainEpoch:
         model = init_mlp(3, 4, 2, seed=1)
         before = model.copy()
         with pytest.raises(InputError, match=r"\[0, 1\]"):
-            train_epoch(model, data, sel, lr=0.1, batch_size=3, rng=np.random.default_rng(0))
+            train_epoch(model, data, sel, LearnerSpec(lr=0.1, batch_size=3), rng=np.random.default_rng(0))
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(model, name), getattr(before, name))
 
     def test_feature_width_mismatch(self):
         data = make_blobs(10, 3, 2, separation=5.0, seed=0)
         with pytest.raises(InputError, match=r"\(m, 4\)"):
-            train_epoch(init_mlp(4, 4, 2, seed=0), data, KSetSelection(np.arange(4)), 0.1, 2, np.random.default_rng(0))
+            train_epoch(init_mlp(4, 4, 2, seed=0), data, KSetSelection(np.arange(4)), LearnerSpec(4, 0.1, 2),
+                        np.random.default_rng(0))
 
     def test_bad_learning_rate_rejected_before_shuffle(self):
         data = make_blobs(10, 3, 2, separation=5.0, seed=0)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        with pytest.raises(ParameterError, match="learning rate"):
-            train_epoch(init_mlp(3, 4, 2, seed=0), data, KSetSelection(np.arange(4)), float("nan"), 2, rng)
+        # the spec's own check, raised before train_epoch can shuffle
+        with pytest.raises(ParameterError, match=r"^lr must be finite and >= 0, got nan$"):
+            train_epoch(init_mlp(3, 4, 2, seed=0), data, KSetSelection(np.arange(4)), LearnerSpec(4, float("nan"), 2),
+                        rng)
         assert rng.bit_generator.state == state
 
     def test_divergence_names_parameter_and_learning_rate(self):
@@ -513,7 +513,7 @@ class TestTrainEpoch:
         model = init_mlp(3, 8, 2, seed=1)
         sel = init_selection(40, 20, seed=2)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match=r"(w1|b1|w2|b2) .*1e\+200"):
-            train_epoch(model, data, sel, lr=1e200, batch_size=4, rng=np.random.default_rng(3))
+            train_epoch(model, data, sel, LearnerSpec(lr=1e200, batch_size=4), rng=np.random.default_rng(3))
 
 
 class TestEvaluate:
@@ -523,7 +523,7 @@ class TestEvaluate:
         sel = KSetSelection(np.arange(200))
         rng = np.random.default_rng(5)
         for _ in range(60):
-            train_epoch(model, data, sel, lr=0.05, batch_size=16, rng=rng)
+            train_epoch(model, data, sel, LearnerSpec(lr=0.05, batch_size=16), rng=rng)
         assert evaluate(model, data.samples, data.true_labels).accuracy == 1.0
 
     def test_accuracy_matches_mean_indicator(self):

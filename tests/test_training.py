@@ -174,6 +174,14 @@ class TestOnlineSelector:
 
 
 class TestRunEpochs:
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_epochs_below_one_are_rejected(self, epochs):
+        def feedback(epoch, picks):
+            raise AssertionError("an epoch ran")
+
+        with pytest.raises(ParameterError, match=rf"^epochs must be >= 1, got {epochs}$"):
+            run_epochs([Strategy.FPL], SelectorConfig(k=2, seed=0), 5, epochs, feedback)
+
     def test_prefix_regret_matches_the_trace_oracle(self):
         risks = uniform_risks(15, 10, 1)
         for strategy in Strategy:
