@@ -67,14 +67,6 @@ from .selection import (
     sample_perturbation,
     top_k_smallest,
 )
-from .training import (
-    EpochMetrics,
-    Hindsight,
-    TrainConfig,
-    TrainResult,
-    run_epochs,
-    select_sequence,
-    train_selective,
-)
+from .training import EpochMetrics, Hindsight, run_epochs, select_sequence, train_selective
 
 __version__ = "0.1.0"

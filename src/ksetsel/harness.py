@@ -19,6 +19,7 @@ across reruns of the same config.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +40,7 @@ from .feedback import (
 from .mlp import LearnerSpec, evaluate
 from .selection import KSetSelection, SelectorConfig, Strategy
 from .tables import write_table
-from .training import EpochMetrics, TrainConfig, run_epochs, train_selective
+from .training import EpochMetrics, run_epochs, train_selective
 
 __all__ = [
     "METRICS_HEADER",
@@ -77,7 +78,8 @@ MODES = {
 class ExperimentConfig:
     """Everything a run mode needs; unused fields are ignored by each mode.
 
-    Construction checks every field that does not depend on the data
+    Construction checks the type of every number field and seed (an int
+    passes as a float) and every value that does not depend on the data
     (resolve_k checks k against n), turns each selector name into its
     Strategy, any case, keeps the first of a repeated selector and
     builds learner, the LearnerSpec of hidden, lr and batch_size that
@@ -128,6 +130,12 @@ class ExperimentConfig:
     alpha: float | None = None
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            declared, value = f.type.removesuffix(" | None"), getattr(self, f.name)
+            if value is not None and not isinstance(value, _NUMBER_TYPES.get(declared, object)):
+                raise ConfigError(f"{f.name} must be of type {declared}, got {value!r}")
+        if not all(isinstance(seed, numbers.Integral) for seed in self.seeds):
+            raise ConfigError(f"seeds must be ints, got {self.seeds!r}")
         if isinstance(self.selectors, str):
             raise ConfigError(f"selectors must be a sequence of names, got the string {self.selectors!r}")
         valid = [s.value for s in Strategy]
@@ -198,6 +206,8 @@ def parse_noise(v: str) -> LabelNoiseSpec:
     return LabelNoiseSpec(kind=kind, rate=float(rate))
 
 
+# The type a number field's value must have; an int passes as a float.
+_NUMBER_TYPES = {"int": numbers.Integral, "float": numbers.Real}
 # One parser per ExperimentConfig field, chosen by its annotation.
 _TYPE_PARSERS = {
     "int": int,
@@ -447,7 +457,7 @@ def _train_seeds(cfg: ExperimentConfig, out: str) -> dict[Strategy, list[tuple[f
         selector = SelectorConfig(k=k, eta=eta, seed=seed)
 
         def run(strategy: Strategy) -> list[EpochMetrics]:
-            return train_selective(noisy, test_set, TrainConfig(strategy, cfg.epochs, selector, cfg.learner)).metrics
+            return train_selective(noisy, test_set, strategy, cfg.epochs, selector, cfg.learner)[1]
 
         return fork_map(run, strategies)
 
@@ -588,11 +598,12 @@ class GridResult:
 def run_grid_search(cfg: ExperimentConfig) -> GridResult:
     """Tune eta_coefficient and k on a noisy validation split.
 
-    The noisy training set is split stratified by assigned label; each
-    grid point trains the FPL selector on the large part and scores
-    accuracy against the held-out noisy labels, the points side by side
-    through ahead.fork_map.  Largest validation accuracy wins, first in
-    scan order on ties.
+    Only the first seed runs; the other seeds are ignored.  Its noisy
+    training set is split stratified by assigned label; each grid point
+    trains the FPL selector on the large part and scores accuracy
+    against the held-out noisy labels, the points side by side through
+    ahead.fork_map.  Largest validation accuracy wins, first in scan
+    order on ties.
     """
     out = _require_out(cfg)
     if cfg.noise_rate_estimate is None:
@@ -613,7 +624,7 @@ def run_grid_search(cfg: ExperimentConfig) -> GridResult:
     def val_acc(point: tuple[float, float, int]) -> float:
         coef, _, k = point
         selector = SelectorConfig(k=k, eta=resolve_eta(coef, k, cfg.epochs), seed=seed)
-        model = train_selective(fit_set, None, TrainConfig(Strategy.FPL, cfg.epochs, selector, cfg.learner)).model
+        model, _ = train_selective(fit_set, None, Strategy.FPL, cfg.epochs, selector, cfg.learner)
         return evaluate(model, val_set.features, val_set.assigned_labels).accuracy
 
     rows = [(*point, acc) for point, acc in zip(points, fork_map(val_acc, points))]
@@ -660,7 +671,7 @@ def run_validate_risk(cfg: ExperimentConfig) -> ValidateRiskResult:
         noisy = _noisy_copy(train_base, cfg, seed)
         clean_idx = np.flatnonzero(noisy.clean_mask)
         noisy_idx = np.flatnonzero(~noisy.clean_mask)
-        train_cfg = TrainConfig(Strategy.NAIVE, cfg.epochs, SelectorConfig(k=k, seed=seed), cfg.learner)
+        selector = SelectorConfig(k=k, seed=seed)
 
         def risks(frac: float) -> list[float]:
             n_clean = int(round(frac * k))
@@ -672,11 +683,11 @@ def run_validate_risk(cfg: ExperimentConfig) -> ValidateRiskResult:
                 )
             rng = np.random.default_rng(np.random.SeedSequence((seed, int(round(frac * 100)))))
             clean = rng.choice(clean_idx, size=n_clean, replace=False)
-            fixed = np.sort(np.concatenate([clean, rng.choice(noisy_idx, size=n_noisy, replace=False)]))
+            fixed = noisy.subset(np.sort(np.concatenate([clean, rng.choice(noisy_idx, size=n_noisy, replace=False)])))
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "k = n selects every sample", UserWarning)
-                run = train_selective(noisy.subset(fixed), None, train_cfg)
-            return [m.selection_risk for m in run.metrics]
+                _, metrics = train_selective(fixed, None, Strategy.NAIVE, cfg.epochs, selector, cfg.learner)
+            return [m.selection_risk for m in metrics]
 
         for frac, fixed_risks in zip(VALIDATE_RISK_FRACTIONS, fork_map(risks, VALIDATE_RISK_FRACTIONS)):
             cum_risk = 0.0

@@ -8,10 +8,10 @@ risk vector theta_t, the ledger folds theta_t into its sums once, and
 each strategy is charged its prefix regret against the best fixed
 k-set over epochs 1..t.
 
-train_selective plugs the learner in as feedback, under a TrainConfig
-that holds the run's SelectorConfig and LearnerSpec as built: train the
-model on the selected k samples, then score every training sample's
-noise-risk from a full forward pass.  In every mode epoch 1 takes one
+train_selective plugs the learner in as feedback, under the run's
+SelectorConfig and LearnerSpec as built: train the model on the
+selected k samples, then score every training sample's noise-risk from
+a full forward pass.  In every mode epoch 1 takes one
 seeded uniformly random k-set because no feedback exists yet.
 
 FPL's perturbation does not depend on feedback, so run_epochs draws
@@ -57,24 +57,12 @@ from .selection import (
 )
 
 __all__ = [
-    "TrainConfig",
     "EpochMetrics",
-    "TrainResult",
     "Hindsight",
     "run_epochs",
     "select_sequence",
     "train_selective",
 ]
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """One training run: its strategy, its epoch count (run_epochs checks it) and its selector and learner specs."""
-
-    strategy: Strategy
-    epochs: int
-    selector: SelectorConfig
-    learner: LearnerSpec = LearnerSpec()
 
 
 @dataclass(frozen=True)
@@ -88,14 +76,6 @@ class EpochMetrics:
     train_acc: float
     test_acc: float
     wall_ms: float
-
-
-@dataclass
-class TrainResult:
-    model: MlpModel
-    metrics: list[EpochMetrics]
-    selections: list[KSetSelection]
-    cum: CumulativeRisk
 
 
 class Hindsight:
@@ -221,25 +201,30 @@ def select_sequence(risks, strategy: Strategy, cfg: SelectorConfig) -> list[KSet
     return selections
 
 
-def train_selective(dataset: Dataset, test_set: Dataset | None, cfg: TrainConfig) -> TrainResult:
-    """Run the full loop and return the model plus per-epoch metrics.
+def train_selective(
+    dataset: Dataset,
+    test_set: Dataset | None,
+    strategy: Strategy,
+    epochs: int,
+    selector: SelectorConfig,
+    learner: LearnerSpec = LearnerSpec(),
+) -> tuple[MlpModel, list[EpochMetrics]]:
+    """Train under strategy for epochs; returns the model and its per-epoch metrics.
 
-    test_set may be None, in which case test accuracy is reported as
-    nan.  The test set must share the dataset's feature width and
-    class count.
+    run_epochs checks epochs and k.  test_set may be None, in which
+    case test accuracy is reported as nan.  The test set must share the
+    dataset's feature width and class count.
     """
     if test_set is not None and (test_set.dim != dataset.dim or test_set.num_classes != dataset.num_classes):
         raise InputError("test set shape or class count does not match the training set")
 
-    init, shuffle = _seed_streams(cfg.selector.seed)[:2]
-    model = init_mlp(dataset.dim, cfg.learner.hidden, dataset.num_classes, seed=int(init.generate_state(1)[0]))
+    init, shuffle = _seed_streams(selector.seed)[:2]
+    model = init_mlp(dataset.dim, learner.hidden, dataset.num_classes, seed=int(init.generate_state(1)[0]))
     shuffle_rng = np.random.default_rng(shuffle)
     clean_mask = dataset.clean_mask
-    selections: list[KSetSelection] = []
 
     def feedback(epoch: int, picks: list[KSetSelection]):
-        selections.append(picks[0])
-        train_epoch(model, dataset, picks[0], cfg.learner, shuffle_rng)
+        train_epoch(model, dataset, picks[0], learner, shuffle_rng)
         predicted, conf = predict_batch(model, dataset.features)
         theta = RiskVector(noise_risk_scores(predicted, conf, dataset.assigned_labels))
         train_acc = float((predicted == dataset.assigned_labels).mean())
@@ -250,5 +235,5 @@ def train_selective(dataset: Dataset, test_set: Dataset | None, cfg: TrainConfig
             test_acc = float("nan")
         return theta, clean_mask, train_acc, test_acc
 
-    (metrics,), seen = run_epochs([cfg.strategy], cfg.selector, dataset.n, cfg.epochs, feedback)
-    return TrainResult(model=model, metrics=metrics, selections=selections, cum=seen.cum)
+    (metrics,), _ = run_epochs([strategy], selector, dataset.n, epochs, feedback)
+    return model, metrics

@@ -46,7 +46,7 @@ from ksetsel.harness import (
     stratified_split,
 )
 from ksetsel.selection import RiskVector, SelectorConfig, Strategy
-from ksetsel.training import TrainConfig, select_sequence, train_selective
+from ksetsel.training import select_sequence, train_selective
 
 FIELD_NAMES = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
@@ -199,6 +199,14 @@ class TestConfigParsing:
             ({"selectors": ("fpl", "xyz")}, "unknown selector 'xyz'; valid: fpl, naive, greedy, random"),
             ({"selectors": "fpl"}, "selectors must be a sequence of names, got the string 'fpl'"),
             ({"noise": "sym:0.4"}, "noise must be a LabelNoiseSpec, got 'sym:0.4'"),
+            ({"seeds": ("0",)}, "seeds must be ints, got ('0',)"),
+            ({"seeds": [0, 1.0]}, "seeds must be ints, got [0, 1.0]"),
+            ({"epochs": "5"}, "epochs must be of type int, got '5'"),
+            ({"hidden": "8"}, "hidden must be of type int, got '8'"),
+            ({"n": 2.5}, "n must be of type int, got 2.5"),
+            ({"k": 3.0}, "k must be of type int, got 3.0"),
+            ({"k_frac": "0.5"}, "k_frac must be of type float, got '0.5'"),
+            ({"lr": "0.1"}, "lr must be of type float, got '0.1'"),
         ],
     )
     def test_direct_config_checks_itself(self, fields, message):
@@ -218,8 +226,24 @@ class TestConfigParsing:
         monkeypatch.setattr(mlp.LearnerSpec, "__post_init__", lambda spec: None)
         cfg = build_config({key: value})
         assert getattr(cfg.learner, key) == getattr(cfg, key)
-        assert TrainConfig(Strategy.FPL, 1, SelectorConfig(k=1), cfg.learner).learner is cfg.learner
-        assert [f.name for f in dataclasses.fields(TrainConfig)] == ["strategy", "epochs", "selector", "learner"]
+
+    def test_train_epoch_is_handed_the_configs_learner(self, tmp_path, monkeypatch):
+        # the LearnerSpec a config builds reaches training as built, every epoch
+        cfg = tiny_train_cfg(tmp_path, seeds=(0,), epochs=2)
+        learners = []
+        real = training.train_epoch
+
+        def recorded(model, dataset, selection, learner, rng):
+            learners.append(learner)
+            return real(model, dataset, selection, learner, rng)
+
+        monkeypatch.setattr(training, "train_epoch", recorded)
+        run_train(cfg)
+        assert len(learners) == 2 and all(learner is cfg.learner for learner in learners)
+
+    def test_direct_config_takes_any_sequence_and_an_int_for_a_float(self):
+        cfg = ExperimentConfig(seeds=[3, np.int64(4)], selectors=["naive"], lr=1, k_frac=1, eta_coefficient=0)
+        assert (list(cfg.seeds), cfg.selectors, cfg.learner.lr, cfg.resolve_k(10)) == ([3, 4], (Strategy.NAIVE,), 1, 10)
 
     def test_direct_config_turns_selector_names_into_strategies(self):
         cfg = ExperimentConfig(selectors=("fpl", "NAIVE", Strategy.FPL, "Greedy"))
@@ -609,7 +633,7 @@ class TestSeedBySeedRuns:
         force_fork(monkeypatch)
 
         def fails_second(*args):
-            if args[1].seed == 1 if runner == "run_epochs" else args[2].strategy is Strategy.NAIVE:
+            if args[1].seed == 1 if runner == "run_epochs" else args[2] is Strategy.NAIVE:
                 raise ConfigError("second run fails")
             return real(*args)
 
@@ -681,16 +705,16 @@ class TestForkedSelectors:
     """ablate trains a seed's selectors side by side in forked children (ahead.fork_map)."""
 
     def record_runs(self, monkeypatch, tmp_path, fail=None):
-        """Wrap train_selective so each run logs '<pid> <selector>'; fail(cfg) runs in the child."""
+        """Wrap train_selective so each run logs '<pid> <selector>'; fail(strategy, selector) runs in the child."""
         real = harness.train_selective
         log = tmp_path / "runs.log"
 
-        def recorded(dataset, test_set, cfg):
+        def recorded(dataset, test_set, strategy, epochs, selector, learner):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {cfg.strategy.value}\n")
+                fh.write(f"{os.getpid()} {strategy.value}\n")
             if fail is not None:
-                fail(cfg)
-            return real(dataset, test_set, cfg)
+                fail(strategy, selector)
+            return real(dataset, test_set, strategy, epochs, selector, learner)
 
         monkeypatch.setattr(harness, "train_selective", recorded)
         return lambda: [(int(pid), name) for pid, name in (line.split() for line in log.read_text().splitlines())]
@@ -725,8 +749,8 @@ class TestForkedSelectors:
     def test_a_childs_config_error_exits_one_and_writes_no_csv(self, tmp_path, monkeypatch, capsys):
         force_fork(monkeypatch)
 
-        def fail(cfg):
-            if cfg.strategy is Strategy.GREEDY:
+        def fail(strategy, selector):
+            if strategy is Strategy.GREEDY:
                 raise ConfigError(f"greedy failed in {os.getpid()}")
 
         runs = self.record_runs(monkeypatch, tmp_path, fail)
@@ -747,8 +771,8 @@ class TestForkedSelectors:
     def test_a_warning_in_a_child_reaches_pytest_warns(self, tmp_path, monkeypatch):
         force_fork(monkeypatch)
 
-        def warn(cfg):
-            warnings.warn(f"{cfg.strategy.value} ran in {os.getpid()}", UserWarning)
+        def warn(strategy, selector):
+            warnings.warn(f"{strategy.value} ran in {os.getpid()}", UserWarning)
 
         self.record_runs(monkeypatch, tmp_path, warn)
         with pytest.warns(UserWarning, match="ran in") as caught:
@@ -761,8 +785,8 @@ class TestForkedSelectors:
     def test_no_child_is_left_after_a_run(self, tmp_path, monkeypatch, outcome):
         force_fork(monkeypatch)
 
-        def fail(cfg):
-            if cfg.strategy is Strategy.RANDOM and cfg.selector.seed == 1:
+        def fail(strategy, selector):
+            if strategy is Strategy.RANDOM and selector.seed == 1:
                 if outcome == "raised":
                     raise ConfigError("random failed")
                 if outcome == "killed":
@@ -866,11 +890,11 @@ class TestLockstepSimulate:
         stream = [RiskVector(np.full(n, 0.5))] * 2
         replayed = select_sequence(stream, Strategy.GREEDY, SelectorConfig(k=k, seed=seed))[0]
         data = make_blobs(n, 3, 2, separation=5.0, seed=1)
-        trained = train_selective(
-            data, None, TrainConfig(Strategy.FPL, 1, SelectorConfig(k=k, seed=seed), mlp.LearnerSpec(hidden=4))
-        )
+        trained = []
+        monkeypatch.setattr(training, "train_epoch", lambda model, data, selection, *rest: trained.append(selection))
+        train_selective(data, None, Strategy.FPL, 1, SelectorConfig(k=k, seed=seed), mlp.LearnerSpec(hidden=4))
         assert firsts == [replayed.indices.tolist()] * len(Strategy)
-        assert trained.selections[0].indices.tolist() == replayed.indices.tolist()
+        assert [pick.indices.tolist() for pick in trained] == [replayed.indices.tolist()]
 
     def test_holds_at_most_two_risk_vectors(self, tmp_path, monkeypatch):
         real = harness.stream_epochs
@@ -1104,10 +1128,10 @@ class TestRunValidateRisk:
         cfg = tiny_train_cfg(tmp_path, mode="validate-risk", out=str(tmp_path / "vr.csv"), seeds=(0, 1), epochs=3)
         runs = []
 
-        def spy(dataset, test_set, train_cfg):
-            result = training.train_selective(dataset, test_set, train_cfg)
-            runs.append((dataset.n, train_cfg.strategy, [m.selection_risk for m in result.metrics]))
-            return result
+        def spy(dataset, test_set, strategy, *rest):
+            model, metrics = training.train_selective(dataset, test_set, strategy, *rest)
+            runs.append((dataset.n, strategy, [m.selection_risk for m in metrics]))
+            return model, metrics
 
         force_inline(monkeypatch)
         monkeypatch.setattr(harness, "train_selective", spy)
@@ -1197,9 +1221,9 @@ class TestTrainOnlyModesReadNoTestSplit:
         keys = dict(dataset="csv", csv_path=str(tmp_path / "train.csv"), csv_test_path=str(tmp_path / "test.csv"))
         widths = []
 
-        def spy(dataset, test_set, train_cfg):
+        def spy(dataset, *rest):
             widths.append(dataset.num_classes)
-            return training.train_selective(dataset, test_set, train_cfg)
+            return training.train_selective(dataset, *rest)
 
         force_inline(monkeypatch)
         monkeypatch.setattr(harness, "train_selective", spy)

@@ -13,7 +13,7 @@ from ksetsel.analytics import SelectionTrace, regret
 from ksetsel.errors import InputError, ParameterError
 from ksetsel.mlp import LearnerSpec
 from ksetsel.selection import RiskVector, SelectorConfig, Strategy, init_selection
-from ksetsel.training import TrainConfig, run_epochs, select_sequence, train_selective
+from ksetsel.training import run_epochs, select_sequence, train_selective
 
 
 def small_noisy_dataset(seed=0):
@@ -32,122 +32,125 @@ def strip_wall(metrics):
     return out
 
 
+@pytest.fixture
+def trained_on(monkeypatch):
+    """The selection train_selective hands training.train_epoch each epoch, in call order."""
+    selections = []
+    real = training.train_epoch
+
+    def recorded(model, dataset, selection, learner, rng):
+        selections.append(selection)
+        return real(model, dataset, selection, learner, rng)
+
+    monkeypatch.setattr(training, "train_epoch", recorded)
+    return selections
+
+
 class TestTrainSelective:
-    def test_fpl_at_eta_zero_equals_naive(self):
+    def test_fpl_at_eta_zero_equals_naive(self, trained_on):
         data = small_noisy_dataset()
         base = dict(epochs=8, selector=SelectorConfig(k=30, eta=0.0, seed=42), learner=LearnerSpec(16, 0.05, 16))
-        fpl = train_selective(data, None, TrainConfig(strategy=Strategy.FPL, **base))
-        naive = train_selective(data, None, TrainConfig(strategy=Strategy.NAIVE, **base))
-        assert strip_wall(fpl.metrics) == strip_wall(naive.metrics)
-        for a, b in zip(fpl.selections, naive.selections):
+        _, fpl = train_selective(data, None, strategy=Strategy.FPL, **base)
+        _, naive = train_selective(data, None, strategy=Strategy.NAIVE, **base)
+        assert strip_wall(fpl) == strip_wall(naive)
+        assert len(trained_on) == 16
+        for a, b in zip(trained_on[:8], trained_on[8:]):
             np.testing.assert_array_equal(a.indices, b.indices)
 
     def test_deterministic_across_reruns(self):
         data = small_noisy_dataset()
-        config = TrainConfig(strategy=Strategy.FPL, epochs=6, selector=SelectorConfig(k=30, eta=2.0, seed=7),
-                             learner=LearnerSpec(hidden=16, lr=0.05, batch_size=16))
-        a = train_selective(data, None, config)
-        b = train_selective(data, None, config)
-        assert strip_wall(a.metrics) == strip_wall(b.metrics)
+        args = (Strategy.FPL, 6, SelectorConfig(k=30, eta=2.0, seed=7), LearnerSpec(hidden=16, lr=0.05, batch_size=16))
+        model_a, a = train_selective(data, None, *args)
+        model_b, b = train_selective(data, None, *args)
+        assert strip_wall(a) == strip_wall(b)
         for name in ("w1", "b1", "w2", "b2"):
-            np.testing.assert_array_equal(getattr(a.model, name), getattr(b.model, name))
+            np.testing.assert_array_equal(getattr(model_a, name), getattr(model_b, name))
 
     def test_seed_changes_trajectory(self):
         data = small_noisy_dataset()
         base = dict(strategy=Strategy.FPL, epochs=6, learner=LearnerSpec(hidden=16, lr=0.05, batch_size=16))
-        a = train_selective(data, None, TrainConfig(selector=SelectorConfig(k=30, eta=2.0, seed=1), **base))
-        b = train_selective(data, None, TrainConfig(selector=SelectorConfig(k=30, eta=2.0, seed=2), **base))
-        assert [m.selection_risk for m in a.metrics] != [m.selection_risk for m in b.metrics]
+        _, a = train_selective(data, None, selector=SelectorConfig(k=30, eta=2.0, seed=1), **base)
+        _, b = train_selective(data, None, selector=SelectorConfig(k=30, eta=2.0, seed=2), **base)
+        assert [m.selection_risk for m in a] != [m.selection_risk for m in b]
 
-    def test_epoch_metrics_shape_and_ranges(self):
+    def test_epoch_metrics_shape_and_ranges(self, trained_on):
         data = small_noisy_dataset()
         test_data = make_blobs(60, 4, 3, separation=8.0, seed=99)
-        result = train_selective(
-            data,
-            test_data,
-            TrainConfig(strategy=Strategy.FPL, epochs=5, selector=SelectorConfig(k=24, eta=1.0, seed=3),
-                        learner=LearnerSpec(hidden=16, lr=0.05, batch_size=16)),
+        _, metrics = train_selective(
+            data, test_data, Strategy.FPL, 5, SelectorConfig(k=24, eta=1.0, seed=3),
+            LearnerSpec(hidden=16, lr=0.05, batch_size=16),
         )
-        assert len(result.metrics) == 5
-        assert len(result.selections) == 5
-        assert [m.epoch for m in result.metrics] == [1, 2, 3, 4, 5]
-        for m in result.metrics:
+        assert len(metrics) == 5
+        assert len(trained_on) == 5
+        assert [m.epoch for m in metrics] == [1, 2, 3, 4, 5]
+        for m in metrics:
             # selection risk is a sum of k per-sample risks in [0, 1]
             assert 0.0 <= m.selection_risk <= 24.0
             assert 0.0 <= m.label_precision <= 1.0
             assert 0.0 <= m.train_acc <= 1.0
             assert 0.0 <= m.test_acc <= 1.0
             assert m.wall_ms >= 0.0
-        for sel in result.selections:
+        for sel in trained_on:
             assert sel.k == 24
 
     def test_no_test_set_reports_nan(self):
         data = small_noisy_dataset()
-        result = train_selective(
-            data,
-            None,
-            TrainConfig(strategy=Strategy.NAIVE, epochs=3, selector=SelectorConfig(k=20, eta=0.0, seed=0),
-                        learner=LearnerSpec(hidden=8, lr=0.05, batch_size=16)),
+        _, metrics = train_selective(
+            data, None, Strategy.NAIVE, 3, SelectorConfig(k=20, eta=0.0, seed=0),
+            LearnerSpec(hidden=8, lr=0.05, batch_size=16),
         )
-        assert all(np.isnan(m.test_acc) for m in result.metrics)
+        assert all(np.isnan(m.test_acc) for m in metrics)
 
     def test_mismatched_test_set_rejected(self):
         data = small_noisy_dataset()
         wrong_dim = make_blobs(30, 5, 3, separation=8.0, seed=1)
         with pytest.raises(InputError):
-            train_selective(data, wrong_dim,
-                            TrainConfig(strategy=Strategy.FPL, epochs=2, selector=SelectorConfig(k=10, seed=0)))
+            train_selective(data, wrong_dim, Strategy.FPL, 2, SelectorConfig(k=10, seed=0))
 
     def test_cum_regret_is_prefix_consistent(self):
         # Regret at epoch t uses hindsight over epochs 1..t, so the final
         # regret is bounded by the realized total and never negative.
         data = small_noisy_dataset()
-        result = train_selective(
-            data,
-            None,
-            TrainConfig(strategy=Strategy.FPL, epochs=6, selector=SelectorConfig(k=20, eta=1.0, seed=5),
-                        learner=LearnerSpec(hidden=16, lr=0.05, batch_size=16)),
+        _, metrics = train_selective(
+            data, None, Strategy.FPL, 6, SelectorConfig(k=20, eta=1.0, seed=5),
+            LearnerSpec(hidden=16, lr=0.05, batch_size=16),
         )
-        total = sum(m.selection_risk for m in result.metrics)
-        assert result.cum.epochs_seen == 6
-        assert result.metrics[-1].cum_regret >= -1e-9
-        assert result.metrics[-1].cum_regret <= total + 1e-9
+        total = sum(m.selection_risk for m in metrics)
+        assert len(metrics) == 6
+        assert metrics[-1].cum_regret >= -1e-9
+        assert metrics[-1].cum_regret <= total + 1e-9
 
-    def test_random_with_k_equal_n_selects_everything(self):
+    def test_random_with_k_equal_n_selects_everything(self, trained_on):
         data = small_noisy_dataset()
         with pytest.warns(UserWarning):
-            result = train_selective(
-                data,
-                None,
-                TrainConfig(strategy=Strategy.RANDOM, epochs=3, selector=SelectorConfig(k=120, eta=0.0, seed=0),
-                            learner=LearnerSpec(hidden=8, lr=0.05, batch_size=16)),
+            train_selective(
+                data, None, Strategy.RANDOM, 3, SelectorConfig(k=120, eta=0.0, seed=0),
+                LearnerSpec(hidden=8, lr=0.05, batch_size=16),
             )
-        for sel in result.selections:
+        assert len(trained_on) == 3
+        for sel in trained_on:
             np.testing.assert_array_equal(sel.indices, np.arange(120))
 
     def test_selection_favors_clean_labels(self):
         # Directional smoke test: after a few epochs on well-separated blobs,
         # FPL's picks should beat the clean base rate (60% here).
         data = small_noisy_dataset(seed=11)
-        result = train_selective(
-            data,
-            None,
-            TrainConfig(strategy=Strategy.FPL, epochs=15, selector=SelectorConfig(k=30, eta=0.5, seed=13),
-                        learner=LearnerSpec(hidden=32, lr=0.05, batch_size=16)),
+        _, metrics = train_selective(
+            data, None, Strategy.FPL, 15, SelectorConfig(k=30, eta=0.5, seed=13),
+            LearnerSpec(hidden=32, lr=0.05, batch_size=16),
         )
-        assert result.metrics[-1].label_precision > 0.6
+        assert metrics[-1].label_precision > 0.6
 
     def test_invalid_k(self):
         data = small_noisy_dataset()
         with pytest.raises(ParameterError):
-            TrainConfig(strategy=Strategy.FPL, epochs=2, selector=SelectorConfig(k=0, eta=0.0, seed=0))
+            SelectorConfig(k=0, eta=0.0, seed=0)
         with pytest.raises(ParameterError):
-            train_selective(data, None,
-                            TrainConfig(strategy=Strategy.FPL, epochs=2, selector=SelectorConfig(k=121, seed=0)))
+            train_selective(data, None, Strategy.FPL, 2, SelectorConfig(k=121, seed=0))
 
     def test_negative_eta_rejected(self):
         with pytest.raises(ParameterError):
-            TrainConfig(strategy=Strategy.FPL, epochs=2, selector=SelectorConfig(k=10, eta=-1.0, seed=0))
+            SelectorConfig(k=10, eta=-1.0, seed=0)
 
 
 def uniform_risks(n, epochs, seed):
@@ -297,7 +300,7 @@ class TestWorkerThread:
 
     def test_train_selective_joins_its_worker(self, drawn_on):
         before = threading.active_count()
-        train_selective(small_noisy_dataset(), None, TrainConfig(Strategy.FPL, 4, SelectorConfig(30), LearnerSpec(4)))
+        train_selective(small_noisy_dataset(), None, Strategy.FPL, 4, SelectorConfig(30), LearnerSpec(4))
         assert threading.active_count() == before
         self.assert_one_worker(drawn_on, 3)
 
@@ -324,7 +327,7 @@ class TestWorkerThread:
 
     def test_one_epoch_draws_nothing_and_leaves_no_thread(self, drawn_on):
         before = threading.active_count()
-        train_selective(small_noisy_dataset(), None, TrainConfig(Strategy.FPL, 1, SelectorConfig(30), LearnerSpec(4)))
+        train_selective(small_noisy_dataset(), None, Strategy.FPL, 1, SelectorConfig(30), LearnerSpec(4))
         assert threading.active_count() == before
         assert drawn_on == []
 
