@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import numbers
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,13 +79,15 @@ MODES = {
 class ExperimentConfig:
     """Everything a run mode needs; unused fields are ignored by each mode.
 
-    Construction checks the type of every number field and seed (an int
-    passes as a float) and every value that does not depend on the data
-    (resolve_k checks k against n), turns each selector name into its
-    Strategy, any case, keeps the first of a repeated selector and
-    builds learner, the LearnerSpec of hidden, lr and batch_size that
-    every run is handed; its checks raise ConfigError.  The learner and
-    stream defaults are LearnerSpec's and StreamSpec's.
+    Construction is the one place a config is checked; its checks raise
+    ConfigError.  Every field must have its declared type (string and
+    path fields a str; an int passes as a float, a bool never), a tuple
+    field takes any sequence but a str and is stored as a tuple, and
+    every value but k (resolve_k checks it against n) and the blob shape
+    (make_blobs) is checked in every mode.  Each selector name becomes
+    its Strategy, any case; a repeated selector counts once.  learner is
+    the LearnerSpec every run is handed, and stream_spec the first
+    seed's StreamSpec (None for a csv stream), both with their defaults.
     """
 
     mode: str = "train"
@@ -116,7 +119,7 @@ class ExperimentConfig:
     hidden: int = LearnerSpec.hidden
     lr: float = LearnerSpec.lr
     batch_size: int = LearnerSpec.batch_size
-    # streams (simulate mode)
+    # streams (simulate mode; checked in every mode)
     stream: str = "uniform"
     clean_fraction: float = StreamSpec.clean_fraction
     noise_scale: float = StreamSpec.noise_scale
@@ -132,14 +135,14 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             declared, value = f.type.removesuffix(" | None"), getattr(self, f.name)
-            if value is not None and not isinstance(value, _NUMBER_TYPES.get(declared, object)):
+            if declared.startswith("tuple["):  # never None
+                if isinstance(value, str) or not isinstance(value, Sequence) or not all(_fits(v, declared) for v in value):
+                    raise ConfigError(f"{f.name} must be a sequence of {declared[6:-6]}, got {value!r}")
+                object.__setattr__(self, f.name, tuple(value))
+            elif value is not None and not _fits(value, declared):
                 raise ConfigError(f"{f.name} must be of type {declared}, got {value!r}")
-        if not all(isinstance(seed, numbers.Integral) for seed in self.seeds):
-            raise ConfigError(f"seeds must be ints, got {self.seeds!r}")
-        if isinstance(self.selectors, str):
-            raise ConfigError(f"selectors must be a sequence of names, got the string {self.selectors!r}")
         valid = [s.value for s in Strategy]
-        names = [s.lower() if isinstance(s, str) else s for s in self.selectors]  # members too: Strategy is a str
+        names = [s.lower() for s in self.selectors]  # members too: Strategy is a str
         for name in names:
             if name not in valid:
                 raise ConfigError(f"unknown selector {name!r}; valid: {', '.join(valid)}")
@@ -156,17 +159,9 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         if not self.selectors:
             raise ConfigError("selector list is empty")
-        for name in ("n", "epochs"):
-            if getattr(self, name) < 1:
+        for name in ("n", "epochs", "test_n"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        try:
-            object.__setattr__(self, "learner", LearnerSpec(hidden=self.hidden, lr=self.lr, batch_size=self.batch_size))
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from None
-        if self.noise is not None and not isinstance(self.noise, LabelNoiseSpec):
-            raise ConfigError(f"noise must be a LabelNoiseSpec, got {self.noise!r}")
-        if self.test_n is not None and self.test_n < 1:
-            raise ConfigError(f"test_n must be >= 1, got {self.test_n}")
         if self.dataset not in ("blobs", "idx", "csv"):
             raise ConfigError(f"dataset must be blobs, idx, or csv, got {self.dataset!r}")
         if (self.idx_test_images is None) != (self.idx_test_labels is None):
@@ -174,8 +169,26 @@ class ExperimentConfig:
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError(f"validation_fraction must lie in (0, 1), got {self.validation_fraction}")
         resolve_eta(self.eta_coefficient, 0, 0)  # checks eta_coefficient
-        if self.k_frac is not None and not 0.0 < self.k_frac <= 1.0:
-            raise ConfigError(f"k_frac={self.k_frac} outside (0, 1]")
+        for name in ("k_frac", "alpha"):
+            if getattr(self, name) is not None and not 0.0 < getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
+        if self.noise_rate_estimate is not None:
+            k_fraction_grid(self.noise_rate_estimate)  # checks noise_rate_estimate
+        streams = [*(member.value for member in StreamKind), "csv"]
+        if self.stream not in streams:
+            raise ConfigError(f"unknown stream {self.stream!r}; valid: {', '.join(streams)}")
+        if self.stream == "csv" and not self.stream_csv:
+            raise ConfigError("stream = csv needs stream_csv = PATH")
+        kind = None if self.stream == "csv" else StreamKind(self.stream)
+        try:
+            object.__setattr__(self, "learner", LearnerSpec(hidden=self.hidden, lr=self.lr, batch_size=self.batch_size))
+            object.__setattr__(self, "stream_spec", None if kind is None else StreamSpec(
+                kind, 2 if kind is StreamKind.ADVERSARY else self.n, self.epochs, seed=self.seeds[0],
+                clean_fraction=self.clean_fraction, noise_scale=self.noise_scale,
+                drift_period=self.drift_period if kind is StreamKind.DRIFTING else None,
+            ))
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from None
 
     def resolve_k(self, n: int) -> int:
         if self.k is not None:
@@ -206,21 +219,25 @@ def parse_noise(v: str) -> LabelNoiseSpec:
     return LabelNoiseSpec(kind=kind, rate=float(rate))
 
 
-# The type a number field's value must have; an int passes as a float.
-_NUMBER_TYPES = {"int": numbers.Integral, "float": numbers.Real}
-# One parser per ExperimentConfig field, chosen by its annotation.
-_TYPE_PARSERS = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "tuple[int, ...]": lambda v: tuple(map(int, _split(v))),
-    "tuple[Strategy, ...]": _split,  # ExperimentConfig turns the names into Strategy members
-    "LabelNoiseSpec": parse_noise,
+# One row per ExperimentConfig annotation: the type a value, or each entry
+# of a tuple, must have (an int passes as a float), and the parser for its
+# text in a file or flag.
+_FIELD_TYPES = {
+    "int": (numbers.Integral, int),
+    "float": (numbers.Real, float),
+    "str": (str, str),
+    "tuple[int, ...]": (numbers.Integral, lambda v: tuple(map(int, _split(v)))),
+    "tuple[Strategy, ...]": (str, _split),  # ExperimentConfig turns the names into Strategy members
+    "LabelNoiseSpec": (LabelNoiseSpec, parse_noise),
 }
 _KEY_PARSERS = {
-    f.name: _TYPE_PARSERS[f.type.removesuffix(" | None")]
+    f.name: _FIELD_TYPES[f.type.removesuffix(" | None")][1]
     for f in dataclasses.fields(ExperimentConfig)
 }
+
+
+def _fits(value, declared: str) -> bool:
+    return isinstance(value, _FIELD_TYPES[declared][0]) and not isinstance(value, bool)  # no field takes a bool
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -254,9 +271,7 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
             raise ConfigError(f"unknown config key {key!r}")
         try:
             fields[key] = parser(value)
-        except ConfigError:
-            raise
-        except ValueError as exc:
+        except ValueError as exc:  # ConfigError and ParameterError included
             raise ConfigError(f"config key {key!r}: {exc}") from None
     return ExperimentConfig(**fields)
 
@@ -301,24 +316,6 @@ def _run_seeds(cfg: ExperimentConfig, out: str, run_seed):
 # ---------------------------------------------------------------- simulate
 
 
-def _stream_spec(cfg: ExperimentConfig, seed: int) -> StreamSpec:
-    try:
-        kind = StreamKind(cfg.stream)
-    except ValueError:
-        valid = ", ".join([*(member.value for member in StreamKind), "csv"])
-        raise ConfigError(f"unknown stream {cfg.stream!r}; valid: {valid}") from None
-    n = 2 if kind is StreamKind.ADVERSARY else cfg.n
-    return StreamSpec(
-        kind=kind,
-        n=n,
-        epochs=cfg.epochs,
-        seed=seed,
-        clean_fraction=cfg.clean_fraction,
-        noise_scale=cfg.noise_scale,
-        drift_period=cfg.drift_period if kind is StreamKind.DRIFTING else None,
-    )
-
-
 @dataclass
 class SimulateResult:
     reports: dict[Strategy, BoundReport]
@@ -336,24 +333,22 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
     """Run every selector in lockstep over each seed's stream and report bounds.
 
     n and T are the stream's: a replayed csv stream sets both and is
-    read once for every seed; a generated stream is built one epoch at
-    a time.  Either is read one epoch ahead on a worker thread, so
-    theta_{t+1} is drawn while the selectors use theta_t, and a
-    generated stream holds at most these two risk vectors at once.
+    read once for every seed; a generated stream is cfg.stream_spec, as
+    checked when the config was built, with the run seed as its seed,
+    and is built one epoch at a time.  Either is read one epoch ahead
+    on a worker thread, so theta_{t+1} is drawn while the selectors use
+    theta_t, and a generated stream holds at most these two at once.
     dump_stream writes the first seed's stream one epoch at a time as
     it is generated, so dumping never holds the whole stream; its
     directory must exist, like out's, and both are checked first.
     """
     out = _require_out(cfg, "dump_stream")
-    if cfg.stream == "csv":
-        if not cfg.stream_csv:
-            raise ConfigError("stream = csv needs stream_csv = PATH")
+    spec = cfg.stream_spec
+    if spec is None:
         replay = load_stream_csv(cfg.stream_csv)
         n, epochs = replay[0].n, len(replay)
     else:
-        replay = None
-        spec = _stream_spec(cfg, cfg.seeds[0])  # checks the stream parameters before k
-        n, epochs = spec.n, spec.epochs
+        replay, n, epochs = None, spec.n, spec.epochs
     k = cfg.resolve_k(n)
     eta = resolve_eta(cfg.eta_coefficient, k, epochs)
     if cfg.dump_stream:
@@ -366,7 +361,7 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
     best_totals: list[float] = []  # per seed; every selector on a seed's stream shares it
 
     def run_seed(seed: int, strategies: list[Strategy]) -> list[list[EpochMetrics]]:
-        source = stream_epochs(_stream_spec(cfg, seed)) if replay is None else ((t, None) for t in replay)
+        source = stream_epochs(dataclasses.replace(spec, seed=seed)) if replay is None else ((t, None) for t in replay)
         nan = float("nan")
 
         def feedback(epoch: int, picks: list[KSetSelection]):
@@ -736,8 +731,5 @@ def run_bounds(cfg: ExperimentConfig) -> BoundsResult:
     if k < cfg.n:
         regret_ceiling = regret_bound(cfg.n, k, cfg.epochs)
         if cfg.alpha is not None:
-            try:
-                avg_risk_ceiling = avg_risk_bound(cfg.n, k, cfg.epochs, cfg.alpha)
-            except ParameterError as exc:
-                raise ConfigError(str(exc)) from exc
+            avg_risk_ceiling = avg_risk_bound(cfg.n, k, cfg.epochs, cfg.alpha)
     return BoundsResult(cfg.n, k, cfg.epochs, regret_ceiling, cfg.alpha, avg_risk_ceiling)

@@ -197,22 +197,56 @@ class TestConfigParsing:
             ({"validation_fraction": 1.0}, "validation_fraction must lie in (0, 1), got 1.0"),
             ({"validation_fraction": float("nan")}, "validation_fraction must lie in (0, 1), got nan"),
             ({"selectors": ("fpl", "xyz")}, "unknown selector 'xyz'; valid: fpl, naive, greedy, random"),
-            ({"selectors": "fpl"}, "selectors must be a sequence of names, got the string 'fpl'"),
-            ({"noise": "sym:0.4"}, "noise must be a LabelNoiseSpec, got 'sym:0.4'"),
-            ({"seeds": ("0",)}, "seeds must be ints, got ('0',)"),
-            ({"seeds": [0, 1.0]}, "seeds must be ints, got [0, 1.0]"),
+            ({"selectors": "fpl"}, "selectors must be a sequence of Strategy, got 'fpl'"),
+            ({"noise": "sym:0.4"}, "noise must be of type LabelNoiseSpec, got 'sym:0.4'"),
+            ({"seeds": ("0",)}, "seeds must be a sequence of int, got ('0',)"),
+            ({"seeds": [0, 1.0]}, "seeds must be a sequence of int, got [0, 1.0]"),
             ({"epochs": "5"}, "epochs must be of type int, got '5'"),
             ({"hidden": "8"}, "hidden must be of type int, got '8'"),
             ({"n": 2.5}, "n must be of type int, got 2.5"),
             ({"k": 3.0}, "k must be of type int, got 3.0"),
             ({"k_frac": "0.5"}, "k_frac must be of type float, got '0.5'"),
             ({"lr": "0.1"}, "lr must be of type float, got '0.1'"),
+            ({"seeds": 5}, "seeds must be a sequence of int, got 5"),
+            ({"selectors": 5}, "selectors must be a sequence of Strategy, got 5"),
+            ({"selectors": ("fpl", 5)}, "selectors must be a sequence of Strategy, got ('fpl', 5)"),
+            ({"out": 5}, "out must be of type str, got 5"),
+            ({"dataset": "csv", "csv_path": 3}, "csv_path must be of type str, got 3"),
+            ({"noise_rate_estimate": 2.0}, "noise_rate_estimate must lie in [0, 1], got 2.0"),
+            ({"alpha": 5.0}, "alpha must lie in (0, 1], got 5.0"),
+            ({"alpha": 0.0}, "alpha must lie in (0, 1], got 0.0"),
+            ({"stream": "bogus"}, "unknown stream 'bogus'; valid: uniform, planted, drifting, adversary, csv"),
+            ({"stream": "csv"}, "stream = csv needs stream_csv = PATH"),
+            ({"clean_fraction": 3.0}, "clean_fraction must lie in [0, 1], got 3.0"),
+            ({"noise_scale": -1.0}, "noise_scale must be finite and >= 0, got -1.0"),
+            ({"stream": "drifting", "drift_period": 0}, "drifting stream needs drift_period >= 1"),
+            ({"epochs": True}, "epochs must be of type int, got True"),
+            ({"lr": False}, "lr must be of type float, got False"),
+            ({"seeds": (0, True)}, "seeds must be a sequence of int, got (0, True)"),
         ],
     )
     def test_direct_config_checks_itself(self, fields, message):
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig(**fields)
         assert message in str(exc.value)
+
+    def test_a_path_that_is_not_a_str_fails_before_any_file_is_touched(self, tmp_path):
+        # an int path would name an open file descriptor to numpy and Path alike
+        path = tmp_path / "data.csv"
+        path.write_text("x0,label\n0.5,1\n")
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            for key in ("csv_path", "csv_test_path", "out"):
+                with pytest.raises(ConfigError, match=f"^{key} must be of type str, got {fd}$"):
+                    ExperimentConfig(dataset="csv", **{"csv_path": str(path), key: fd})
+            assert os.lseek(fd, 0, os.SEEK_CUR) == 0  # still open, nothing read
+        finally:
+            os.close(fd)
+
+    def test_a_sequence_is_stored_as_a_tuple(self):
+        cfg = ExperimentConfig(seeds=[0], selectors=["naive"])
+        assert (cfg.seeds, cfg.selectors) == ((0,), (Strategy.NAIVE,))
+        assert hash(cfg) == hash(ExperimentConfig(seeds=(0,), selectors=(Strategy.NAIVE,)))
 
     @pytest.mark.parametrize("key, value", [("hidden", "0"), ("batch_size", "0"), ("lr", "-1")])
     def test_learner_keys_are_checked_by_learner_spec_alone(self, monkeypatch, key, value):
@@ -226,6 +260,44 @@ class TestConfigParsing:
         monkeypatch.setattr(mlp.LearnerSpec, "__post_init__", lambda spec: None)
         cfg = build_config({key: value})
         assert getattr(cfg.learner, key) == getattr(cfg, key)
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"clean_fraction": "3"}, "clean_fraction"),
+            ({"noise_scale": "-1"}, "noise_scale"),
+            ({"stream": "drifting", "drift_period": "0"}, "drift_period"),
+        ],
+    )
+    def test_stream_keys_are_checked_by_stream_spec_alone(self, monkeypatch, raw, key):
+        # StreamSpec's check is the one a config reports; nothing else checks these keys
+        def sentinel(spec):
+            raise ParameterError("sentinel stream check")
+
+        monkeypatch.setattr(StreamSpec, "__post_init__", sentinel)
+        with pytest.raises(ConfigError, match="^sentinel stream check$"):
+            build_config(raw)
+        monkeypatch.setattr(StreamSpec, "__post_init__", lambda spec: None)
+        cfg = build_config(raw)
+        assert getattr(cfg.stream_spec, key) == getattr(cfg, key)
+
+    def test_simulate_hands_each_seed_the_configs_stream_spec(self, tmp_path, monkeypatch):
+        # one StreamSpec per config; each seed's stream changes its seed and nothing else
+        cfg = ExperimentConfig(
+            mode="simulate", out=str(tmp_path / "m.csv"), seeds=(3, 1), stream="drifting", n=30, k=5, epochs=4,
+            clean_fraction=0.3, noise_scale=0.2, drift_period=2,
+        )
+        specs = []
+        real = harness.stream_epochs
+
+        def recorded(spec):
+            specs.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(harness, "stream_epochs", recorded)
+        run_simulate(cfg)
+        assert specs == [dataclasses.replace(cfg.stream_spec, seed=seed) for seed in cfg.seeds]
+        assert cfg.stream_spec.seed == 3 and cfg.stream_spec.drift_period == 2
 
     def test_train_epoch_is_handed_the_configs_learner(self, tmp_path, monkeypatch):
         # the LearnerSpec a config builds reaches training as built, every epoch
@@ -1249,6 +1321,14 @@ class TestRunBounds:
         with pytest.raises(ConfigError):
             run_bounds(ExperimentConfig(mode="bounds", n=10, k=3, epochs=10, alpha=2.0))
 
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_bad_alpha_exits_one_whatever_k_is(self, tmp_path, capsys, k):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"n = 5\nk = {k}\nalpha = 7\n")
+        assert main(["bounds", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "config error: alpha must lie in (0, 1], got 7.0\n")
+
 
 class TestIdxMemory:
     """An IDX run holds its pixels as u8 and converts rows a batch or a scoring chunk at a time."""
@@ -1429,8 +1509,8 @@ class TestCli:
         ranges = [
             ("eta_coefficient = -1", "eta_coefficient must be finite and >= 0, got -1.0"),
             ("eta_coefficient = nan", "eta_coefficient must be finite and >= 0, got nan"),
-            ("k_frac = 1.5", "k_frac=1.5 outside (0, 1]"),
-            ("k_frac = 0", "k_frac=0.0 outside (0, 1]"),
+            ("k_frac = 1.5", "k_frac must lie in (0, 1], got 1.5"),
+            ("k_frac = 0", "k_frac must lie in (0, 1], got 0.0"),
         ]
         cases = [("train", "hidden = 0", "hidden must be >= 1, got 0")]
         cases += [(mode, line, message) for mode in modes for line, message in ranges]
