@@ -11,7 +11,11 @@ wrote: metric CSVs without their last column (wall_ms, the one output
 outside the determinism contract) and all other files whole.  Run it on
 two checkouts and compare the totals.  It exits 1 when any config exits
 non-zero, after printing every digest, so a config broken on both
-checkouts cannot pass as equal.
+checkouts cannot pass as equal.  tests/test_output_digest.py runs it on
+this checkout at OPENBLAS_NUM_THREADS=1 and compares each config's
+digest with tests/golden/digests.txt, under the entry for the host's
+numpy version and runtime OpenBLAS config; a change that alters outputs
+on purpose records its new digests there.
 
 The grid: simulate over the four generated stream kinds x three selector
 lists, each with seeds 0 and 1; a planted simulate that dumps its stream

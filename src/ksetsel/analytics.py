@@ -15,6 +15,10 @@ so large (n, k) stay finite:
       ceiling on average selection risk, where a in (0, 1] scales the
       best fixed selection's total risk as a * k * T.  Decreasing in
       T and tends to a * k as T grows.
+
+BoundReport is the one report of both: `bounds` prints it for
+(n, k, T, alpha), and `simulate` prints it under each selector with the
+run's empirical regret and average risk appended.
 """
 
 from __future__ import annotations
@@ -85,26 +89,47 @@ class SelectionTrace:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Empirical run statistics next to their closed-form ceilings."""
+    """The closed-form ceilings for (n, k, T, alpha), with a run's empirical numbers beside them.
+
+    BoundReport.ceilings builds it and is the one place the domain rules
+    apply: at k = n both ceilings are None, and an alpha of 0 (a best
+    fixed k-set of zero risk) gives neither alpha nor an avg-risk
+    ceiling.  lines() prints the ceilings, then the empirical regret
+    and average risk when the report carries them.
+    """
 
     n: int
     k: int
     epochs: int
-    empirical_regret: float
-    empirical_avg_risk: float
-    regret_ceiling: float
+    regret_ceiling: float | None  # None at k = n, where the guarantee is void
     alpha: float | None = None
     avg_risk_ceiling: float | None = None
+    empirical_regret: float | None = None
+    empirical_avg_risk: float | None = None
+
+    @classmethod
+    def ceilings(cls, n: int, k: int, epochs: int, alpha: float | None = None) -> BoundReport:
+        """The report for (n, k, T, alpha); alpha None or 0 gives no avg-risk ceiling."""
+        alpha = alpha or None
+        if k == n:
+            return cls(n, k, epochs, None, alpha)
+        risk_ceiling = None if alpha is None else avg_risk_bound(n, k, epochs, alpha)
+        return cls(n, k, epochs, regret_bound(n, k, epochs), alpha, risk_ceiling)
 
     def lines(self) -> list[str]:
-        out = [
-            f"n={self.n} k={self.k} T={self.epochs}",
-            f"empirical regret:        {self.empirical_regret:.6g}",
-            f"regret ceiling:          {self.regret_ceiling:.6g}",
-            f"empirical avg risk:      {self.empirical_avg_risk:.6g}",
-        ]
-        if self.avg_risk_ceiling is not None:
-            out.append(f"avg-risk ceiling:        {self.avg_risk_ceiling:.6g} (alpha={self.alpha:.4g})")
+        out = [f"n={self.n} k={self.k} T={self.epochs}"]
+        if self.regret_ceiling is None:
+            out.append("regret ceiling: undefined for k = n (guarantee needs k <= n - 1)")
+        else:
+            out.append(f"regret ceiling (eta = sqrt(kT)): {self.regret_ceiling:.10g}")
+        out.append(f"trivial risk ceiling k*T: {float(self.k * self.epochs):.10g}")
+        if self.alpha is not None and self.avg_risk_ceiling is None:
+            out.append("avg-risk ceiling: undefined for k = n")
+        elif self.alpha is not None:
+            out.append(f"avg-risk ceiling (alpha={self.alpha:.10g}): {self.avg_risk_ceiling:.10g}")
+        if self.empirical_regret is not None:
+            out.append(f"empirical regret:        {self.empirical_regret:.6g}")
+            out.append(f"empirical avg risk:      {self.empirical_avg_risk:.6g}")
         return out
 
 

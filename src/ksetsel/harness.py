@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .ahead import ReadAhead, fork_map
-from .analytics import BoundReport, avg_risk_bound, regret_bound
+from .analytics import BoundReport
 from .datasets import Dataset, LabelNoiseSpec, apply_label_noise, load_csv_dataset, load_idx, make_blobs
 from .errors import ConfigError, ParameterError
 from .feedback import (
@@ -83,11 +83,12 @@ class ExperimentConfig:
     ConfigError.  Every field must have its declared type (string and
     path fields a str; an int passes as a float, a bool never), a tuple
     field takes any sequence but a str and is stored as a tuple, and
-    every value but k (resolve_k checks it against n) and the blob shape
-    (make_blobs) is checked in every mode.  Each selector name becomes
-    its Strategy, any case; a repeated selector counts once.  learner is
-    the LearnerSpec every run is handed, and stream_spec the first
-    seed's StreamSpec (None for a csv stream), both with their defaults.
+    every value but k (resolve_k checks it against n) and separation's
+    upper limit (make_blobs checks it against dim) is checked in every
+    mode.  Each selector name becomes its Strategy, any case; a repeated
+    selector counts once.  learner is the LearnerSpec every run is
+    handed, and stream_spec the first seed's StreamSpec (None for a csv
+    stream), both with their defaults.
     """
 
     mode: str = "train"
@@ -159,9 +160,11 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         if not self.selectors:
             raise ConfigError("selector list is empty")
-        for name in ("n", "epochs", "test_n"):
+        for name in ("n", "epochs", "test_n", "dim", "classes"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (np.isfinite(self.separation) and self.separation > 0.0):
+            raise ConfigError(f"separation must be finite and > 0, got {self.separation}")
         if self.dataset not in ("blobs", "idx", "csv"):
             raise ConfigError(f"dataset must be blobs, idx, or csv, got {self.dataset!r}")
         if (self.idx_test_images is None) != (self.idx_test_labels is None):
@@ -341,6 +344,10 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
     dump_stream writes the first seed's stream one epoch at a time as
     it is generated, so dumping never holds the whole stream; its
     directory must exist, like out's, and both are checked first.
+    Each selector's report is one BoundReport for (n, k, T) and the
+    mean over seeds of best_total / (kT) as alpha: the lines `bounds`
+    prints for those values, then that selector's mean regret and
+    average risk.
     """
     out = _require_out(cfg, "dump_stream")
     spec = cfg.stream_spec
@@ -353,10 +360,6 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
     eta = resolve_eta(cfg.eta_coefficient, k, epochs)
     if cfg.dump_stream:
         dump_stream_csv((theta for theta, _ in stream_epochs(spec)) if replay is None else replay, cfg.dump_stream)
-    try:
-        ceiling = regret_bound(n, k, epochs)
-    except ParameterError:
-        ceiling = float("nan")  # k = n: guarantee void
 
     best_totals: list[float] = []  # per seed; every selector on a seed's stream shares it
 
@@ -374,25 +377,17 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
         return metrics
 
     runs, paths = _run_seeds(cfg, out, run_seed)
-    alpha = float(np.mean([total / (k * epochs) for total in best_totals]))
-    try:
-        risk_ceiling = avg_risk_bound(n, k, epochs, alpha)
-    except ParameterError:
-        alpha, risk_ceiling = None, None
-    reports: dict[Strategy, BoundReport] = {}
-    for strategy, metrics_by_seed in runs.items():
-        reports[strategy] = BoundReport(
-            n=n,
-            k=k,
-            epochs=epochs,
+    report = BoundReport.ceilings(n, k, epochs, float(np.mean([total / (k * epochs) for total in best_totals])))
+    reports = {
+        strategy: dataclasses.replace(
+            report,
             empirical_regret=float(np.mean([metrics[-1].cum_regret for metrics in metrics_by_seed])),
             empirical_avg_risk=float(
                 np.mean([sum(m.selection_risk for m in metrics) / epochs for metrics in metrics_by_seed])
             ),
-            regret_ceiling=ceiling,
-            alpha=alpha,
-            avg_risk_ceiling=risk_ceiling,
         )
+        for strategy, metrics_by_seed in runs.items()
+    }
     return SimulateResult(reports=reports, csv_paths=paths)
 
 
@@ -701,35 +696,6 @@ def run_validate_risk(cfg: ExperimentConfig) -> ValidateRiskResult:
 # ------------------------------------------------------------------ bounds
 
 
-@dataclass
-class BoundsResult:
-    n: int
-    k: int
-    epochs: int
-    regret_ceiling: float | None  # None for k = n, where the guarantee is void
-    alpha: float | None
-    avg_risk_ceiling: float | None
-
-    def lines(self) -> list[str]:
-        out = [f"n={self.n} k={self.k} T={self.epochs}"]
-        if self.regret_ceiling is None:
-            out.append("regret ceiling: undefined for k = n (guarantee needs k <= n - 1)")
-        else:
-            out.append(f"regret ceiling (eta = sqrt(kT)): {self.regret_ceiling:.10g}")
-        out.append(f"trivial risk ceiling k*T: {float(self.k * self.epochs):.10g}")
-        if self.alpha is not None and self.avg_risk_ceiling is None:
-            out.append("avg-risk ceiling: undefined for k = n")
-        elif self.alpha is not None:
-            out.append(f"avg-risk ceiling (alpha={self.alpha:.10g}): {self.avg_risk_ceiling:.10g}")
-        return out
-
-
-def run_bounds(cfg: ExperimentConfig) -> BoundsResult:
-    """Closed-form ceilings for (n, k, T) and optional alpha."""
-    k = cfg.resolve_k(cfg.n)
-    regret_ceiling = avg_risk_ceiling = None
-    if k < cfg.n:
-        regret_ceiling = regret_bound(cfg.n, k, cfg.epochs)
-        if cfg.alpha is not None:
-            avg_risk_ceiling = avg_risk_bound(cfg.n, k, cfg.epochs, cfg.alpha)
-    return BoundsResult(cfg.n, k, cfg.epochs, regret_ceiling, cfg.alpha, avg_risk_ceiling)
+def run_bounds(cfg: ExperimentConfig) -> BoundReport:
+    """The ceilings for (n, k, T) and the optional alpha: the block `simulate` opens each selector's report with."""
+    return BoundReport.ceilings(cfg.n, cfg.resolve_k(cfg.n), cfg.epochs, cfg.alpha)

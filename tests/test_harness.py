@@ -26,7 +26,7 @@ from ksetsel import ahead, cli, harness, mlp, selection, training
 from ksetsel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from ksetsel.datasets import LabelNoiseSpec, make_blobs, save_csv_dataset
 from ksetsel.errors import ConfigError, DataError, InputError, ParameterError
-from ksetsel.feedback import StreamSpec, load_stream_csv, noise_risk_scores
+from ksetsel.feedback import StreamSpec, dump_stream_csv, load_stream_csv, noise_risk_scores
 from ksetsel.harness import (
     ETA_COEFFICIENT_GRID,
     METRICS_HEADER,
@@ -223,6 +223,10 @@ class TestConfigParsing:
             ({"epochs": True}, "epochs must be of type int, got True"),
             ({"lr": False}, "lr must be of type float, got False"),
             ({"seeds": (0, True)}, "seeds must be a sequence of int, got (0, True)"),
+            ({"dim": 0}, "dim must be >= 1, got 0"),
+            ({"classes": 0}, "classes must be >= 1, got 0"),
+            ({"separation": -1.0}, "separation must be finite and > 0, got -1.0"),
+            ({"separation": float("nan")}, "separation must be finite and > 0, got nan"),
         ],
     )
     def test_direct_config_checks_itself(self, fields, message):
@@ -1328,6 +1332,41 @@ class TestRunBounds:
         assert main(["bounds", "--config", str(path)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "config error: alpha must lie in (0, 1], got 7.0\n")
+
+
+class TestOneCeilingsReport:
+    """bounds prints a BoundReport as built; simulate prints the same report per selector, then its own numbers."""
+
+    def test_bounds_lines_open_simulate_s_fpl_block(self, tmp_path):
+        sim = ExperimentConfig(mode="simulate", out=str(tmp_path / "s.csv"), stream="planted", n=30, k=6, epochs=10)
+        fpl = run_simulate(sim).reports[Strategy.FPL]
+        bounds = run_bounds(ExperimentConfig(mode="bounds", n=30, k=6, epochs=10, alpha=fpl.alpha)).lines()
+        assert fpl.lines()[: len(bounds)] == bounds
+        assert fpl.lines()[len(bounds):] == [
+            f"empirical regret:        {fpl.empirical_regret:.6g}",
+            f"empirical avg risk:      {fpl.empirical_avg_risk:.6g}",
+        ]
+
+    def test_simulate_at_k_equal_n_prints_the_ceiling_undefined(self, tmp_path):
+        cfg = ExperimentConfig(mode="simulate", out=str(tmp_path / "s.csv"), stream="planted", n=8, k=8, epochs=3)
+        with pytest.warns(UserWarning, match="k = n selects every sample"):
+            result = run_simulate(cfg)
+        report = result.reports[Strategy.FPL]
+        assert report.regret_ceiling is None and report.avg_risk_ceiling is None
+        assert "  regret ceiling: undefined for k = n (guarantee needs k <= n - 1)" in result.lines()
+        assert not any("nan" in line for line in result.lines())
+
+    def test_an_all_zero_replay_prints_no_avg_risk_ceiling(self, tmp_path):
+        dump_stream_csv([RiskVector(np.zeros(6))] * 4, tmp_path / "zeros.csv")
+        cfg = ExperimentConfig(
+            mode="simulate", out=str(tmp_path / "s.csv"), stream="csv", stream_csv=str(tmp_path / "zeros.csv"),
+            selectors=tuple(Strategy), k=2,
+        )
+        result = run_simulate(cfg)  # alpha is 0 here, outside avg_risk_bound's (0, 1]
+        for report in result.reports.values():
+            assert (report.alpha, report.avg_risk_ceiling) == (None, None)
+            assert report.regret_ceiling is not None
+        assert not any("avg-risk" in line for line in result.lines())
 
 
 class TestIdxMemory:

@@ -1,5 +1,7 @@
-"""scripts/output_digest.py: one digest per config plus a total, and a loud exit on a failing config."""
+"""scripts/output_digest.py: one digest per config plus a total, a loud exit on a failing config,
+and digests equal to the ones tests/golden/digests.txt records for this host's numpy and OpenBLAS."""
 
+import ctypes
 import importlib.util
 import os
 import re
@@ -7,8 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "output_digest.py"
+GOLDEN = ROOT / "tests" / "golden" / "digests.txt"
 
 
 def load_script():
@@ -18,11 +24,39 @@ def load_script():
     return module
 
 
-def test_digests_every_config_of_src_and_exits_zero():
+def host_key() -> str:
+    """numpy's version and the runtime config string of the OpenBLAS numpy loaded, which names the core it runs on."""
+    try:
+        config = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_config64_
+    except AttributeError:  # numpy 1.x, or a numpy not built on scipy-openblas: no golden entry can match
+        return f"numpy {np.__version__} | no scipy_openblas_get_config64_"
+    config.restype = ctypes.c_char_p
+    return f"numpy {np.__version__} | {config().decode()}"
+
+
+def read_golden() -> dict[str, dict[str, str]]:
+    """{host key: {config: digest}} from the golden file's `[key]` headers and `digest  config` lines."""
+    golden: dict[str, dict[str, str]] = {}
+    for line in GOLDEN.read_text().splitlines():
+        if line.startswith("["):
+            entries = golden.setdefault(line[1:-1], {})
+        elif line and not line.startswith("#"):
+            digest, name = line.split("  ")
+            entries[name] = digest
+    return golden
+
+
+@pytest.fixture(scope="module")
+def digest_run():
+    """One run of the script over src at one BLAS thread, shared by every test that reads its output."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(SCRIPT), str(ROOT / "src")], capture_output=True, text=True, env=env, timeout=300
     )
+
+
+def test_digests_every_config_of_src_and_exits_zero(digest_run):
+    proc = digest_run
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     lines = proc.stdout.splitlines()
@@ -41,3 +75,16 @@ def test_a_failing_config_makes_the_script_exit_one(tmp_path, monkeypatch, capsy
     captured = capsys.readouterr()
     assert "broken: exit 1: config error: n must be >= 1, got 0" in captured.err
     assert [line.split("  ")[1] for line in captured.out.splitlines()] == ["bounds", "broken", "total"]
+
+
+def test_digests_match_the_golden_file(digest_run):
+    # a change that alters an output on purpose records the new digests in the same commit
+    lines = (line.split("  ", 1) for line in digest_run.stdout.splitlines())
+    computed = {name: digest for digest, name in lines if name != "total"}
+    key = host_key()
+    golden = read_golden()
+    if key not in golden:
+        pytest.skip(f"{GOLDEN.name} has no entry for {key!r}; this host computed:\n{digest_run.stdout}")
+    expected = golden[key]
+    changed = sorted(name for name in computed.keys() | expected.keys() if computed.get(name) != expected.get(name))
+    assert not changed, f"outputs differ from {GOLDEN.name} for: {', '.join(changed)}\n{digest_run.stderr}"
