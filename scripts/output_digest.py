@@ -2,7 +2,7 @@
 
     python3 scripts/output_digest.py SRC_DIR
 
-imports ksetsel from SRC_DIR (a checkout's `src/`), runs 26 configs
+imports ksetsel from SRC_DIR (a checkout's `src/`), runs 27 configs
 through `ksetsel.cli.main` in a temporary directory and prints one
 sha256 per config plus a total over them.  A config's digest covers its
 exit code, stdout and stderr (the temporary directory replaced by a
@@ -12,10 +12,11 @@ outside the determinism contract) and all other files whole.  Run it on
 two checkouts and compare the totals.  It exits 1 when any config exits
 non-zero, after printing every digest, so a config broken on both
 checkouts cannot pass as equal.  tests/test_output_digest.py runs it on
-this checkout at OPENBLAS_NUM_THREADS=1 and compares each config's
-digest with tests/golden/digests.txt, under the entry for the host's
-numpy version and runtime OpenBLAS config; a change that alters outputs
-on purpose records its new digests there.
+this checkout at OPENBLAS_NUM_THREADS=1 and 2, requires the same digests
+from both, and compares each config's digest with
+tests/golden/digests.txt, under the entry for the host's numpy version
+and the BLAS name and version of numpy's build config; a change that
+alters outputs on purpose records its new digests there.
 
 The grid: simulate over the four generated stream kinds x three selector
 lists, each with seeds 0 and 1; a planted simulate that dumps its stream
@@ -24,12 +25,15 @@ asymmetric noise on a CSV dataset the script writes itself; train with
 every override flag over a file that sets the same keys (and `k`)
 otherwise; ablate; validate-risk; grid; train (with a test split) and
 grid on an IDX image/label pair the script also writes itself, with
-more training rows than one 4096-row scoring chunk; bounds.  Under
-`OPENBLAS_NUM_THREADS=1` on two or more usable CPUs the ablate config
-(four selectors, seeds 0 and 1) trains each seed's selectors, and the
-grid and validate-risk configs their grid points and clean fractions,
-in forked children (`ksetsel.ahead.fork_map`), so their digests check
-that forked runs write the same bytes as inline ones.
+more training rows than one 4096-row scoring chunk; a replay, with
+every selector, of a stream of risks in {0, 0.5, 1} the script writes
+itself, whose ties at the k-th smallest value exercise the tie rule;
+bounds, last.  Under `OPENBLAS_NUM_THREADS=1` on two or more usable
+CPUs the ablate config (four selectors, seeds 0 and 1) trains each
+seed's selectors, and the grid and validate-risk configs their grid
+points and clean fractions, in forked children (`ksetsel.ahead.fork_map`),
+so their digests check that forked runs write the same bytes as inline
+ones; at 2 BLAS threads every run is inline.
 """
 
 from __future__ import annotations
@@ -96,6 +100,8 @@ def configs() -> list[tuple[str, str, dict]]:
     grid.append(("grid", "grid", {**BLOBS, "seeds": "2", "epochs": 4, "noise_rate_estimate": 0.4}))
     grid.append(("train-idx", "train", {**IDX, **IDX_TEST, "selectors": "fpl", "seeds": "0, 1", "epochs": 8}))
     grid.append(("grid-idx", "grid", {**IDX, "seeds": "2", "epochs": 3, "noise_rate_estimate": 0.4}))
+    ties = {"stream": "csv", "stream_csv": "{dir}/ties-data/stream.csv", "selectors": SELECTOR_LISTS["all"]}
+    grid.append(("simulate-ties", "simulate", {**ties, "seeds": "0, 1", "k_frac": 0.3}))
     grid.append(("bounds", "bounds", {"n": 5000, "k_frac": 0.2, "epochs": 40, "alpha": 0.1}))
     return grid
 
@@ -111,6 +117,18 @@ def write_csv_data(root: Path) -> None:
         lines = ["label," + ",".join(f"f_{i}" for i in range(6))]
         lines += [f"{y}," + ",".join(repr(float(v)) for v in row) for y, row in zip(labels, samples)]
         (root / "csv-data" / f"{name}.csv").write_text("\n".join(lines) + "\n")
+
+
+def write_ties_stream(root: Path) -> None:
+    """A seeded 10-epoch, 60-wide stream of risks in {0, 0.5, 1} in the dumped-stream format, written without ksetsel.
+
+    Its sums tie often, so the k-th smallest is shared and the tie rule decides which samples are picked.
+    """
+    rng = np.random.default_rng(13)
+    lines = ["epoch," + ",".join(f"theta_{i}" for i in range(60))]
+    lines += [f"{t}," + ",".join(str(v / 2) for v in rng.integers(0, 3, size=60)) for t in range(1, 11)]
+    (root / "ties-data").mkdir()
+    (root / "ties-data" / "stream.csv").write_text("\n".join(lines) + "\n")
 
 
 def write_idx_data(root: Path) -> None:
@@ -177,6 +195,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         write_csv_data(Path(tmp))
         write_idx_data(Path(tmp))
+        write_ties_stream(Path(tmp))
         for name, mode, keys in configs():
             digest, rc = run_config(cli, Path(tmp), name, mode, keys)
             failed |= rc != 0

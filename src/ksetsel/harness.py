@@ -39,7 +39,7 @@ from .feedback import (
     stream_epochs,
 )
 from .mlp import LearnerSpec, evaluate
-from .selection import KSetSelection, SelectorConfig, Strategy
+from .selection import SelectorConfig, Strategy
 from .tables import write_table
 from .training import EpochMetrics, run_epochs, train_selective
 
@@ -83,9 +83,12 @@ class ExperimentConfig:
     ConfigError.  Every field must have its declared type (string and
     path fields a str; an int passes as a float, a bool never), a tuple
     field takes any sequence but a str and is stored as a tuple, and
-    every value but k (resolve_k checks it against n) and separation's
-    upper limit (make_blobs checks it against dim) is checked in every
-    mode.  Each selector name becomes its Strategy, any case; a repeated
+    every value but k (resolve_k checks it against n), separation's
+    upper limit (make_blobs checks it against dim) and the stream
+    settings is checked in every mode.  StreamSpec checks the stream
+    settings its kind uses: clean_fraction and noise_scale for every
+    generated stream, drift_period for a drifting one, none for csv.
+    Each selector name becomes its Strategy, any case; a repeated
     selector counts once.  learner is the LearnerSpec every run is
     handed, and stream_spec the first seed's StreamSpec (None for a csv
     stream), both with their defaults.
@@ -120,7 +123,7 @@ class ExperimentConfig:
     hidden: int = LearnerSpec.hidden
     lr: float = LearnerSpec.lr
     batch_size: int = LearnerSpec.batch_size
-    # streams (simulate mode; checked in every mode)
+    # streams (simulate mode; StreamSpec checks what its kind uses, in every mode)
     stream: str = "uniform"
     clean_fraction: float = StreamSpec.clean_fraction
     noise_scale: float = StreamSpec.noise_scale
@@ -182,6 +185,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown stream {self.stream!r}; valid: {', '.join(streams)}")
         if self.stream == "csv" and not self.stream_csv:
             raise ConfigError("stream = csv needs stream_csv = PATH")
+        if self.dataset == "idx" and not (self.idx_images and self.idx_labels):
+            raise ConfigError("dataset = idx needs idx_images and idx_labels paths")
+        if self.dataset == "csv" and not self.csv_path:
+            raise ConfigError("dataset = csv needs csv_path")
         kind = None if self.stream == "csv" else StreamKind(self.stream)
         try:
             object.__setattr__(self, "learner", LearnerSpec(hidden=self.hidden, lr=self.lr, batch_size=self.batch_size))
@@ -335,43 +342,38 @@ class SimulateResult:
 def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
     """Run every selector in lockstep over each seed's stream and report bounds.
 
-    n and T are the stream's: a replayed csv stream sets both and is
-    read once for every seed; a generated stream is cfg.stream_spec, as
-    checked when the config was built, with the run seed as its seed,
-    and is built one epoch at a time.  Either is read one epoch ahead
-    on a worker thread, so theta_{t+1} is drawn while the selectors use
-    theta_t, and a generated stream holds at most these two at once.
-    dump_stream writes the first seed's stream one epoch at a time as
-    it is generated, so dumping never holds the whole stream; its
-    directory must exist, like out's, and both are checked first.
+    source(seed) yields a seed's (theta_t, clean mask or None) pairs:
+    a replayed csv stream, read once for every seed, or cfg.stream_spec
+    as checked when the config was built, with the run seed as its
+    seed, built one epoch at a time.  n and T are the stream's.  Each
+    seed's source is read one epoch ahead on a worker thread, so
+    theta_{t+1} is drawn while the selectors use theta_t, and a
+    generated stream holds at most these two at once.  dump_stream
+    writes the first seed's source one row per epoch as it is drawn,
+    never holding the whole stream; its directory must exist, like
+    out's, and both are checked first.
     Each selector's report is one BoundReport for (n, k, T) and the
     mean over seeds of best_total / (kT) as alpha: the lines `bounds`
     prints for those values, then that selector's mean regret and
     average risk.
     """
     out = _require_out(cfg, "dump_stream")
-    spec = cfg.stream_spec
-    if spec is None:
+    if cfg.stream_spec is None:
         replay = load_stream_csv(cfg.stream_csv)
-        n, epochs = replay[0].n, len(replay)
+        n, epochs, source = replay[0].n, len(replay), lambda seed: ((theta, None) for theta in replay)
     else:
-        replay, n, epochs = None, spec.n, spec.epochs
+        n, epochs = cfg.stream_spec.n, cfg.stream_spec.epochs
+        source = lambda seed: stream_epochs(dataclasses.replace(cfg.stream_spec, seed=seed))
     k = cfg.resolve_k(n)
     eta = resolve_eta(cfg.eta_coefficient, k, epochs)
     if cfg.dump_stream:
-        dump_stream_csv((theta for theta, _ in stream_epochs(spec)) if replay is None else replay, cfg.dump_stream)
+        dump_stream_csv((theta for theta, _ in source(cfg.seeds[0])), cfg.dump_stream)
 
     best_totals: list[float] = []  # per seed; every selector on a seed's stream shares it
 
     def run_seed(seed: int, strategies: list[Strategy]) -> list[list[EpochMetrics]]:
-        source = stream_epochs(dataclasses.replace(spec, seed=seed)) if replay is None else ((t, None) for t in replay)
-        nan = float("nan")
-
-        def feedback(epoch: int, picks: list[KSetSelection]):
-            theta, mask = next(stream)
-            return theta, mask, nan, nan
-
-        with ReadAhead(source) as stream:
+        with ReadAhead(source(seed)) as stream:
+            feedback = lambda epoch, picks: (*next(stream), float("nan"), float("nan"))
             metrics, seen = run_epochs(strategies, SelectorConfig(k=k, eta=eta, seed=seed), n, epochs, feedback)
         best_totals.append(seen.best_total)
         return metrics
@@ -407,15 +409,11 @@ def _load_base_datasets(cfg: ExperimentConfig, with_test: bool = True) -> tuple[
         test = full.subset(np.arange(cfg.n, cfg.n + test_n)) if with_test else None
         return full.subset(np.arange(cfg.n)), test
     if cfg.dataset == "idx":
-        if not cfg.idx_images or not cfg.idx_labels:
-            raise ConfigError("dataset = idx needs idx_images and idx_labels paths")
         train = load_idx(cfg.idx_images, cfg.idx_labels)
         test = None
         if with_test and cfg.idx_test_images:
             test = load_idx(cfg.idx_test_images, cfg.idx_test_labels)
     else:
-        if not cfg.csv_path:
-            raise ConfigError("dataset = csv needs csv_path")
         train = load_csv_dataset(cfg.csv_path)
         test = load_csv_dataset(cfg.csv_test_path) if with_test and cfg.csv_test_path else None
     # Each file counts its own classes; a test file may lack the top training class.

@@ -2,11 +2,12 @@
 
 run_epochs drives a run's strategies in lockstep over one risk stream,
 all under the run's one SelectorConfig (k, eta and seed): each epoch
-every strategy picks a k-set from the shared Hindsight ledger with its
-own generator, the caller's feedback function reveals that epoch's
-risk vector theta_t, the ledger folds theta_t into its sums once, and
-each strategy is charged its prefix regret against the best fixed
-k-set over epochs 1..t.
+every strategy picks a k-set from the shared Hindsight ledger (greedy
+from theta_{t-1}) with its own generator, the caller's feedback
+function reveals that epoch's risk vector theta_t, the ledger folds
+theta_t into its sums once, and each strategy is charged its prefix
+regret against the best fixed k-set over epochs 1..t.  The ledger
+keeps no risk vector; the loop holds theta_t until the next picks.
 
 train_selective plugs the learner in as feedback, under the run's
 SelectorConfig and LearnerSpec as built: train the model on the
@@ -79,22 +80,21 @@ class EpochMetrics:
 
 
 class Hindsight:
-    """What the strategies on one risk stream have seen: sums, last theta and leader.
+    """What the strategies on one risk stream derive from its sums: the sums, the leader and best_total.
 
     The leader, the k smallest sums, is naive's next pick and the best
-    fixed k-set in hindsight; best_total is its total risk so far.
+    fixed k-set in hindsight; best_total is its total risk so far.  It
+    holds no risk vector: run_epochs hands theta_{t-1} to greedy itself.
     """
 
     def __init__(self, n: int, k: int):
         self.k = k
         self.cum = CumulativeRisk.zeros(n)
-        self.last: RiskVector | None = None
         self.leader: KSetSelection | None = None
         self.best_total = 0.0
 
     def observe(self, theta: RiskVector) -> None:
         self.cum = accumulate(self.cum, theta)
-        self.last = theta
         self.leader = ftl_select(self.cum, self.k)
         self.best_total = float(self.cum.sums[self.leader.indices].sum())
 
@@ -105,9 +105,10 @@ def _seed_streams(seed: int) -> list[np.random.SeedSequence]:
 
 
 def _pick(
-    strategy: Strategy, seen: Hindsight, cfg: SelectorConfig, rng: np.random.Generator, noise: np.ndarray | None
+    strategy: Strategy, seen: Hindsight, last: RiskVector, cfg: SelectorConfig,
+    rng: np.random.Generator, noise: np.ndarray | None,
 ) -> KSetSelection:
-    """strategy's pick from a ledger that has feedback; rng is the strategy's own selector stream.
+    """strategy's pick from a ledger that has feedback; last is theta_{t-1}, rng the strategy's own selector stream.
 
     noise is FPL's perturbation for this pick, drawn from rng; None for the others.
     """
@@ -116,7 +117,7 @@ def _pick(
     if strategy is Strategy.NAIVE:
         return seen.leader
     if strategy is Strategy.GREEDY:
-        return greedy_select(seen.last, cfg.k)
+        return greedy_select(last, cfg.k)
     if strategy is Strategy.RANDOM:
         return init_selection(seen.cum.n, cfg.k, rng)
     raise ParameterError(f"unknown strategy {strategy!r}")  # pragma: no cover
@@ -133,9 +134,10 @@ def run_epochs(
     later epochs each one's own pick, drawn from its own generator on
     the run seed's selector stream.  FPL draws one perturbation per pick
     after epoch 1, at any eta; when the run has an FPL strategy these
-    draws run one epoch ahead on a worker thread.  The previous theta
-    is released once the picks are made, so a feedback that reads its
-    stream ahead holds theta_t and theta_{t+1}, not theta_{t-1} too.
+    draws run one epoch ahead on a worker thread.  The loop holds
+    theta_t until the next picks, where greedy reads it, and drops it
+    before the next feedback, so a feedback that reads its stream ahead
+    holds theta_t and theta_{t+1}, not theta_{t-1} too.
     Label precision is nan without a clean mask.  wall_ms runs from the
     first pick to folding theta_t in, alike in every strategy's row.
     Selections are not kept; a caller that needs them records them in
@@ -160,8 +162,8 @@ def run_epochs(
             if epoch == 1:
                 picks = [first] * len(strategies)
             else:
-                picks = [_pick(s, seen, cfg, rng, z) for s, rng, z in zip(strategies, rngs, next(noises))]
-            seen.last = None  # greedy's pick was theta_{t-1}'s last use
+                picks = [_pick(s, seen, theta, cfg, rng, z) for s, rng, z in zip(strategies, rngs, next(noises))]
+            theta = None  # greedy's pick was theta_{t-1}'s last use: drop it before the feedback reads ahead
             theta, clean_mask, train_acc, test_acc = feedback(epoch, picks)
             seen.observe(theta)  # first: it rejects a theta of the wrong length
             wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -179,7 +181,6 @@ def run_epochs(
                         wall_ms=wall_ms,
                     )
                 )
-            del theta  # seen.last is now its one reference here, released after the next picks
     return metrics, seen
 
 

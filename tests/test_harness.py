@@ -227,6 +227,9 @@ class TestConfigParsing:
             ({"classes": 0}, "classes must be >= 1, got 0"),
             ({"separation": -1.0}, "separation must be finite and > 0, got -1.0"),
             ({"separation": float("nan")}, "separation must be finite and > 0, got nan"),
+            ({"dataset": "idx"}, "dataset = idx needs idx_images and idx_labels paths"),
+            ({"dataset": "idx", "idx_images": "i.idx"}, "dataset = idx needs idx_images and idx_labels paths"),
+            ({"dataset": "csv"}, "dataset = csv needs csv_path"),
         ],
     )
     def test_direct_config_checks_itself(self, fields, message):

@@ -1,7 +1,7 @@
 """scripts/output_digest.py: one digest per config plus a total, a loud exit on a failing config,
-and digests equal to the ones tests/golden/digests.txt records for this host's numpy and OpenBLAS."""
+the same digests at 1 and 2 BLAS threads, and digests equal to the ones tests/golden/digests.txt
+records for this host's numpy build."""
 
-import ctypes
 import importlib.util
 import os
 import re
@@ -25,13 +25,12 @@ def load_script():
 
 
 def host_key() -> str:
-    """numpy's version and the runtime config string of the OpenBLAS numpy loaded, which names the core it runs on."""
+    """numpy's version and the name and version of the BLAS it was built with, from numpy's own build config."""
     try:
-        config = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_config64_
-    except AttributeError:  # numpy 1.x, or a numpy not built on scipy-openblas: no golden entry can match
-        return f"numpy {np.__version__} | no scipy_openblas_get_config64_"
-    config.restype = ctypes.c_char_p
-    return f"numpy {np.__version__} | {config().decode()}"
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy without the dicts mode or a BLAS entry: no golden entry can match
+        return f"numpy {np.__version__} | no BLAS in the build config"
+    return f"numpy {np.__version__} | {blas['name']} {blas['version']}"
 
 
 def read_golden() -> dict[str, dict[str, str]]:
@@ -46,13 +45,17 @@ def read_golden() -> dict[str, dict[str, str]]:
     return golden
 
 
-@pytest.fixture(scope="module")
-def digest_run():
-    """One run of the script over src at one BLAS thread, shared by every test that reads its output."""
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+def run_script(threads: int) -> subprocess.CompletedProcess:
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
     return subprocess.run(
         [sys.executable, str(SCRIPT), str(ROOT / "src")], capture_output=True, text=True, env=env, timeout=300
     )
+
+
+@pytest.fixture(scope="module")
+def digest_run():
+    """One run of the script over src at one BLAS thread, shared by every test that reads its output."""
+    return run_script(1)
 
 
 def test_digests_every_config_of_src_and_exits_zero(digest_run):
@@ -61,7 +64,7 @@ def test_digests_every_config_of_src_and_exits_zero(digest_run):
     assert proc.stderr == ""
     lines = proc.stdout.splitlines()
     names = [name for name, _, _ in load_script().configs()] + ["total"]
-    assert len(names) == 27
+    assert len(names) == 28
     assert [line.split("  ", 1)[1] for line in lines] == names
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
 
@@ -88,3 +91,10 @@ def test_digests_match_the_golden_file(digest_run):
     expected = golden[key]
     changed = sorted(name for name in computed.keys() | expected.keys() if computed.get(name) != expected.get(name))
     assert not changed, f"outputs differ from {GOLDEN.name} for: {', '.join(changed)}\n{digest_run.stderr}"
+
+
+def test_two_blas_threads_print_the_same_digests(digest_run):
+    # at 2 BLAS threads fork_map runs inline, so this also checks that forked runs match inline ones
+    two = run_script(2)
+    assert two.returncode == 0, two.stderr
+    assert two.stdout == digest_run.stdout
