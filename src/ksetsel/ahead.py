@@ -16,7 +16,7 @@ import sys
 import warnings
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from typing import NoReturn
+from typing import BinaryIO, NoReturn
 
 __all__ = ["ReadAhead", "fork_map"]
 
@@ -81,11 +81,12 @@ def fork_map(fn: Callable, items: list) -> list:
     BLAS pool of more than one thread among them), or off Linux.
     Otherwise min(len(items), usable CPUs) children each run every
     so-many item in order.  They share the caller's memory copy-on-write,
-    so what fn changes stays in its child, and they send back only fn's
-    results, which must pickle.  Warnings are raised again here, in item
-    order, and then the first item's exception in item order, with its
-    class and message; a child that dies before it sends an item's
-    outcome is ChildProcessError for that item.  Every child is reaped
+    so what fn changes stays in its child; each writes fn's results,
+    which must pickle, to its own in-memory file, read once it exits.
+    Warnings are raised again here, in item order, and then the first
+    item's exception in item order, with its class and message; a child
+    that exits nonzero before it writes an item's outcome is
+    ChildProcessError for that item.  Every child is reaped
     before this returns or raises; one still running when the caller is
     interrupted is killed.
     """
@@ -93,44 +94,43 @@ def fork_map(fn: Callable, items: list) -> list:
     workers = min(len(items), _usable_cpus()) if len(items) > 1 and _one_thread() else 1
     if workers < 2:
         return [fn(item) for item in items]
-    children: list[tuple] = []  # (pid, the pipe read from it, its item indices), until reaped
+    children: list[tuple] = []  # (pid, the in-memory file it writes to, its item indices), until reaped
     outcomes: dict[int, tuple] = {}  # item index -> (result, exception, warnings)
     try:
         for first in range(workers):
             indices = range(first, len(items), workers)
-            read_fd, write_fd = os.pipe()
-            pipe = os.fdopen(read_fd, "rb")
+            file = os.fdopen(os.memfd_create("ksetsel-fork-map"), "w+b")
             # SIGINT waits until the child is on the list, so no interrupt can orphan it.
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(fn, items, indices, read_fd, write_fd, mask)
-                children.append((pid, pipe, indices))
+                    _child(fn, items, indices, file, mask)
+                children.append((pid, file, indices))
             except BaseException:
-                pipe.close()
+                file.close()
                 raise
             finally:
-                os.close(write_fd)
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for child in list(children):
-            pid, pipe, indices = child
-            with pipe:
+            pid, file, indices = child
+            with file:
+                status = os.waitpid(pid, 0)[1]
+                children.remove(child)
+                file.seek(0)
                 while True:
                     try:
-                        index, *outcome = pickle.load(pipe)
+                        index, *outcome = pickle.load(file)
                     except (EOFError, pickle.UnpicklingError):  # the end, or a child that died mid-write
                         break
                     outcomes[index] = outcome
-            status = os.waitpid(pid, 0)[1]
-            children.remove(child)
-            sent = sum(index in outcomes for index in indices)  # a child sends its items in order
-            if sent < len(indices) and (sent == 0 or outcomes[indices[sent - 1]][1] is None):
+            sent = sum(index in outcomes for index in indices)  # a child writes its items in order
+            if status != 0 and sent < len(indices):
                 died = ChildProcessError(f"forked run {indices[sent] + 1} of {len(items)} {_ending(status)}")
                 outcomes[indices[sent]] = (None, died, [])
     finally:
-        for pid, pipe, _ in children:
-            pipe.close()
+        for pid, file, _ in children:
+            file.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     results = []
@@ -144,13 +144,12 @@ def fork_map(fn: Callable, items: list) -> list:
     return results
 
 
-def _child(fn: Callable, items: list, indices: range, read_fd: int, write_fd: int, mask) -> NoReturn:
-    """A forked child's whole life: serve its items, then leave without running the caller's code."""
+def _child(fn: Callable, items: list, indices: range, file: BinaryIO, mask) -> NoReturn:
+    """A forked child's whole life: write each outcome to file, then os._exit, with 0 after its last item or a failure."""
     code = 1
     try:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        os.close(read_fd)
-        with os.fdopen(write_fd, "wb") as pipe:
+        with file:
             for index in indices:
                 with warnings.catch_warnings(record=True) as caught:
                     try:
@@ -158,8 +157,8 @@ def _child(fn: Callable, items: list, indices: range, read_fd: int, write_fd: in
                     except BaseException as raised:
                         result, exc = None, raised
                 shown = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-                pickle.dump((index, result, exc, shown), pipe)
-                pipe.flush()
+                pickle.dump((index, result, exc, shown), file)
+                file.flush()
                 if exc is not None:
                     break
         code = 0

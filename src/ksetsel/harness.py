@@ -30,7 +30,7 @@ import numpy as np
 from .ahead import ReadAhead, fork_map
 from .analytics import BoundReport
 from .datasets import Dataset, LabelNoiseSpec, apply_label_noise, load_csv_dataset, load_idx, make_blobs
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, DataError, ParameterError
 from .feedback import (
     StreamKind,
     StreamSpec,
@@ -163,7 +163,7 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         if not self.selectors:
             raise ConfigError("selector list is empty")
-        for name in ("n", "epochs", "test_n", "dim", "classes"):
+        for name in ("n", "k", "epochs", "test_n", "dim", "classes"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (np.isfinite(self.separation) and self.separation > 0.0):
@@ -591,7 +591,7 @@ def run_grid_search(cfg: ExperimentConfig) -> GridResult:
     trains the FPL selector on the large part and scores accuracy
     against the held-out noisy labels, the points side by side through
     ahead.fork_map.  Largest validation accuracy wins, first in scan
-    order on ties.
+    order on ties.  A split with no validation row is a DataError.
     """
     out = _require_out(cfg)
     if cfg.noise_rate_estimate is None:
@@ -601,6 +601,9 @@ def run_grid_search(cfg: ExperimentConfig) -> GridResult:
     train_base, _ = _load_base_datasets(cfg, with_test=False)
     noisy = _noisy_copy(train_base, cfg, seed)
     train_idx, val_idx = stratified_split(noisy.assigned_labels, cfg.validation_fraction, seed)
+    if val_idx.size == 0:  # every assigned class has one row, and a class of one keeps it for training
+        classes = np.unique(noisy.assigned_labels).size
+        raise DataError(f"grid's validation split is empty: {train_idx.size} training rows in {classes} classes, one each")
     fit_set = noisy.subset(train_idx)
     val_set = noisy.subset(val_idx)
 

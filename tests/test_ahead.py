@@ -2,6 +2,7 @@
 
 import ast
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -282,6 +283,52 @@ def test_a_child_killed_by_a_signal_is_an_error_for_its_item(forked, tmp_path):
     with pytest.raises(ChildProcessError, match=r"^forked run 3 of 6 died by signal SIGKILL$"):
         fork_map(run, range(6))
     assert_reaped(logged_pids(tmp_path / "pids"))
+
+
+def test_a_child_goes_on_to_its_next_item_after_a_large_result(forked, tmp_path):
+    # Items 1 and 4 share a child.  Item 1's result is larger than a pipe's buffer, and item 0,
+    # in the first child, waits for item 4 to start: no child may wait for this process to read.
+    marker = tmp_path / "item 4 started"
+
+    def run(item):
+        if item == 0:
+            deadline = time.monotonic() + 10
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return marker.exists()
+        if item == 4:
+            marker.touch()
+        return b"x" * 200_000 if item == 1 else item
+
+    assert fork_map(run, range(5)) == [True, b"x" * 200_000, 2, 3, 4]
+
+
+def test_a_result_over_a_mebibyte_comes_back_unchanged(forked):
+    def run(item):
+        return random.Random(item).randbytes(1_200_000)
+
+    assert fork_map(run, range(4)) == [run(item) for item in range(4)]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+def test_no_descriptor_stays_open_after_a_run_returns_raises_or_loses_a_child(forked):
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    def run(item):
+        if item == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if item == 2:
+            raise ItemFailed("item 2 failed")
+        return item
+
+    before = open_fds()
+    assert fork_map(lambda item: item, range(4)) == list(range(4))
+    with pytest.raises(ItemFailed, match=r"^item 2 failed$"):
+        fork_map(run, [0, 2, 3])
+    with pytest.raises(ChildProcessError, match=r"^forked run 2 of 3 died by signal SIGKILL$"):
+        fork_map(run, range(3))
+    assert open_fds() <= before
 
 
 def test_an_interrupted_caller_kills_and_reaps_every_child(forked, tmp_path):

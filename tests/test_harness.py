@@ -230,6 +230,8 @@ class TestConfigParsing:
             ({"dataset": "idx"}, "dataset = idx needs idx_images and idx_labels paths"),
             ({"dataset": "idx", "idx_images": "i.idx"}, "dataset = idx needs idx_images and idx_labels paths"),
             ({"dataset": "csv"}, "dataset = csv needs csv_path"),
+            ({"k": 0}, "k must be >= 1, got 0"),
+            ({"k": -3}, "k must be >= 1, got -3"),
         ],
     )
     def test_direct_config_checks_itself(self, fields, message):
@@ -1162,6 +1164,22 @@ class TestRunGrid:
             result = run_grid_search(cfg)
         assert all(r[2] >= 1 for r in result.rows)
 
+    def test_an_empty_validation_split_exits_two_before_any_point_trains(self, tmp_path, monkeypatch, capsys):
+        # four blobs of one sample each: a class of one keeps its row for training
+        def trained(*args, **kwargs):
+            raise AssertionError("a grid point trained")
+
+        monkeypatch.setattr(harness, "train_selective", trained)
+        cfg = ExperimentConfig(mode="grid", out=str(tmp_path / "grid.csv"), n=4, classes=4, noise_rate_estimate=0.4)
+        message = "grid's validation split is empty: 4 training rows in 4 classes, one each"
+        with pytest.raises(DataError, match=f"^{message}$"):
+            run_grid_search(cfg)
+        path = tmp_path / "grid.cfg"
+        path.write_text(f"n = 4\nclasses = 4\nnoise_rate_estimate = 0.4\nout = {cfg.out}\n")
+        assert main(["grid", "--config", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.cfg"]
+
     def test_needs_estimate(self, tmp_path):
         cfg = tiny_train_cfg(tmp_path, mode="grid", noise_rate_estimate=None)
         with pytest.raises(ConfigError):
@@ -1770,6 +1788,9 @@ class TestCli:
         [
             ("bounds", "n = -5\n", ["--k-frac", "0.3"], "n must be >= 1, got -5"),
             ("train", "n = 0\nk_frac = 0.3\n", [], "n must be >= 1, got 0"),
+            # k too, before the missing data file could be read
+            ("train", "dataset = csv\ncsv_path = /nonexistent/d.csv\nk = 0\n", [], "k must be >= 1, got 0"),
+            ("simulate", "stream = csv\nstream_csv = /nonexistent/s.csv\nk = 0\n", [], "k must be >= 1, got 0"),
         ],
     )
     def test_n_below_one_exit_one(self, tmp_path, capsys, mode, text, flags, message):
