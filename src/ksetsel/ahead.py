@@ -4,7 +4,8 @@ ReadAhead draws an iterator's items one item ahead on a one-worker
 ThreadPoolExecutor: FPL's perturbations and simulate's stream an epoch
 ahead, and every other chunk of a multi-chunk predict_batch call.
 fork_map runs independent training runs side by side in forked
-children: ablate's, grid's and validate-risk's.
+children: ablate's, grid's and validate-risk's.  What a child writes to
+its in-memory file is all its parent knows of its items.
 """
 
 from __future__ import annotations
@@ -81,14 +82,15 @@ def fork_map(fn: Callable, items: list) -> list:
     BLAS pool of more than one thread among them), or off Linux.
     Otherwise min(len(items), usable CPUs) children each run every
     so-many item in order.  They share the caller's memory copy-on-write,
-    so what fn changes stays in its child; each writes fn's results,
-    which must pickle, to its own in-memory file, read once it exits.
-    Warnings are raised again here, in item order, and then the first
-    item's exception in item order, with its class and message; a child
-    that exits nonzero before it writes an item's outcome is
-    ChildProcessError for that item.  Every child is reaped
-    before this returns or raises; one still running when the caller is
-    interrupted is killed.
+    so what fn changes stays in its child; each writes each item's
+    outcome to its own in-memory file, read once it exits.  Warnings are
+    raised again here, in item order, and then the first item's
+    exception in item order, with its class and message.  An item whose
+    outcome is not in the file is ChildProcessError("forked run i of n
+    ..."), saying why: its outcome would not pickle there or unpickle
+    here, or its child died or exited first, whatever its exit status.
+    Every child is reaped before this returns or raises; one still
+    running when the caller is interrupted is killed.
     """
     items = list(items)
     workers = min(len(items), _usable_cpus()) if len(items) > 1 and _one_thread() else 1
@@ -118,16 +120,18 @@ def fork_map(fn: Callable, items: list) -> list:
                 status = os.waitpid(pid, 0)[1]
                 children.remove(child)
                 file.seek(0)
-                while True:
+                for index in indices:  # a child writes its items in order, each outcome pickled on its own
                     try:
-                        index, *outcome = pickle.load(file)
-                    except (EOFError, pickle.UnpicklingError):  # the end, or a child that died mid-write
+                        record = pickle.load(file)
+                    except Exception:  # the end, or a record cut short by the child's death
                         break
-                    outcomes[index] = outcome
-            sent = sum(index in outcomes for index in indices)  # a child writes its items in order
-            if status != 0 and sent < len(indices):
-                died = ChildProcessError(f"forked run {indices[sent] + 1} of {len(items)} {_ending(status)}")
-                outcomes[indices[sent]] = (None, died, [])
+                    try:
+                        outcomes[index] = pickle.loads(record)
+                    except Exception as unread:
+                        outcomes[index] = (None, _lost(index, items, f"sent an outcome that could not be unpickled: {unread!r}"), [])
+                        break
+            for index in indices:
+                outcomes.setdefault(index, (None, _lost(index, items, _ending(status)), []))
     finally:
         for pid, file, _ in children:
             file.close()
@@ -145,7 +149,11 @@ def fork_map(fn: Callable, items: list) -> list:
 
 
 def _child(fn: Callable, items: list, indices: range, file: BinaryIO, mask) -> NoReturn:
-    """A forked child's whole life: write each outcome to file, then os._exit, with 0 after its last item or a failure."""
+    """A forked child's whole life: write each outcome to file, then os._exit, with 0 after its last item or a failure.
+
+    An outcome that will not pickle is written as a ChildProcessError
+    that names the run and carries the pickling error, and is a failure.
+    """
     code = 1
     try:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
@@ -157,7 +165,12 @@ def _child(fn: Callable, items: list, indices: range, file: BinaryIO, mask) -> N
                     except BaseException as raised:
                         result, exc = None, raised
                 shown = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-                pickle.dump((index, result, exc, shown), file)
+                try:
+                    record = pickle.dumps((result, exc, shown))
+                except Exception as unsent:
+                    exc = _lost(index, items, f"sent an outcome that could not be pickled: {unsent!r}")
+                    record = pickle.dumps((None, exc, []))
+                pickle.dump(record, file)
                 file.flush()
                 if exc is not None:
                     break
@@ -169,3 +182,7 @@ def _child(fn: Callable, items: list, indices: range, file: BinaryIO, mask) -> N
 def _ending(status: int) -> str:
     code = os.waitstatus_to_exitcode(status)
     return f"died by signal {signal.Signals(-code).name}" if code < 0 else f"exited with code {code} before it finished"
+
+
+def _lost(index: int, items: list, why: str) -> ChildProcessError:
+    return ChildProcessError(f"forked run {index + 1} of {len(items)} {why}")

@@ -5,7 +5,8 @@ One subcommand per entry of harness.MODES.  Each accepts --config PATH
 flag's text stands in for its config key's file value and is parsed the
 same way, so `--seed 1,2` runs two seeds and a bad flag value is a
 config error.  Each run's result renders its own report lines.  Exit
-codes: 0 on success, 1 on a config problem, 2 on a data problem.
+codes: 0 on success, 1 on a config problem (a usage error included), 2
+on a data problem.
 """
 
 from __future__ import annotations
@@ -72,7 +73,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run the mode argv names and return its exit code; a usage error returns 1 where argparse would exit 2."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as done:
+        if done.code == 0:
+            raise
+        return EXIT_CONFIG
     try:
         raw = parse_config_file(args.config) if args.config else {}
         raw["mode"] = args.mode

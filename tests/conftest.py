@@ -1,10 +1,15 @@
 """Shared pytest wiring.
 
-After a run that touched tests/test_acceptance.py, print one verdict
-line per acceptance criterion so the gate can be read at a glance.
+Every test fails that leaves a child process behind, running or
+unreaped.  After a run that touched tests/test_acceptance.py, print one
+verdict line per acceptance criterion so the gate can be read at a
+glance.
 """
 
+import os
 import re
+
+import pytest
 
 _CRITERIA = {
     "A1": "FPL mean regret within the closed-form ceiling on uniform streams",
@@ -21,6 +26,16 @@ _CRITERIA = {
 }
 
 _NODE_RE = re.compile(r"test_acceptance\.py::.*test_a(\d{2})")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left_behind():
+    yield
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child, running or waiting to be reaped
+        return
+    pytest.fail("the test left a child process behind")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -138,6 +139,19 @@ def test_a_caller_error_joins_after_the_item_asked_for_is_drawn():
 
 class ItemFailed(ValueError):
     pass
+
+
+class TwoArgumentError(Exception):
+    """Pickles, but unpickling calls it with its one argument and fails with a TypeError."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+        self.b = b
+
+
+class Unrebuildable:
+    def __reduce__(self):
+        return TwoArgumentError, ("a",)
 
 
 REAL_USABLE_CPUS = ahead._usable_cpus
@@ -283,6 +297,62 @@ def test_a_child_killed_by_a_signal_is_an_error_for_its_item(forked, tmp_path):
     with pytest.raises(ChildProcessError, match=r"^forked run 3 of 6 died by signal SIGKILL$"):
         fork_map(run, range(6))
     assert_reaped(logged_pids(tmp_path / "pids"))
+
+
+def test_a_child_that_exits_0_before_its_last_item_is_an_error_for_that_item(forked):
+    def run(item):
+        if item == 1:
+            os._exit(0)
+        return item
+
+    with pytest.raises(ChildProcessError, match=r"^forked run 2 of 4 exited with code 0 before it finished$"):
+        fork_map(run, range(4))
+
+
+def test_an_exception_that_will_not_unpickle_is_an_error_for_its_item_once_every_child_is_done(forked, tmp_path):
+    # Inline, item 0 raises TwoArgumentError("bad", "worse"); its pickle cannot be rebuilt here.
+    def run(item):
+        if item == 0:
+            raise TwoArgumentError("bad", "worse")
+        time.sleep(0.2)
+        (tmp_path / f"item {item} done").touch()
+        return item
+
+    with pytest.raises(ChildProcessError, match=r"^forked run 1 of 4 "):
+        fork_map(run, range(4))
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["item 1 done", "item 2 done"]
+
+
+def test_a_result_that_will_not_unpickle_is_an_error_that_carries_why(forked):
+    def run(item):
+        return Unrebuildable() if item == 1 else item
+
+    why = r"TypeError\(.*missing 1 required positional argument: 'b'.*\)"
+    with pytest.raises(ChildProcessError, match=rf"^forked run 2 of 5 sent an outcome that could not be unpickled: {why}$"):
+        fork_map(run, range(5))
+
+
+def test_an_outcome_that_will_not_pickle_is_an_error_that_carries_why(forked):
+    def run(item):
+        return (lambda: item) if item == 2 else item
+
+    with pytest.raises(ChildProcessError, match=r"^forked run 3 of 4 sent an outcome that could not be pickled: \w+\(.*<lambda>"):
+        fork_map(run, range(4))
+
+
+def test_a_record_cut_short_by_its_childs_death_says_how_the_child_ended(forked, monkeypatch):
+    dump = pickle.dump
+
+    def cut_short(record, file):
+        if b"cut here" in record:
+            file.write(pickle.dumps(record)[:20])
+            file.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        dump(record, file)
+
+    monkeypatch.setattr(ahead.pickle, "dump", cut_short)
+    with pytest.raises(ChildProcessError, match=r"^forked run 2 of 4 died by signal SIGKILL$"):
+        fork_map(lambda item: "cut here" if item == 1 else item, range(4))
 
 
 def test_a_child_goes_on_to_its_next_item_after_a_large_result(forked, tmp_path):

@@ -1761,6 +1761,22 @@ class TestCli:
         assert captured.err.startswith(f"config error: config key {key!r}: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "ksetsel: error: the following arguments are required: mode"),
+            (["nomode"], "ksetsel: error: argument mode: invalid choice: 'nomode'"),
+            (["train", "--bogus", "1"], "ksetsel: error: unrecognized arguments: --bogus 1"),
+            (["train", "--seed"], "ksetsel train: error: argument --seed: expected one argument"),
+        ],
+    )
+    def test_usage_error_exit_one(self, capsys, argv, message):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: ksetsel")
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_seed_flag_takes_a_seed_list(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text("stream = uniform\nn = 40\nk = 8\nepochs = 3\nseeds = 0\n")
