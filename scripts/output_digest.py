@@ -2,7 +2,7 @@
 
     python3 scripts/output_digest.py SRC_DIR
 
-imports ksetsel from SRC_DIR (a checkout's `src/`), runs 27 configs
+imports ksetsel from SRC_DIR (a checkout's `src/`), runs 28 configs
 through `ksetsel.cli.main` in a temporary directory and prints one
 sha256 per config plus a total over them.  A config's digest covers its
 exit code, stdout and stderr (the temporary directory replaced by a
@@ -25,7 +25,9 @@ asymmetric noise on a CSV dataset the script writes itself; train with
 every override flag over a file that sets the same keys (and `k`)
 otherwise; ablate; validate-risk; grid; train (with a test split) and
 grid on an IDX image/label pair the script also writes itself, with
-more training rows than one 4096-row scoring chunk; a replay, with
+more training rows than one 4096-row scoring chunk; train on 784-wide
+blobs with 256 hidden units, whose 32-row batches split their w1 work
+between two threads where a second CPU is usable; a replay, with
 every selector, of a stream of risks in {0, 0.5, 1} the script writes
 itself, whose ties at the k-th smallest value exercise the tie rule;
 bounds, last.  Under `OPENBLAS_NUM_THREADS=1` on two or more usable
@@ -99,6 +101,8 @@ def configs() -> list[tuple[str, str, dict]]:
     grid.append(("validate-risk", "validate-risk", {**BLOBS, "seeds": "0, 1", "epochs": 6, "noise": "sym:0.5"}))
     grid.append(("grid", "grid", {**BLOBS, "seeds": "2", "epochs": 4, "noise_rate_estimate": 0.4}))
     grid.append(("train-idx", "train", {**IDX, **IDX_TEST, "selectors": "fpl", "seeds": "0, 1", "epochs": 8}))
+    wide = {**BLOBS, "dim": 784, "hidden": 256, "epochs": 6}
+    grid.append(("train-split", "train", {**wide, "selectors": "fpl", "seeds": "0, 1"}))
     grid.append(("grid-idx", "grid", {**IDX, "seeds": "2", "epochs": 3, "noise_rate_estimate": 0.4}))
     ties = {"stream": "csv", "stream_csv": "{dir}/ties-data/stream.csv", "selectors": SELECTOR_LISTS["all"]}
     grid.append(("simulate-ties", "simulate", {**ties, "seeds": "0, 1", "k_frac": 0.3}))

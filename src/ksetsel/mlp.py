@@ -22,16 +22,37 @@ ReadAhead worker scores every other chunk while the caller scores the
 rest.  The chunk boundaries are fixed by SCORE_CHUNK alone, and a
 row's bits can depend on the row count of the GEMM it is scored in,
 so the chunk size is part of the output contract and a chunk is never
-split between threads.  Training stays on the calling thread.
+split between threads.
+
+Training splits each batch's w1 work by contiguous column halves when
+ahead.helper finds a spare CPU (never in a fork_map child), the hidden
+width is a multiple of 32 and a batch's x @ w1 has at least
+SPLIT_MULADDS multiply-adds: the caller takes the first half of x @ w1,
+the b1 add and relu, x.T @ d_hidden and the w1 and b1 steps, and one
+helper thread the second, in one round trip per batch; the caller keeps
+the w2 GEMMs, softmax, error, d_hidden and the w2 and b2 steps.  Every
+element is the same operation on the same values as in the serial
+loop, and with OpenBLAS 0.3.31 a GEMM over a half of a width that is
+a multiple of 32 gives each column the bits of the whole-width GEMM,
+unless just one of the two takes OpenBLAS's small-matrix path (about
+1e6 multiply-adds or fewer); the halves of an odd width differ even
+then (784 x 255 at batch 32).  SPLIT_MULADDS >= 2e6 keeps each half off
+that path, so the weights are bitwise the serial loop's.  It also keeps
+batches whose round trip costs more than the split saves on one
+thread: on 2 vCPUs the split read 0.8x at 256 x 256 and 1.0x at
+784 x 128 (2.1e6 and 3.2e6 multiply-adds at batch 32), 1.1-1.3x from
+784 x 192 up, and a blobs batch (16 x 128) has 6.6e4.  A short last
+batch runs whole on the caller.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ahead import ReadAhead
+from .ahead import Helper, ReadAhead, helper
 from .datasets import Dataset, float_rows
 from .errors import DivergenceError, InputError, ParameterError
 from .feedback import Prediction
@@ -54,6 +75,7 @@ __all__ = [
 ]
 
 SCORE_CHUNK = 4096  # rows per scoring GEMM, part of the output contract (see above)
+SPLIT_MULADDS = 1 << 22  # a batch's x @ w1 multiply-adds from which training splits its w1 work (see above)
 
 
 @dataclass(frozen=True)
@@ -154,10 +176,15 @@ def _forward(model: MlpModel, x: np.ndarray, keep_pre: bool = False) -> tuple[np
     pre = x @ model.w1
     pre += model.b1
     hidden = np.maximum(pre, 0.0, out=None if keep_pre else pre)
+    return pre, hidden, _output(model, hidden)
+
+
+def _output(model: MlpModel, hidden: np.ndarray) -> np.ndarray:
+    """The (m, C) probabilities from the (m, h) hidden layer."""
     probs = hidden @ model.w2
     probs += model.b2
     _softmax(probs)
-    return pre, hidden, probs
+    return probs
 
 
 def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -175,18 +202,24 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 def _gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> Gradients:
     """batch_gradients without its checks: x float64 (m >= 1, d), int64 labels in range."""
-    m = x.shape[0]
     pre, hidden, err = _forward(model, x, keep_pre=True)
-    err[np.arange(m), labels] -= 1.0
-    err /= m
-    d_hidden = err @ model.w2.T
-    d_hidden[pre <= 0.0] = 0.0
+    d_hidden = _backprop(model, pre, err, labels)
     return Gradients(
         w1=x.T @ d_hidden,
         b1=d_hidden.sum(axis=0),
         w2=hidden.T @ err,
         b2=err.sum(axis=0),
     )
+
+
+def _backprop(model: MlpModel, pre: np.ndarray, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The hidden layer's error: probs become the output error (probs - onehot) / m in place."""
+    m = probs.shape[0]
+    probs[np.arange(m), labels] -= 1.0
+    probs /= m
+    d_hidden = probs @ model.w2.T
+    d_hidden[pre <= 0.0] = 0.0
+    return d_hidden
 
 
 def batch_gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> Gradients:
@@ -217,8 +250,13 @@ def sgd_step(model: MlpModel, grads: Gradients, learner: LearnerSpec) -> None:
 def _step(model: MlpModel, grads: Gradients, lr: float) -> None:
     """model -= lr * grads with no temporary: grads, which the caller owns and drops, become lr * grads."""
     for w, g in ((model.w1, grads.w1), (model.b1, grads.b1), (model.w2, grads.w2), (model.b2, grads.b2)):
-        g *= lr
-        w -= g
+        _descend(w, g, lr)
+
+
+def _descend(w: np.ndarray, grad: np.ndarray, lr: float) -> None:
+    """w -= lr * grad in place, grad becoming lr * grad."""
+    grad *= lr
+    w -= grad
 
 
 def train_epoch(
@@ -236,7 +274,9 @@ def train_epoch(
     leaves the model bitwise unchanged.  learner was checked when it was
     built; the feature width and label range are checked once, before
     the first batch.  Raises DivergenceError if a parameter is no longer
-    finite at the end of the pass.
+    finite at the end of the pass.  Each batch's w1 work may be split
+    with one helper thread (see above), joined before this returns or
+    raises; the weights are the same bits either way.
     """
     if selection.indices[-1] >= dataset.n:
         raise InputError(f"selection index {selection.indices[-1]} out of range for n={dataset.n}")
@@ -245,14 +285,77 @@ def train_epoch(
     order = selection.indices[rng.permutation(selection.k)]
     labels = dataset.assigned_labels[order]
     _check_labels(model, labels)
-    for start in range(0, order.shape[0], learner.batch_size):
-        batch = order[start : start + learner.batch_size]
-        grads = _gradients(model, dataset.rows(batch), labels[start : start + learner.batch_size])
-        _step(model, grads, learner.lr)
+    size = learner.batch_size
+    wide = model.hidden % 32 == 0 and size * model.dim * model.hidden >= SPLIT_MULADDS
+    pool = helper() if wide and order.shape[0] >= size else None
+    split = order.shape[0] - order.shape[0] % size if pool else 0  # full batches only: a short last one runs whole
+    _sgd(model, dataset, order[:split], labels[:split], learner, pool)
+    _sgd(model, dataset, order[split:], labels[split:], learner, None)
     for name in ("w1", "b1", "w2", "b2"):
         if not np.isfinite(getattr(model, name)).all():
             raise DivergenceError(f"training diverged: {name} is no longer finite at learning rate {learner.lr}")
     return model
+
+
+def _sgd(
+    model: MlpModel, dataset: Dataset, order: np.ndarray, labels: np.ndarray, learner: LearnerSpec, pool: Helper | None
+) -> None:
+    """SGD over dataset's rows in order, with each batch's w1 work split between this thread and pool's worker if given.
+
+    A batch starts with one round of w1 work: the previous batch's w1
+    and b1 step, then this batch's x @ w1, b1 add and relu.  With pool,
+    this thread does the round for w1's first h / 2 columns while the
+    worker does it for the rest, each on a contiguous copy of its
+    columns; this thread then does the rest of the batch alone.  The
+    worker is joined, and the copies go back into w1, whether the pass
+    returns or raises.
+    """
+    h, size, lr = model.hidden, learner.batch_size, learner.lr
+    cuts = [slice(0, h // 2), slice(h // 2, h)] if pool else [slice(0, h)]
+    parts = [(np.ascontiguousarray(model.w1[:, cols]), model.b1[cols], cols) for cols in cuts]  # w1 itself when whole
+    pre, hidden = np.empty((size, h)), np.empty((size, h))
+    last = None  # the previous batch's rows and hidden-layer error, whose w1 and b1 step is the next round's
+    try:
+        with pool or nullcontext():
+            for start in range(0, order.shape[0], size):
+                x = dataset.rows(order[start : start + size])
+                m = x.shape[0]
+                _w1_round(parts, pool, lr, last, x, pre[:m], hidden[:m])
+                err = _output(model, hidden[:m])
+                d_hidden = _backprop(model, pre[:m], err, labels[start : start + m])
+                _descend(model.w2, hidden[:m].T @ err, lr)
+                _descend(model.b2, err.sum(axis=0), lr)
+                last = x, d_hidden
+            if last is not None:
+                _w1_round(parts, pool, lr, last, None, None, None)
+    finally:
+        if pool:
+            for w1, _, cols in parts:
+                model.w1[:, cols] = w1
+
+
+def _w1_round(parts: list[tuple], pool: Helper | None, lr: float, *batches) -> None:
+    """One round of w1 work: the first of parts on this thread and the second, if any, on pool's worker."""
+    if pool:
+        pool.submit(_w1_part, parts[1], lr, *batches)
+    _w1_part(parts[0], lr, *batches)
+    if pool:
+        pool.result()
+
+
+def _w1_part(part: tuple, lr: float, last, x, pre, hidden) -> None:
+    """part's w1 and b1 take last's step, if any; then x @ w1, b1 add and relu fill part's columns of pre and hidden."""
+    w1, b1, cols = part
+    if last is not None:
+        rows, d_hidden = last
+        d_hidden = d_hidden[:, cols]
+        _descend(w1, rows.T @ d_hidden, lr)
+        _descend(b1, d_hidden.sum(axis=0), lr)
+    if x is not None:
+        pre, hidden = pre[:, cols], hidden[:, cols]
+        np.matmul(x, w1, out=pre)
+        pre += b1
+        np.maximum(pre, 0.0, out=hidden)
 
 
 def _score_chunks(
@@ -278,7 +381,7 @@ def predict_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     x is float rows, or u8 rows meaning value / 255, scored in chunks of
     SCORE_CHUNK rows.  When x spans two or more chunks, a ReadAhead
-    worker (the thread of a one-worker ThreadPoolExecutor) scores every
+    worker (the thread of an ahead.Helper) scores every
     other chunk (the second, fourth, ...) as its one item while this
     thread scores the rest, then takes that item: the worker is joined
     before this returns or raises, and its exception is raised here.

@@ -16,12 +16,14 @@ a full forward pass.  In every mode epoch 1 takes one
 seeded uniformly random k-set because no feedback exists yet.
 
 FPL's perturbation does not depend on feedback, so run_epochs draws
-each one an epoch ahead on a ReadAhead's one-worker ThreadPoolExecutor
+each one an epoch ahead on a ReadAhead's worker thread
 while the main thread picks, runs the feedback and folds.  Each
 generator is drawn from by one thread only, in its original order, so
 every output is the same as with the draws inline.  The picks,
-random's k-sets, the folds, training and the predict_batch call itself
-stay on the main thread.
+random's k-sets, the folds and the train_epoch and predict_batch calls
+themselves stay on the main thread; each of those two calls may hand
+part of its work to one worker of its own, which changes no bit (see
+mlp).
 
 Wall time is recorded but is the one column outside the determinism
 contract: with a fixed config and seed everything else is

@@ -1,13 +1,14 @@
 """Shared pytest wiring.
 
 Every test fails that leaves a child process behind, running or
-unreaped.  After a run that touched tests/test_acceptance.py, print one
-verdict line per acceptance criterion so the gate can be read at a
-glance.
+unreaped, or a thread other than the main thread alive.  After a run
+that touched tests/test_acceptance.py, print one verdict line per
+acceptance criterion so the gate can be read at a glance.
 """
 
 import os
 import re
+import threading
 
 import pytest
 
@@ -36,6 +37,14 @@ def no_child_process_left_behind():
     except ChildProcessError:  # no child, running or waiting to be reaped
         return
     pytest.fail("the test left a child process behind")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_behind():
+    yield
+    alive = [thread.name for thread in threading.enumerate() if thread is not threading.main_thread()]
+    if alive:
+        pytest.fail(f"the test left threads alive: {', '.join(alive)}")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

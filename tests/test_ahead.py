@@ -12,6 +12,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ksetsel
@@ -420,6 +421,73 @@ def test_an_interrupted_caller_kills_and_reaps_every_child(forked, tmp_path):
     pids = logged_pids(log)
     assert len(pids) == 3
     assert_reaped(pids)
+
+
+TWO_CPUS = pytest.mark.skipif(
+    sys.platform != "linux" or not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="places threads on Linux with two or more usable CPUs",
+)
+
+
+def where():
+    """(the CPU this thread runs on, its affinity mask)."""
+    return ahead._current_cpu(), os.sched_getaffinity(0)
+
+
+@TWO_CPUS
+def test_a_read_ahead_worker_starts_on_a_cpu_other_than_its_callers():
+    caller, mask = where()
+    assert caller in mask
+    with ReadAhead(where() for _ in range(1)) as worker:
+        cpu, worker_mask = next(worker)
+    assert cpu != caller and cpu in mask
+    assert worker_mask == mask  # nudged, not pinned
+
+
+@TWO_CPUS
+def test_a_helper_starts_on_a_cpu_other_than_its_callers():
+    caller, mask = where()
+    with ahead.helper() as pool:
+        pool.submit(where)
+        cpu, worker_mask = pool.result()
+    assert cpu != caller and cpu in mask
+    assert worker_mask == mask
+
+
+@TWO_CPUS
+def test_fork_map_children_run_on_distinct_cpus_and_place_no_worker(monkeypatch):
+    monkeypatch.setattr(ahead, "_one_thread", lambda: True)  # let the test process's BLAS pool through
+    usable = sorted(os.sched_getaffinity(0))
+    placed = fork_map(lambda item: (where(), ahead.helper()), [0, 1])
+    assert [cpu for (cpu, _), _ in placed] == usable[:2]
+    assert [mask for (_, mask), _ in placed] == [set(usable)] * 2
+    assert [pool for _, pool in placed] == [None, None]  # a child owns its CPU: its workers stay where they start
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the CPU mask")
+@pytest.mark.parametrize("why", ["one usable CPU", "no sched_setaffinity", "in a fork_map child", "unreadable CPU"])
+def test_no_spare_cpu_places_nothing(monkeypatch, why):
+    moved = []
+    if why == "no sched_setaffinity":
+        monkeypatch.delattr(ahead.os, "sched_setaffinity", raising=False)
+    else:
+        monkeypatch.setattr(ahead.os, "sched_setaffinity", lambda pid, mask: moved.append(mask), raising=False)
+    if why == "one usable CPU":
+        monkeypatch.setattr(ahead.os, "sched_getaffinity", lambda pid: {0})
+    elif why == "in a fork_map child":
+        monkeypatch.setattr(ahead, "_in_child", True)
+    elif why == "unreadable CPU":
+        monkeypatch.setattr(ahead, "_current_cpu", lambda: None)
+    assert ahead._spare_cpu() is None and ahead.helper() is None
+    with ReadAhead(iter(range(3))) as worker:
+        assert next(worker) == 0
+    assert moved == []
+
+
+def test_a_helper_job_runs_under_the_callers_errstate():
+    with np.errstate(over="ignore"), ahead.Helper(None) as pool:
+        pool.submit(np.multiply, np.array([1e308]), 10.0)
+        assert pool.result()[0] == np.inf  # a RuntimeWarning would raise
 
 
 CONCURRENCY_MODULES = {"threading", "queue", "_thread", "concurrent", "multiprocessing"}

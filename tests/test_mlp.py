@@ -6,6 +6,7 @@ analytic derivation.  The in-place forward pass is checked bitwise
 against the out-of-place formulas kept below as the reference.
 """
 
+import os
 import sys
 import threading
 import tracemalloc
@@ -13,7 +14,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ksetsel import mlp
+from ksetsel import ahead, mlp
+from ksetsel.ahead import fork_map
 from ksetsel.datasets import Dataset, make_blobs
 from ksetsel.errors import DivergenceError, InputError, ParameterError
 from ksetsel.mlp import (
@@ -329,6 +331,15 @@ class TestScoringWorker:
             predict_batch(model, self.rows("u8", m, 9, 1))
         assert [thread for thread, _ in scored_on] == [threading.main_thread()] * 2  # m = 0 scores nothing
 
+    def test_the_worker_scores_under_the_callers_errstate(self, monkeypatch):
+        # an inf weight makes every chunk's matmul warn; a RuntimeWarning on the worker would fail the test
+        monkeypatch.setattr(mlp, "SCORE_CHUNK", 4)
+        model = init_mlp(4, 8, 3, seed=0)
+        model.w1[:] = np.inf
+        with np.errstate(all="ignore"):
+            labels, _ = predict_batch(model, self.rows("float", 9, 4, 1))
+        assert labels.shape == (9,)
+
     @pytest.mark.parametrize("on_worker", [True, False])
     def test_chunk_error_reaches_the_caller_and_leaves_no_thread(self, monkeypatch, on_worker):
         real = mlp._forward
@@ -514,6 +525,110 @@ class TestTrainEpoch:
         sel = init_selection(40, 20, seed=2)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match=r"(w1|b1|w2|b2) .*1e\+200"):
             train_epoch(model, data, sel, LearnerSpec(lr=1e200, batch_size=4), rng=np.random.default_rng(3))
+
+
+class TestSplitTraining:
+    """An epoch whose w1 work is split by column halves over two threads gives the serial loop's bits."""
+
+    @pytest.fixture
+    def helpers(self, monkeypatch):
+        """Every helper train_epoch asks for; unplaced on a host without a spare CPU, so the split runs anywhere."""
+        given = []
+
+        def recorded():
+            given.append(ahead.helper() or ahead.Helper(None))
+            return given[-1]
+
+        monkeypatch.setattr(mlp, "helper", recorded)
+        return given
+
+    @staticmethod
+    def idx_like(n, d, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 10, size=n)
+        pixels = rng.integers(0, 256, size=(n, d), dtype=np.uint8)
+        return Dataset(features=pixels, true_labels=labels, assigned_labels=labels, num_classes=10)
+
+    @staticmethod
+    def serial_epoch(model, data, sel, learner, seed):
+        """The _gradients + _step loop, batch after batch, on the order train_epoch draws."""
+        order = sel.indices[np.random.default_rng(seed).permutation(sel.k)]
+        for start in range(0, order.shape[0], learner.batch_size):
+            batch = order[start : start + learner.batch_size]
+            mlp._step(model, mlp._gradients(model, data.rows(batch), data.assigned_labels[batch]), learner.lr)
+
+    def assert_bitwise_serial(self, d, hidden, batch_size, k, helpers, asked):
+        data = self.idx_like(400, d, seed=hidden)
+        sel = init_selection(400, k, seed=1)
+        learner = LearnerSpec(hidden=hidden, lr=0.05, batch_size=batch_size)
+        model = init_mlp(d, hidden, 10, seed=2)
+        reference = model.copy()
+        train_epoch(model, data, sel, learner, rng=np.random.default_rng(3))
+        self.serial_epoch(reference, data, sel, learner, seed=3)
+        assert len(helpers) == asked
+        for name in ("w1", "b1", "w2", "b2"):
+            np.testing.assert_array_equal(getattr(model, name).view(np.int64), getattr(reference, name).view(np.int64))
+
+    @pytest.mark.parametrize("switch_s", [None, 1e-6])
+    def test_idx_width_at_batch_32_with_a_short_last_batch(self, helpers, switch_s):
+        # 5 full batches split between the threads, then a last batch of 7 rows on this thread alone; at a
+        # 1 us switch interval the two threads' steps interleave at random, and a lost update changes a bit
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(switch_s or interval)
+        try:
+            self.assert_bitwise_serial(784, 256, 32, 5 * 32 + 7, helpers, asked=1)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_an_odd_hidden_width_stays_serial(self, helpers):
+        # column halves of an odd width do not give the whole-width GEMM's bits, so it never splits
+        self.assert_bitwise_serial(784, 255, 32, 5 * 32 + 7, helpers, asked=0)
+
+    def test_batch_size_1(self, helpers, monkeypatch):
+        # one row is far below SPLIT_MULADDS; lowering it sends single-row batches through the split
+        self.assert_bitwise_serial(784, 256, 1, 70, helpers, asked=0)
+        monkeypatch.setattr(mlp, "SPLIT_MULADDS", 1)
+        self.assert_bitwise_serial(784, 256, 1, 70, helpers, asked=1)
+
+    def test_the_split_size_rule_keeps_blobs_serial_and_splits_idx(self):
+        assert 32 * 16 * 128 < mlp.SPLIT_MULADDS <= 32 * 784 * 256
+
+    def test_a_blobs_sized_model_starts_no_thread(self, monkeypatch):
+        def no_thread(thread):
+            raise AssertionError(f"train_epoch started {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        data = make_blobs(300, 16, 10, separation=6.0, seed=0)
+        model = init_mlp(16, 128, 10, seed=1)
+        train_epoch(model, data, KSetSelection(np.arange(300)), LearnerSpec(128, 0.05, 32), np.random.default_rng(2))
+
+    @pytest.mark.skipif(
+        sys.platform != "linux" or not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="forks on Linux with two or more usable CPUs",
+    )
+    def test_a_fork_map_child_trains_without_a_helper(self, monkeypatch):
+        monkeypatch.setattr(ahead, "_one_thread", lambda: True)  # let the test process's BLAS pool through
+        given = []
+        monkeypatch.setattr(mlp, "helper", lambda: given.append(ahead.helper()) or given[-1])
+        data = self.idx_like(200, 784, seed=4)
+
+        def train(seed):
+            model, learner = init_mlp(784, 256, 10, seed=seed), LearnerSpec(256, 0.05, 32)
+            train_epoch(model, data, init_selection(200, 96, seed=6), learner, np.random.default_rng(7))
+            return os.getpid(), given
+
+        trained = fork_map(train, [0, 1])
+        assert len({pid for pid, _ in trained} | {os.getpid()}) == 3  # each in its own child
+        assert [asked for _, asked in trained] == [[None], [None]]
+
+    def test_the_helper_is_joined_when_training_diverges(self, helpers):
+        data = self.idx_like(200, 784, seed=4)
+        model, learner = init_mlp(784, 256, 10, seed=5), LearnerSpec(256, 1e300, 32)
+        before = threading.active_count()
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match=r"1e\+300"):
+            train_epoch(model, data, init_selection(200, 96, seed=6), learner, np.random.default_rng(7))
+        assert len(helpers) == 1 and not helpers[0]._thread.is_alive()
+        assert threading.active_count() == before
 
 
 class TestEvaluate:

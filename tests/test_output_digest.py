@@ -64,7 +64,7 @@ def test_digests_every_config_of_src_and_exits_zero(digest_run):
     assert proc.stderr == ""
     lines = proc.stdout.splitlines()
     names = [name for name, _, _ in load_script().configs()] + ["total"]
-    assert len(names) == 28
+    assert len(names) == 29
     assert [line.split("  ", 1)[1] for line in lines] == names
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
 
