@@ -127,7 +127,7 @@ _in_child = False  # set in a fork_map child, which owns one CPU: its workers st
 
 
 def _spare_cpu() -> int | None:
-    """The usable CPU after the one the calling thread runs on, for a new worker; None when there is none.
+    """The next usable CPU above the one the calling thread runs on, wrapping round, for a new worker; None if none.
 
     There is none with one usable CPU, in a fork_map child, without
     os.sched_setaffinity, or where the caller's CPU cannot be read.
@@ -138,7 +138,7 @@ def _spare_cpu() -> int | None:
     here = _current_cpu()
     if len(usable) < 2 or here is None:
         return None
-    return usable[(usable.index(here) + 1) % len(usable)] if here in usable else usable[0]
+    return next((cpu for cpu in usable if cpu > here), usable[0])
 
 
 def _current_cpu() -> int | None:
