@@ -39,10 +39,10 @@ unless just one of the two takes OpenBLAS's small-matrix path (about
 then (784 x 255 at batch 32).  SPLIT_MULADDS >= 2e6 keeps each half off
 that path, so the weights are bitwise the serial loop's.  It also keeps
 batches whose round trip costs more than the split saves on one
-thread: on 2 vCPUs the split read 0.8x at 256 x 256 and 1.0x at
-784 x 128 (2.1e6 and 3.2e6 multiply-adds at batch 32), 1.1-1.3x from
-784 x 192 up, and a blobs batch (16 x 128) has 6.6e4.  A short last
-batch runs whole on the caller.
+thread: on 2 vCPUs, at batch 32, the split read 0.85x at 256 x 256
+(2.1e6 multiply-adds), about 1.05x at 320 x 256 (2.6e6), 1.15x at
+384 x 256 (3.1e6) and 1.15-1.4x above, while a blobs batch (16 x 128)
+has 6.6e4.  A short last batch runs whole on the caller.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ __all__ = [
 ]
 
 SCORE_CHUNK = 4096  # rows per scoring GEMM, part of the output contract (see above)
-SPLIT_MULADDS = 1 << 22  # a batch's x @ w1 multiply-adds from which training splits its w1 work (see above)
+SPLIT_MULADDS = 3 << 20  # a batch's x @ w1 multiply-adds from which training splits its w1 work (see above)
 
 
 @dataclass(frozen=True)
