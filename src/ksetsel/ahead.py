@@ -1,7 +1,9 @@
 """The package's concurrency: Helper, ReadAhead and fork_map, and where their workers run.
 
-A Helper is one worker thread that runs the jobs its caller hands it.
-helper() gives train_epoch one, to take half of each batch's w1 work.
+A Helper is one worker thread that runs the jobs its caller hands it,
+or lets the caller take back a job it has not started.  helper() gives
+train_epoch one, to take half of each batch's w1 work, unless a BLAS
+pool of more than one thread runs beside it.
 ReadAhead draws an iterator's items one item ahead on one: FPL's
 perturbations and simulate's stream an epoch ahead, and every other
 chunk of a multi-chunk predict_batch call.  fork_map runs independent
@@ -36,39 +38,44 @@ __all__ = ["Helper", "ReadAhead", "fork_map", "helper"]
 
 
 class Helper:
-    """One worker thread that runs the jobs its caller hands it, in order, each in the caller's context.
+    """One worker thread that runs the job its caller hands it, in the caller's context, unless the caller takes it back first.
 
     cpu is where the thread moves as it starts, or None to leave it
     where it starts.  submit(fn, *args) hands over fn(*args), run in a
     copy of the caller's contextvars, so numpy's errstate holds for the
-    job as it does for the caller; result() waits for the oldest job not
-    yet waited for and returns its value or raises its exception.  One
-    queue each way and no futures keep a round trip short, since
-    train_epoch pays one per SGD batch: on a ThreadPoolExecutor's
+    job as it does for the caller; result() returns its value or raises
+    its exception.  One job at a time: each submit is followed by its
+    result() before the next.  result(take_back=True) runs a job the
+    worker has not started there, on the caller, and the worker skips
+    it, so a worker whose CPU is busy costs about what doing the job
+    inline does.  One queue each way and no futures keep a round trip short,
+    since train_epoch pays one per SGD batch: on a ThreadPoolExecutor's
     futures a split idx epoch took about 15% longer.  Leaving the with
-    block lets every job handed over run, then joins the thread, whether
-    the caller returned or raised.
+    block lets a job the worker has started finish, then joins the
+    thread, whether the caller returned or raised.  The thread is a
+    daemon, so one never joined cannot keep the interpreter from exiting.
     """
 
     def __init__(self, cpu: int | None):
         self._jobs: queue.SimpleQueue = queue.SimpleQueue()
         self._done: queue.SimpleQueue = queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._work, args=(cpu,), name="ksetsel-ahead")
+        self._thread = threading.Thread(target=self._work, args=(cpu,), name="ksetsel-ahead", daemon=True)
         self._thread.start()
 
     def _work(self, cpu: int | None) -> None:
         _nudge(cpu)
-        for job in iter(self._jobs.get, None):
-            try:
-                self._done.put((job(), None))
-            except BaseException as exc:
-                self._done.put((None, exc))
+        for claim, job in iter(self._jobs.get, None):
+            if claim.acquire(blocking=False):  # the caller has not taken the job back
+                self._done.put(_outcome(job))
 
     def submit(self, fn: Callable, *args) -> None:
-        self._jobs.put(functools.partial(contextvars.copy_context().run, fn, *args))
+        self._claim = threading.Lock()
+        self._job = functools.partial(contextvars.copy_context().run, fn, *args)
+        self._jobs.put((self._claim, self._job))
 
-    def result(self):
-        value, exc = self._done.get()
+    def result(self, take_back: bool = False):
+        taken = take_back and self._claim.acquire(blocking=False)
+        value, exc = _outcome(self._job) if taken else self._done.get()
         if exc is not None:
             raise exc
         return value
@@ -81,10 +88,24 @@ class Helper:
         self._thread.join()
 
 
+def _outcome(job: Callable) -> tuple:
+    """(job's value, None), or (None, the exception it raised)."""
+    try:
+        return job(), None
+    except BaseException as exc:
+        return None, exc
+
+
 def helper() -> Helper | None:
-    """A Helper whose thread starts on a usable CPU its caller is not on, or None when there is no such CPU to use."""
+    """A Helper whose thread starts on a usable CPU its caller is not on; None when there is no such CPU, or a BLAS pool may use it.
+
+    A BLAS pool of one thread per CPU already spreads each GEMM over the
+    CPUs and spins between GEMMs (see _one_thread), so a helper beside it
+    would only compete with it: a process that runs OS threads Python did
+    not start gets none.
+    """
     cpu = _spare_cpu()
-    return None if cpu is None else Helper(cpu)
+    return None if cpu is None or _foreign_threads() else Helper(cpu)
 
 
 class ReadAhead:
@@ -165,6 +186,14 @@ def _nudge(cpu: int | None) -> None:
         pass
 
 
+def _foreign_threads() -> bool:
+    """Whether this process runs OS threads that Python did not start, a BLAS pool's among them; True where /proc cannot tell."""
+    try:
+        return len(os.listdir("/proc/self/task")) > threading.active_count()
+    except OSError:
+        return True
+
+
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
@@ -222,7 +251,7 @@ def fork_map(fn: Callable, items: list) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(fn, items, indices, file, mask, cpus[first % len(cpus)])
+                    _child(fn, items, indices, file, mask, cpus[first % len(cpus)])  # wraps only if _usable_cpus() counts more
                 children.append((pid, file, indices))
             except BaseException:
                 file.close()

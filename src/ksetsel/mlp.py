@@ -25,12 +25,15 @@ so the chunk size is part of the output contract and a chunk is never
 split between threads.
 
 Training splits each batch's w1 work by contiguous column halves when
-ahead.helper finds a spare CPU (never in a fork_map child), the hidden
-width is a multiple of 32 and a batch's x @ w1 has at least
-SPLIT_MULADDS multiply-adds: the caller takes the first half of x @ w1,
-the b1 add and relu, x.T @ d_hidden and the w1 and b1 steps, and one
-helper thread the second, in one round trip per batch; the caller keeps
-the w2 GEMMs, softmax, error, d_hidden and the w2 and b2 steps.  Every
+ahead.helper finds a spare CPU (never in a fork_map child, nor beside a
+BLAS pool of more than one thread), the hidden width is a multiple of
+32 and a batch's x @ w1 has at least SPLIT_MULADDS multiply-adds: the
+caller takes the first half of x @ w1, the b1 add and relu, x.T @
+d_hidden and the w1 and b1 steps, and one helper thread the second, in
+one round trip per batch; the caller keeps the w2 GEMMs, softmax,
+error, d_hidden and the w2 and b2 steps.  A second half the helper has
+not started by the time the caller ends the first runs on the caller
+too, so a busy second CPU costs about what the serial loop does.  Every
 element is the same operation on the same values as in the serial
 loop, and with OpenBLAS 0.3.31 a GEMM over a half of a width that is
 a multiple of 32 gives each column the bits of the whole-width GEMM,
@@ -286,11 +289,11 @@ def train_epoch(
     labels = dataset.assigned_labels[order]
     _check_labels(model, labels)
     size = learner.batch_size
-    wide = model.hidden % 32 == 0 and size * model.dim * model.hidden >= SPLIT_MULADDS
-    pool = helper() if wide and order.shape[0] >= size else None
-    split = order.shape[0] - order.shape[0] % size if pool else 0  # full batches only: a short last one runs whole
-    _sgd(model, dataset, order[:split], labels[:split], learner, pool)
-    _sgd(model, dataset, order[split:], labels[split:], learner, None)
+    splits = model.hidden % 32 == 0 and size * model.dim * model.hidden >= SPLIT_MULADDS and order.shape[0] >= size
+    with (splits and helper()) or nullcontext() as pool:
+        split = order.shape[0] - order.shape[0] % size if pool else 0  # full batches only: a short last one runs whole
+        _sgd(model, dataset, order[:split], labels[:split], learner, pool)
+        _sgd(model, dataset, order[split:], labels[split:], learner, None)
     for name in ("w1", "b1", "w2", "b2"):
         if not np.isfinite(getattr(model, name)).all():
             raise DivergenceError(f"training diverged: {name} is no longer finite at learning rate {learner.lr}")
@@ -307,8 +310,7 @@ def _sgd(
     this thread does the round for w1's first h / 2 columns while the
     worker does it for the rest, each on a contiguous copy of its
     columns; this thread then does the rest of the batch alone.  The
-    worker is joined, and the copies go back into w1, whether the pass
-    returns or raises.
+    copies go back into w1 whether the pass returns or raises.
     """
     h, size, lr = model.hidden, learner.batch_size, learner.lr
     cuts = [slice(0, h // 2), slice(h // 2, h)] if pool else [slice(0, h)]
@@ -316,18 +318,17 @@ def _sgd(
     pre, hidden = np.empty((size, h)), np.empty((size, h))
     last = None  # the previous batch's rows and hidden-layer error, whose w1 and b1 step is the next round's
     try:
-        with pool or nullcontext():
-            for start in range(0, order.shape[0], size):
-                x = dataset.rows(order[start : start + size])
-                m = x.shape[0]
-                _w1_round(parts, pool, lr, last, x, pre[:m], hidden[:m])
-                err = _output(model, hidden[:m])
-                d_hidden = _backprop(model, pre[:m], err, labels[start : start + m])
-                _descend(model.w2, hidden[:m].T @ err, lr)
-                _descend(model.b2, err.sum(axis=0), lr)
-                last = x, d_hidden
-            if last is not None:
-                _w1_round(parts, pool, lr, last, None, None, None)
+        for start in range(0, order.shape[0], size):
+            x = dataset.rows(order[start : start + size])
+            m = x.shape[0]
+            _w1_round(parts, pool, lr, last, x, pre[:m], hidden[:m])
+            err = _output(model, hidden[:m])
+            d_hidden = _backprop(model, pre[:m], err, labels[start : start + m])
+            _descend(model.w2, hidden[:m].T @ err, lr)
+            _descend(model.b2, err.sum(axis=0), lr)
+            last = x, d_hidden
+        if last is not None:
+            _w1_round(parts, pool, lr, last, None, None, None)
     finally:
         if pool:
             for w1, _, cols in parts:
@@ -340,7 +341,7 @@ def _w1_round(parts: list[tuple], pool: Helper | None, lr: float, *batches) -> N
         pool.submit(_w1_part, parts[1], lr, *batches)
     _w1_part(parts[0], lr, *batches)
     if pool:
-        pool.result()
+        pool.result(take_back=True)
 
 
 def _w1_part(part: tuple, lr: float, last, x, pre, hidden) -> None:

@@ -429,39 +429,83 @@ TWO_CPUS = pytest.mark.skipif(
 )
 
 
-def where():
-    """(the CPU this thread runs on, its affinity mask)."""
-    return ahead._current_cpu(), os.sched_getaffinity(0)
+@pytest.fixture
+def moves(monkeypatch):
+    """Every affinity change from here on, as (the mask set, the CPU the thread ran on right after), and the caller's CPU reads.
+
+    A thread restricted to one CPU runs on it once sched_setaffinity
+    returns, so each one-CPU entry says where its thread was sent.  The
+    reads are the caller's own, the CPUs _spare_cpu chose a worker's
+    from, so nothing compares CPUs read at different moments.
+    """
+    made, read = [], []
+    set_mask, current_cpu = os.sched_setaffinity, ahead._current_cpu
+
+    def spy(pid, mask):
+        set_mask(pid, mask)
+        made.append((set(mask), current_cpu()))
+
+    def caller_cpu():
+        cpu = current_cpu()
+        if threading.current_thread() is threading.main_thread():
+            read.append(cpu)
+        return cpu
+
+    monkeypatch.setattr(ahead.os, "sched_setaffinity", spy)
+    monkeypatch.setattr(ahead, "_current_cpu", caller_cpu)
+    return made, read
+
+
+def assert_sent_once(made, caller, usable):
+    """One move to a single usable CPU other than caller's, where the thread then ran, and then the whole mask back."""
+    (target, ran), (restored, _) = made
+    assert len(target) == 1 and target == {ran} and ran in usable and ran != caller
+    assert restored == usable
 
 
 @TWO_CPUS
-def test_a_read_ahead_worker_starts_on_a_cpu_other_than_its_callers():
-    caller, mask = where()
-    assert caller in mask
-    with ReadAhead(where() for _ in range(1)) as worker:
-        cpu, worker_mask = next(worker)
-    assert cpu != caller and cpu in mask
-    assert worker_mask == mask  # nudged, not pinned
+def test_a_read_ahead_worker_starts_on_a_cpu_other_than_its_callers(moves):
+    made, read = moves
+    usable = os.sched_getaffinity(0)
+    with ReadAhead(os.sched_getaffinity(0) for _ in range(1)) as worker:
+        worker_mask = next(worker)
+    assert_sent_once(made, read[-1], usable)
+    assert worker_mask == usable  # nudged, not pinned
 
 
 @TWO_CPUS
-def test_a_helper_starts_on_a_cpu_other_than_its_callers():
-    caller, mask = where()
+def test_a_helper_starts_on_a_cpu_other_than_its_callers(monkeypatch, moves):
+    monkeypatch.setattr(ahead, "_foreign_threads", lambda: False)  # let the test process's BLAS pool through
+    made, read = moves
+    usable = os.sched_getaffinity(0)
     with ahead.helper() as pool:
-        pool.submit(where)
-        cpu, worker_mask = pool.result()
-    assert cpu != caller and cpu in mask
-    assert worker_mask == mask
+        pool.submit(os.sched_getaffinity, 0)
+        worker_mask = pool.result()
+    assert_sent_once(made, read[-1], usable)
+    assert worker_mask == usable
 
 
 @TWO_CPUS
-def test_fork_map_children_run_on_distinct_cpus_and_place_no_worker(monkeypatch):
+def test_fork_map_children_run_on_distinct_cpus_and_place_no_worker(monkeypatch, moves):
     monkeypatch.setattr(ahead, "_one_thread", lambda: True)  # let the test process's BLAS pool through
+    monkeypatch.setattr(ahead, "_foreign_threads", lambda: False)
+    made, _ = moves
     usable = sorted(os.sched_getaffinity(0))
-    placed = fork_map(lambda item: (where(), ahead.helper()), [0, 1])
-    assert [cpu for (cpu, _), _ in placed] == usable[:2]
-    assert [mask for (_, mask), _ in placed] == [set(usable)] * 2
-    assert [pool for _, pool in placed] == [None, None]  # a child owns its CPU: its workers stay where they start
+    placed = fork_map(lambda item: (list(made), ahead.helper()), [0, 1])
+    assert made == []  # the parent stays where it is
+    for cpu, (child_made, pool) in zip(usable, placed):
+        assert child_made == [({cpu}, cpu), (set(usable), child_made[1][1])]  # child i is sent to usable CPU i
+        assert pool is None  # a child owns its CPU: its workers stay where they start
+
+
+@TWO_CPUS
+@pytest.mark.parametrize("threads, helped", [(1, True), (2, False)])
+def test_a_process_with_a_blas_pool_gets_no_helper(threads, helped):
+    code = "from ksetsel import ahead\npool = ahead.helper()\nprint(pool is not None)\npool and pool.__exit__()"
+    src = str(Path(ksetsel.__file__).parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads), "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.split() == [str(helped)]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the CPU mask")
@@ -482,6 +526,43 @@ def test_no_spare_cpu_places_nothing(monkeypatch, why):
     with ReadAhead(iter(range(3))) as worker:
         assert next(worker) == 0
     assert moved == []
+
+
+class TestTakeBack:
+    """result(take_back=True) runs a job the worker has not started on the caller, and waits for one it has."""
+
+    def test_a_job_the_worker_has_not_started_runs_on_the_caller_and_the_worker_skips_it(self, monkeypatch):
+        go, ran = threading.Event(), []
+        monkeypatch.setattr(ahead, "_nudge", lambda cpu: go.wait(timeout=20))  # the worker has not started yet
+        pool = ahead.Helper(None)
+        with pool:
+            pool.submit(lambda: ran.append(threading.current_thread()) or 7)
+            assert pool.result(take_back=True) == 7
+            go.set()
+        assert ran == [threading.main_thread()]
+
+    def test_a_job_the_worker_has_started_is_waited_for(self):
+        started, go = threading.Event(), threading.Event()
+
+        def job():
+            started.set()
+            assert go.wait(timeout=20)
+            return threading.current_thread()
+
+        with ahead.Helper(None) as pool:
+            pool.submit(job)
+            assert started.wait(timeout=20)
+            go.set()
+            assert pool.result(take_back=True) is pool._thread
+
+    def test_a_taken_back_job_raises_its_own_exception_here(self, monkeypatch):
+        go = threading.Event()
+        monkeypatch.setattr(ahead, "_nudge", lambda cpu: go.wait(timeout=20))
+        with ahead.Helper(None) as pool:
+            pool.submit(int, "x")
+            with pytest.raises(ValueError, match="invalid literal"):
+                pool.result(take_back=True)
+            go.set()
 
 
 def test_a_helper_job_runs_under_the_callers_errstate():

@@ -580,6 +580,23 @@ class TestSplitTraining:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_halves_a_busy_helper_has_not_started_run_on_this_thread_with_the_same_bits(self, monkeypatch):
+        go = threading.Event()
+        monkeypatch.setattr(ahead, "_nudge", lambda cpu: go.wait(timeout=20))  # the helper starts no job in the epoch
+
+        class Stalled(ahead.Helper):
+            def __exit__(self, *exc):
+                go.set()
+                super().__exit__(*exc)
+
+        given, ran_on = [], []
+        monkeypatch.setattr(mlp, "helper", lambda: given.append(Stalled(None)) or given[-1])
+        part = mlp._w1_part
+        monkeypatch.setattr(mlp, "_w1_part", lambda *args: ran_on.append(threading.current_thread()) or part(*args))
+        self.assert_bitwise_serial(784, 256, 32, 5 * 32 + 7, given, asked=1)
+        # 6 split rounds of two halves (5 batches and the last step), then the short batch's 2 whole rounds
+        assert ran_on == [threading.main_thread()] * 14
+
     def test_an_odd_hidden_width_stays_serial(self, helpers):
         # column halves of an odd width do not give the whole-width GEMM's bits, so it never splits
         self.assert_bitwise_serial(784, 255, 32, 5 * 32 + 7, helpers, asked=0)
