@@ -336,7 +336,7 @@ def _sgd(
 
 
 def _w1_round(parts: list[tuple], pool: Helper | None, lr: float, *batches) -> None:
-    """One round of w1 work: the first of parts on this thread and the second, if any, on pool's worker."""
+    """One round of w1 work: the first of parts on this thread and the second, if any, on pool's worker unless it has not started by then."""
     if pool:
         pool.submit(_w1_part, parts[1], lr, *batches)
     _w1_part(parts[0], lr, *batches)
