@@ -31,9 +31,10 @@ BLAS pool of more than one thread), the hidden width is a multiple of
 caller takes the first half of x @ w1, the b1 add and relu, x.T @
 d_hidden and the w1 and b1 steps, and one helper thread the second, in
 one round trip per batch; the caller keeps the w2 GEMMs, softmax,
-error, d_hidden and the w2 and b2 steps.  A second half the helper has
-not started by the time the caller ends the first runs on the caller
-too, so a busy second CPU costs about what the serial loop does.  Every
+error, d_hidden and the w2 and b2 steps, and reads the next batch's
+rows while the helper ends its half.  A second half the helper has not
+started by the time the caller has done both runs on the caller too,
+so a busy second CPU costs about what the serial loop does.  Every
 element is the same operation on the same values as in the serial
 loop, and with OpenBLAS 0.3.31 a GEMM over a half of a width that is
 a multiple of 32 gives each column the bits of the whole-width GEMM,
@@ -50,6 +51,8 @@ has 6.6e4.  A short last batch runs whole on the caller.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -309,7 +312,8 @@ def _sgd(
     and b1 step, then this batch's x @ w1, b1 add and relu.  With pool,
     this thread does the round for w1's first h / 2 columns while the
     worker does it for the rest, each on a contiguous copy of its
-    columns; this thread then does the rest of the batch alone.  The
+    columns; this thread then reads the next batch's rows while the
+    worker ends its half, and does the rest of the batch alone.  The
     copies go back into w1 whether the pass returns or raises.
     """
     h, size, lr = model.hidden, learner.batch_size, learner.lr
@@ -317,16 +321,17 @@ def _sgd(
     parts = [(np.ascontiguousarray(model.w1[:, cols]), model.b1[cols], cols) for cols in cuts]  # w1 itself when whole
     pre, hidden = np.empty((size, h)), np.empty((size, h))
     last = None  # the previous batch's rows and hidden-layer error, whose w1 and b1 step is the next round's
+    x = dataset.rows(order[:size])
     try:
         for start in range(0, order.shape[0], size):
-            x = dataset.rows(order[start : start + size])
             m = x.shape[0]
-            _w1_round(parts, pool, lr, last, x, pre[:m], hidden[:m])
+            upcoming = functools.partial(dataset.rows, order[start + size : start + 2 * size])
+            x_next = _w1_round(parts, pool, lr, last, x, pre[:m], hidden[:m], then=upcoming)
             err = _output(model, hidden[:m])
             d_hidden = _backprop(model, pre[:m], err, labels[start : start + m])
             _descend(model.w2, hidden[:m].T @ err, lr)
             _descend(model.b2, err.sum(axis=0), lr)
-            last = x, d_hidden
+            last, x = (x, d_hidden), x_next
         if last is not None:
             _w1_round(parts, pool, lr, last, None, None, None)
     finally:
@@ -335,13 +340,19 @@ def _sgd(
                 model.w1[:, cols] = w1
 
 
-def _w1_round(parts: list[tuple], pool: Helper | None, lr: float, *batches) -> None:
-    """One round of w1 work: the first of parts on this thread and the second, if any, on pool's worker unless it has not started by then."""
+def _w1_round(parts: list[tuple], pool: Helper | None, lr: float, last, x, pre, hidden, then: Callable | None = None):
+    """One round of w1 work: the first of parts on this thread and the second, if any, on pool's worker unless it has not started by then.
+
+    then(), if given, runs on this thread after its part, while the
+    worker may still be on its own; its value is returned.
+    """
     if pool:
-        pool.submit(_w1_part, parts[1], lr, *batches)
-    _w1_part(parts[0], lr, *batches)
+        pool.submit(_w1_part, parts[1], lr, last, x, pre, hidden)
+    _w1_part(parts[0], lr, last, x, pre, hidden)
+    value = then() if then else None
     if pool:
         pool.result(take_back=True)
+    return value
 
 
 def _w1_part(part: tuple, lr: float, last, x, pre, hidden) -> None:
