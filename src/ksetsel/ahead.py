@@ -2,8 +2,8 @@
 
 A Helper is one worker thread that runs the jobs its caller hands it,
 or lets the caller take back a job it has not started.  helper() gives
-train_epoch one, to take half of each batch's w1 work, unless a BLAS
-pool of more than one thread runs beside it.
+train_epoch one, to take half of each batch's w1 work, unless OS
+threads Python did not start, a BLAS pool's among them, run beside it.
 ReadAhead draws an iterator's items one item ahead on one: FPL's
 perturbations and simulate's stream an epoch ahead, and every other
 chunk of a multi-chunk predict_batch call.  fork_map runs independent
@@ -16,8 +16,11 @@ not on, and fork_map's child i to usable CPU i: its affinity is set to
 that CPU, then given back, so it is nudged, not pinned.  Where the
 kernel does not balance load between CPUs, a new thread or child
 starts on its parent's CPU and seldom leaves it.  A child owns its CPU:
-the workers it starts stay where they start, and it gets no helper.
-With one usable CPU, or without os.sched_setaffinity, nothing moves.
+the workers it starts stay where they start, it gets no helper, and
+its own fork_map runs inline.  With one usable CPU, or without
+os.sched_setaffinity, nothing moves.  Every gate and placement reads
+the process's OS threads through _os_threads and its CPUs through
+_usable_cpus.
 """
 
 from __future__ import annotations
@@ -100,12 +103,13 @@ def helper() -> Helper | None:
     """A Helper whose thread starts on a usable CPU its caller is not on; None when there is no such CPU, or a BLAS pool may use it.
 
     A BLAS pool of one thread per CPU already spreads each GEMM over the
-    CPUs and spins between GEMMs (see _one_thread), so a helper beside it
-    would only compete with it: a process that runs OS threads Python did
-    not start gets none.
+    CPUs and spins between GEMMs (see fork_map), so a helper beside it
+    would only compete with it: a process gets one only when _os_threads
+    counts no more OS threads than Python started.
     """
     cpu = _spare_cpu()
-    return None if cpu is None or _foreign_threads() else Helper(cpu)
+    threads = _os_threads() if cpu is not None else None
+    return Helper(cpu) if threads is not None and threads <= threading.active_count() else None
 
 
 class ReadAhead:
@@ -144,22 +148,33 @@ class ReadAhead:
         self._worker.__exit__(*exc)
 
 
-_in_child = False  # set in a fork_map child, which owns one CPU: its workers stay where they start
+_in_child = False  # set in a fork_map child, which owns one CPU: _usable_cpus gives it none
+
+
+def _usable_cpus() -> list[int]:
+    """The CPUs this process may run on, sorted; none in a fork_map child or without os.sched_setaffinity."""
+    if _in_child or not hasattr(os, "sched_setaffinity"):
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _os_threads() -> int | None:
+    """How many OS threads this process runs, a BLAS pool's included; None off Linux or where /proc/self/task cannot be listed."""
+    try:
+        return len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
+    except OSError:
+        return None
 
 
 def _spare_cpu() -> int | None:
     """The next usable CPU above the one the calling thread runs on, wrapping round, for a new worker; None if none.
 
-    There is none with one usable CPU, in a fork_map child, without
-    os.sched_setaffinity, or where the caller's CPU cannot be read.
+    There is none with fewer than two _usable_cpus, or where the caller's
+    CPU cannot be read.
     """
-    if _in_child or not hasattr(os, "sched_setaffinity"):
-        return None
-    usable = sorted(os.sched_getaffinity(0))
-    here = _current_cpu()
-    if len(usable) < 2 or here is None:
-        return None
-    return next((cpu for cpu in usable if cpu > here), usable[0])
+    usable = _usable_cpus()
+    here = _current_cpu() if len(usable) > 1 else None
+    return None if here is None else next((cpu for cpu in usable if cpu > here), usable[0])
 
 
 def _current_cpu() -> int | None:
@@ -186,32 +201,6 @@ def _nudge(cpu: int | None) -> None:
         pass
 
 
-def _foreign_threads() -> bool:
-    """Whether this process runs OS threads that Python did not start, a BLAS pool's among them; True where /proc cannot tell."""
-    try:
-        return len(os.listdir("/proc/self/task")) > threading.active_count()
-    except OSError:
-        return True
-
-
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0))
-
-
-def _one_thread() -> bool:
-    """Whether this process runs one OS thread, a BLAS thread pool included, on Linux.
-
-    Only then is fork safe.  It also keeps children from competing with
-    a BLAS pool: a pool of one thread per CPU spins between GEMMs, and on
-    a 2-CPU host forked blobs runs under it took 2.8 times as long as
-    inline ones.
-    """
-    try:
-        return sys.platform == "linux" and len(os.listdir("/proc/self/task")) == 1
-    except OSError:  # no /proc
-        return False
-
-
 # Where warnings raised again from children note what they have shown, so
 # the "default" action shows each one once, as it does for a run inline.
 _shown_registry: dict = {}
@@ -220,11 +209,14 @@ _shown_registry: dict = {}
 def fork_map(fn: Callable, items: list) -> list:
     """[fn(item) for item in items], with the items spread over forked children.
 
-    It runs inline instead when there is one item or one usable CPU, or
-    when fork is not safe: on another live thread in the process (a
-    BLAS pool of more than one thread among them), or off Linux.
-    Otherwise min(len(items), usable CPUs) children each run every
-    so-many item in order.  They share the caller's memory copy-on-write,
+    It runs inline instead when there is one item, one usable CPU or
+    none (as in a fork_map child), or when _os_threads does not count
+    exactly one OS thread.  Only one thread makes fork safe, and a BLAS
+    pool counts: a pool of one thread per CPU spins between GEMMs, and
+    on a 2-CPU host forked blobs runs under it took 2.8 times as long as
+    inline ones.  Otherwise min(len(items), usable CPUs) children each
+    run every so-many item in order, child i nudged to usable CPU i.
+    They share the caller's memory copy-on-write,
     so what fn changes stays in its child; each writes each item's
     outcome to its own in-memory file, read once it exits.  Warnings are
     raised again here, in item order, and then the first item's
@@ -236,12 +228,12 @@ def fork_map(fn: Callable, items: list) -> list:
     running when the caller is interrupted is killed.
     """
     items = list(items)
-    workers = min(len(items), _usable_cpus()) if len(items) > 1 and _one_thread() else 1
+    cpus = _usable_cpus() if len(items) > 1 and _os_threads() == 1 else []
+    workers = min(len(items), len(cpus))
     if workers < 2:
         return [fn(item) for item in items]
     children: list[tuple] = []  # (pid, the in-memory file it writes to, its item indices), until reaped
     outcomes: dict[int, tuple] = {}  # item index -> (result, exception, warnings)
-    cpus = sorted(os.sched_getaffinity(0))
     try:
         for first in range(workers):
             indices = range(first, len(items), workers)
@@ -251,7 +243,7 @@ def fork_map(fn: Callable, items: list) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(fn, items, indices, file, mask, cpus[first % len(cpus)])  # wraps only if _usable_cpus() counts more
+                    _child(fn, items, indices, file, mask, cpus[first])
                 children.append((pid, file, indices))
             except BaseException:
                 file.close()

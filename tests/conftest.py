@@ -1,7 +1,8 @@
 """Shared pytest wiring.
 
 Every test fails that leaves a child process behind, running or
-unreaped, or a thread other than the main thread alive.  After a run
+unreaped, or a thread other than the main thread alive.  fake_host
+sets what ahead sees of this process's CPUs and OS threads.  After a run
 that touched tests/test_acceptance.py, print one verdict line per
 acceptance criterion so the gate can be read at a glance.
 """
@@ -11,6 +12,8 @@ import re
 import threading
 
 import pytest
+
+from ksetsel import ahead
 
 _CRITERIA = {
     "A1": "FPL mean regret within the closed-form ceiling on uniform streams",
@@ -45,6 +48,27 @@ def no_thread_left_behind():
     alive = [thread.name for thread in threading.enumerate() if thread is not threading.main_thread()]
     if alive:
         pytest.fail(f"the test left threads alive: {', '.join(alive)}")
+
+
+@pytest.fixture
+def fake_host(monkeypatch):
+    """fake_host(cpus, threads): ahead sees cpus usable CPUs and threads OS threads, None leaving either as it is.
+
+    The CPU list holds this process's real CPU ids, repeated where cpus
+    is more than it may use, so a child sent to one really moves.  A
+    fork_map child still sees none.
+    """
+    real = ahead._usable_cpus
+
+    def fake(cpus=None, threads=None):
+        if cpus is not None:
+            usable = sorted(os.sched_getaffinity(0))
+            listed = [usable[i % len(usable)] for i in range(cpus)]
+            monkeypatch.setattr(ahead, "_usable_cpus", lambda: real() and listed)
+        if threads is not None:
+            monkeypatch.setattr(ahead, "_os_threads", lambda: threads)
+
+    return fake
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

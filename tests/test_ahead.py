@@ -155,14 +155,10 @@ class Unrebuildable:
         return TwoArgumentError, ("a",)
 
 
-REAL_USABLE_CPUS = ahead._usable_cpus
-
-
 @pytest.fixture
-def forked(monkeypatch):
+def forked(fake_host):
     """fork_map forks here on any host: three usable CPUs, and the test process's BLAS pool let through."""
-    monkeypatch.setattr(ahead, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(ahead, "_one_thread", lambda: True)
+    fake_host(cpus=3, threads=1)
 
 
 def logged_pids(log):
@@ -191,48 +187,54 @@ def test_results_come_back_in_item_order_from_three_children(forked):
 
 
 @pytest.mark.parametrize("why", ["one item", "one usable CPU", "another OS thread"])
-def test_runs_inline(monkeypatch, forked, why):
+def test_runs_inline(fake_host, forked, why):
     if why == "one usable CPU":
-        monkeypatch.setattr(ahead, "_usable_cpus", REAL_USABLE_CPUS)
-        monkeypatch.setattr(ahead.os, "sched_getaffinity", lambda pid: {0})
+        fake_host(cpus=1)
     if why == "another OS thread":
-        monkeypatch.setattr(ahead, "_one_thread", lambda: False)
+        fake_host(threads=2)
     items = [5] if why == "one item" else [5, 6, 7]
     assert fork_map(lambda item: (item, os.getpid()), items) == [(item, os.getpid()) for item in items]
 
 
-def test_an_inline_run_counts_no_cpus(monkeypatch):
-    def counted():
+def test_an_inline_run_counts_no_cpus(monkeypatch, fake_host):
+    def counted(pid):
         raise AssertionError("fork_map counted CPUs for a run it keeps inline")
 
-    monkeypatch.setattr(ahead, "_usable_cpus", counted)
-    monkeypatch.setattr(ahead, "_one_thread", lambda: False)
+    monkeypatch.setattr(ahead.os, "sched_getaffinity", counted)
+    fake_host(threads=2)
     assert fork_map(lambda item: (item, os.getpid()), [5, 6]) == [(5, os.getpid()), (6, os.getpid())]
-    monkeypatch.setattr(ahead, "_one_thread", lambda: True)
+    fake_host(threads=1)
     assert fork_map(lambda item: (item, os.getpid()), [5]) == [(5, os.getpid())]
 
 
+def test_a_fork_map_in_a_child_runs_inline_there(forked):
+    # the child owns its CPU, so it forks no grandchildren
+    runs = fork_map(lambda item: (os.getpid(), fork_map(lambda inner: os.getpid(), [0, 1, 2])), [0, 1])
+    assert len({child for child, _ in runs} | {os.getpid()}) == 3
+    assert [inner for _, inner in runs] == [[child] * 3 for child, _ in runs]
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
-def test_one_thread_counts_every_os_thread_a_blas_pool_included():
+def test_os_threads_counts_every_os_thread_a_blas_pool_included():
     code = (
         "import os, threading, time\n"
         "from ksetsel import ahead\n"
         "before = len(os.listdir('/proc/self/task'))\n"
         "release = threading.Event()\n"
         "other = threading.Thread(target=release.wait)\n"
-        "print(ahead._one_thread())\n"
+        "print(ahead._os_threads() == 1)\n"
         "other.start()\n"
-        "print(ahead._one_thread())\n"
+        "print(ahead._os_threads() == 1)\n"
         "release.set()\n"
         "other.join()\n"
         "deadline = time.monotonic() + 10\n"  # a joined thread leaves /proc a moment after join returns
         "while len(os.listdir('/proc/self/task')) > before and time.monotonic() < deadline:\n"
         "    time.sleep(0.001)\n"
-        "print(ahead._one_thread())\n"
+        "print(ahead._os_threads() == 1)\n"
     )
     src = str(Path(ksetsel.__file__).resolve().parents[1])
     pools = {"1": "True False True"}
-    if REAL_USABLE_CPUS() >= 2:  # OpenBLAS starts a pool of two threads only where two CPUs are usable
+    if len(os.sched_getaffinity(0)) >= 2:  # OpenBLAS starts a pool of two threads only where two CPUs are usable
         pools["2"] = "False False False"
     for threads, expected in pools.items():
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
@@ -474,8 +476,8 @@ def test_a_read_ahead_worker_starts_on_a_cpu_other_than_its_callers(moves):
 
 
 @TWO_CPUS
-def test_a_helper_starts_on_a_cpu_other_than_its_callers(monkeypatch, moves):
-    monkeypatch.setattr(ahead, "_foreign_threads", lambda: False)  # let the test process's BLAS pool through
+def test_a_helper_starts_on_a_cpu_other_than_its_callers(fake_host, moves):
+    fake_host(threads=1)  # let the test process's BLAS pool through
     made, read = moves
     usable = os.sched_getaffinity(0)
     with ahead.helper() as pool:
@@ -486,9 +488,8 @@ def test_a_helper_starts_on_a_cpu_other_than_its_callers(monkeypatch, moves):
 
 
 @TWO_CPUS
-def test_fork_map_children_run_on_distinct_cpus_and_place_no_worker(monkeypatch, moves):
-    monkeypatch.setattr(ahead, "_one_thread", lambda: True)  # let the test process's BLAS pool through
-    monkeypatch.setattr(ahead, "_foreign_threads", lambda: False)
+def test_fork_map_children_run_on_distinct_cpus_and_place_no_worker(fake_host, moves):
+    fake_host(threads=1)  # let the test process's BLAS pool through
     made, _ = moves
     usable = sorted(os.sched_getaffinity(0))
     placed = fork_map(lambda item: (list(made), ahead.helper()), [0, 1])
@@ -510,22 +511,30 @@ def test_a_process_with_a_blas_pool_gets_no_helper(threads, helped):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the CPU mask")
 @pytest.mark.parametrize("why", ["one usable CPU", "no sched_setaffinity", "in a fork_map child", "unreadable CPU"])
-def test_no_spare_cpu_places_nothing(monkeypatch, why):
+def test_no_spare_cpu_places_nothing(monkeypatch, fake_host, why):
     moved = []
     if why == "no sched_setaffinity":
         monkeypatch.delattr(ahead.os, "sched_setaffinity", raising=False)
     else:
         monkeypatch.setattr(ahead.os, "sched_setaffinity", lambda pid, mask: moved.append(mask), raising=False)
+    fake_host(threads=1)  # so the test process's BLAS pool is not why there is no helper
     if why == "one usable CPU":
         monkeypatch.setattr(ahead.os, "sched_getaffinity", lambda pid: {0})
-    elif why == "in a fork_map child":
-        monkeypatch.setattr(ahead, "_in_child", True)
     elif why == "unreadable CPU":
         monkeypatch.setattr(ahead, "_current_cpu", lambda: None)
-    assert ahead._spare_cpu() is None and ahead.helper() is None
-    with ReadAhead(iter(range(3))) as worker:
-        assert next(worker) == 0
-    assert moved == []
+
+    def places_nothing(item=None):
+        before = len(moved)  # a child's own move to its CPU comes first
+        assert ahead._spare_cpu() is None and ahead.helper() is None
+        with ReadAhead(iter(range(3))) as worker:
+            assert next(worker) == 0
+        return moved[before:]
+
+    if why == "in a fork_map child":
+        fake_host(cpus=2)
+        assert fork_map(places_nothing, [0, 1]) == [[], []]
+    else:
+        assert places_nothing() == []
 
 
 class TestTakeBack:
@@ -604,3 +613,24 @@ def test_only_ahead_imports_thread_modules():
     concurrent = [path.name for path in sources if imported_roots(path) & CONCURRENCY_MODULES or names_fork(path)]
     assert concurrent == ["ahead.py"]
     assert names_fork(Path(ahead.__file__))
+
+
+HOST_READS = {"sched_getaffinity", "active_count"}
+
+
+def reads_host(path):
+    """Whether the source names os.sched_getaffinity or threading.active_count, or holds the path /proc/self/task."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in HOST_READS:
+            return True
+        if isinstance(node, ast.ImportFrom) and any(alias.name in HOST_READS for alias in node.names):
+            return True
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "/proc/self/task" in node.value:
+            return True
+    return False
+
+
+def test_only_ahead_reads_the_processs_threads_and_cpus():
+    sources = sorted(Path(ksetsel.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    assert [path.name for path in sources if reads_host(path)] == ["ahead.py"]

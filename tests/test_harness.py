@@ -707,11 +707,11 @@ class TestSeedBySeedRuns:
         # simulate makes one run_epochs call per seed, ablate one train_selective call per (selector, seed)
         [("run_epochs", sim_cfg, run_simulate, (0, 1)), ("train_selective", ablate_cfg, run_ablate, (0,))],
     )
-    def test_failed_run_writes_no_metrics(self, tmp_path, monkeypatch, runner, make_cfg, run, seeds):
+    def test_failed_run_writes_no_metrics(self, tmp_path, monkeypatch, fake_host, runner, make_cfg, run, seeds):
         # The second run is simulate's second seed, or ablate's second selector, which a forked child
         # runs: children share no call count, so the run is told by its config.
         real = getattr(harness, runner)
-        force_fork(monkeypatch)
+        force_fork(fake_host)
 
         def fails_second(*args):
             if args[1].seed == 1 if runner == "run_epochs" else args[2] is Strategy.NAIVE:
@@ -724,23 +724,22 @@ class TestSeedBySeedRuns:
         assert list(tmp_path.iterdir()) == []
 
 
-def force_fork(monkeypatch):
+def force_fork(fake_host):
     """Let fork_map fork in this test process on any host; its BLAS pool would keep every run inline."""
-    monkeypatch.setattr(ahead, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(ahead, "_one_thread", lambda: True)
+    fake_host(cpus=2, threads=1)
 
 
-def force_inline(monkeypatch):
+def force_inline(fake_host):
     """Keep fork_map inline, so a spy in this test process sees every run.
 
     A fork makes OpenBLAS stop its pool until a large GEMM restarts it,
     so after one, fork_map may fork in this process too.
     """
-    monkeypatch.setattr(ahead, "_usable_cpus", lambda: 1)
+    fake_host(cpus=1)
 
 
 needs_two_cpus = pytest.mark.skipif(
-    sys.platform != "linux" or ahead._usable_cpus() < 2, reason="forks on Linux with two CPUs"
+    sys.platform != "linux" or len(ahead._usable_cpus()) < 2, reason="forks on Linux with two CPUs"
 )
 
 
@@ -814,7 +813,7 @@ class TestForkedSelectors:
         pids = {how: run_recorded(tmp_path, "ablate", config, "cmp.csv", how) for how in ("forked", "inline")}
         parent, runs = pids["forked"]
         # each seed's four selectors go to min(4, usable CPUs) children of their own
-        assert len(runs) == 8 and parent not in runs and len(set(runs)) == 2 * min(4, ahead._usable_cpus())
+        assert len(runs) == 8 and parent not in runs and len(set(runs)) == 2 * min(4, len(ahead._usable_cpus()))
         parent, runs = pids["inline"]
         assert runs == [parent] * 8
         names = sorted(path.name for path in (tmp_path / "forked").iterdir())
@@ -827,8 +826,8 @@ class TestForkedSelectors:
                 assert forked[0] == inline[0] == METRICS_HEADER
                 assert drop_wall(forked[1]) == drop_wall(inline[1]), name
 
-    def test_a_childs_config_error_exits_one_and_writes_no_csv(self, tmp_path, monkeypatch, capsys):
-        force_fork(monkeypatch)
+    def test_a_childs_config_error_exits_one_and_writes_no_csv(self, tmp_path, monkeypatch, fake_host, capsys):
+        force_fork(fake_host)
 
         def fail(strategy, selector):
             if strategy is Strategy.GREEDY:
@@ -849,8 +848,8 @@ class TestForkedSelectors:
         assert list((tmp_path / "out").iterdir()) == []
         assert_reaped({pid for pid, _ in runs()})
 
-    def test_a_warning_in_a_child_reaches_pytest_warns(self, tmp_path, monkeypatch):
-        force_fork(monkeypatch)
+    def test_a_warning_in_a_child_reaches_pytest_warns(self, tmp_path, monkeypatch, fake_host):
+        force_fork(fake_host)
 
         def warn(strategy, selector):
             warnings.warn(f"{strategy.value} ran in {os.getpid()}", UserWarning)
@@ -863,8 +862,8 @@ class TestForkedSelectors:
         assert os.getpid() not in {int(pid) for _, pid in messages}
 
     @pytest.mark.parametrize("outcome", ["returned", "raised", "killed"])
-    def test_no_child_is_left_after_a_run(self, tmp_path, monkeypatch, outcome):
-        force_fork(monkeypatch)
+    def test_no_child_is_left_after_a_run(self, tmp_path, monkeypatch, fake_host, outcome):
+        force_fork(fake_host)
 
         def fail(strategy, selector):
             if strategy is Strategy.RANDOM and selector.seed == 1:
@@ -886,8 +885,8 @@ class TestForkedSelectors:
         assert_reaped(pids)
         assert (len(list((tmp_path / "out").iterdir())) == 5) is (outcome == "returned")
 
-    def test_forked_seed_inputs_die_with_the_seed(self, tmp_path, monkeypatch):
-        force_fork(monkeypatch)
+    def test_forked_seed_inputs_die_with_the_seed(self, tmp_path, monkeypatch, fake_host):
+        force_fork(fake_host)
         real, refs, alive_at_build = harness._noisy_copy, [], []
 
         def tracked(*args):
@@ -1124,7 +1123,7 @@ class TestForkedGridAndFractions:
         pids = {how: run_recorded(tmp_path, mode, config, "out.csv", how) for how in ("forked", "inline")}
         parent, runs = pids["forked"]
         assert len(runs) == maps * runs_per_map and parent not in runs
-        assert len(set(runs)) == maps * min(runs_per_map, ahead._usable_cpus())
+        assert len(set(runs)) == maps * min(runs_per_map, len(ahead._usable_cpus()))
         parent, runs = pids["inline"]
         assert runs == [parent] * (maps * runs_per_map)
         assert (tmp_path / "forked" / "out.csv").read_bytes() == (tmp_path / "inline" / "out.csv").read_bytes()
@@ -1215,7 +1214,7 @@ class TestRunValidateRisk:
         with pytest.raises(ConfigError):
             run_validate_risk(cfg)
 
-    def test_risks_equal_a_fixed_set_loop_on_the_full_noisy_set(self, tmp_path, monkeypatch):
+    def test_risks_equal_a_fixed_set_loop_on_the_full_noisy_set(self, tmp_path, monkeypatch, fake_host):
         """Each (seed, fraction) trains through train_selective on the fixed k rows alone.
 
         The reference trains on the full noisy set, picks the same fixed
@@ -1230,7 +1229,7 @@ class TestRunValidateRisk:
             runs.append((dataset.n, strategy, [m.selection_risk for m in metrics]))
             return model, metrics
 
-        force_inline(monkeypatch)
+        force_inline(fake_host)
         monkeypatch.setattr(harness, "train_selective", spy)
         run_validate_risk(cfg)
 
@@ -1310,7 +1309,7 @@ class TestTrainOnlyModesReadNoTestSplit:
         self.RUNS[mode](tiny_train_cfg(tmp_path, **keys, **common, out=str(tmp_path / "bad_test.csv")))
         assert (tmp_path / "bad_test.csv").read_text() == (tmp_path / "plain.csv").read_text()
 
-    def test_grid_class_count_is_the_training_files_own(self, tmp_path, monkeypatch):
+    def test_grid_class_count_is_the_training_files_own(self, tmp_path, monkeypatch, fake_host):
         # A test file with a class above the training file's top one widens train's model, not grid's.
         data = make_blobs(150, 4, 3, separation=8.0, seed=0)
         save_csv_dataset(data.subset(np.flatnonzero(data.true_labels < 2)), tmp_path / "train.csv")
@@ -1322,7 +1321,7 @@ class TestTrainOnlyModesReadNoTestSplit:
             widths.append(dataset.num_classes)
             return training.train_selective(dataset, *rest)
 
-        force_inline(monkeypatch)
+        force_inline(fake_host)
         monkeypatch.setattr(harness, "train_selective", spy)
         run_train(tiny_train_cfg(tmp_path, **keys, seeds=(0,), epochs=2))
         assert widths == [3]

@@ -623,8 +623,8 @@ class TestSplitTraining:
         sys.platform != "linux" or not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
         reason="forks on Linux with two or more usable CPUs",
     )
-    def test_a_fork_map_child_trains_without_a_helper(self, monkeypatch):
-        monkeypatch.setattr(ahead, "_one_thread", lambda: True)  # let the test process's BLAS pool through
+    def test_a_fork_map_child_trains_without_a_helper(self, monkeypatch, fake_host):
+        fake_host(threads=1)  # let the test process's BLAS pool through
         given = []
         monkeypatch.setattr(mlp, "helper", lambda: given.append(ahead.helper()) or given[-1])
         data = self.idx_like(200, 784, seed=4)
