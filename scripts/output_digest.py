@@ -12,8 +12,8 @@ outside the determinism contract) and all other files whole.  Run it on
 two checkouts and compare the totals.  It exits 1 when any config exits
 non-zero, after printing every digest, so a config broken on both
 checkouts cannot pass as equal.  tests/test_output_digest.py runs it on
-this checkout at OPENBLAS_NUM_THREADS=1 and 2, requires the same digests
-from both, and compares each config's digest with
+this checkout at OPENBLAS_NUM_THREADS=1 and 2, and at 1 with one usable
+CPU, requires the same digests from all three, and compares each config's digest with
 tests/golden/digests.txt, under the entry for the host's numpy version
 and the BLAS name and version of numpy's build config; a change that
 alters outputs on purpose records its new digests there.

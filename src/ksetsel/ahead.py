@@ -1,15 +1,16 @@
 """The package's concurrency: Helper, ReadAhead and fork_map, and where their workers run.
 
-A Helper is one worker thread that runs the jobs its caller hands it,
-or lets the caller take back a job it has not started.  helper() gives
-train_epoch one, to take half of each batch's w1 work, unless OS
-threads Python did not start, a BLAS pool's among them, run beside it.
-ReadAhead draws an iterator's items one item ahead on one: FPL's
-perturbations and simulate's stream an epoch ahead, and every other
-chunk of a multi-chunk predict_batch call.  fork_map runs independent
-training runs side by side in forked children: ablate's, grid's and
-validate-risk's.  What a child writes to its in-memory file is all its
-parent knows of its items.
+A Helper is one worker thread that runs the jobs its caller hands it;
+a job it has not started when the caller asks for its result runs on
+the caller instead, so no caller waits on a worker that has not begun.
+helper() is the one way mlp reaches a second thread: it gives
+train_epoch one to take half of each batch's w1 work, and predict_batch
+one to score every other chunk, unless OS threads Python did not start,
+a BLAS pool's among them, run beside it.  ReadAhead serves iterators:
+it draws FPL's perturbations and simulate's stream one item, an epoch,
+ahead on one.  fork_map runs independent training runs side by side in
+forked children: ablate's, grid's and validate-risk's.  What a child
+writes to its in-memory file is all its parent knows of its items.
 
 Each worker moves once, as it starts, to a usable CPU its caller is
 not on, and fork_map's child i to usable CPU i: its affinity is set to
@@ -18,9 +19,9 @@ kernel does not balance load between CPUs, a new thread or child
 starts on its parent's CPU and seldom leaves it.  A child owns its CPU:
 the workers it starts stay where they start, it gets no helper, and
 its own fork_map runs inline.  With one usable CPU, or without
-os.sched_setaffinity, nothing moves.  Every gate and placement reads
-the process's OS threads through _os_threads and its CPUs through
-_usable_cpus.
+os.sched_setaffinity, nothing moves and helper() gives none.  Every
+gate and placement reads the process's OS threads through _os_threads
+and its CPUs through _usable_cpus.
 """
 
 from __future__ import annotations
@@ -48,15 +49,16 @@ class Helper:
     copy of the caller's contextvars, so numpy's errstate holds for the
     job as it does for the caller; result() returns its value or raises
     its exception.  One job at a time: each submit is followed by its
-    result() before the next.  result(take_back=True) runs a job the
-    worker has not started there, on the caller, and the worker skips
-    it, so a worker whose CPU is busy costs about what doing the job
-    inline does.  One queue each way and no futures keep a round trip short,
-    since train_epoch pays one per SGD batch: on a ThreadPoolExecutor's
-    futures a split idx epoch took about 15% longer.  Leaving the with
-    block lets a job the worker has started finish, then joins the
-    thread, whether the caller returned or raised.  The thread is a
-    daemon, so one never joined cannot keep the interpreter from exiting.
+    result() before the next.  result() runs a job the worker has not
+    started there, on the caller, and the worker skips it: no caller
+    waits on a worker that has not begun, so a worker whose CPU is busy
+    costs about what doing the job inline does.  One queue each way and
+    no futures keep a round trip short, since train_epoch pays one per
+    SGD batch: on a ThreadPoolExecutor's futures a split idx epoch took
+    about 15% longer.  Leaving the with block lets a job the worker has
+    started finish, then joins the thread, whether the caller returned
+    or raised.  The thread is a daemon, so one never joined cannot keep
+    the interpreter from exiting.
     """
 
     def __init__(self, cpu: int | None):
@@ -76,9 +78,8 @@ class Helper:
         self._job = functools.partial(contextvars.copy_context().run, fn, *args)
         self._jobs.put((self._claim, self._job))
 
-    def result(self, take_back: bool = False):
-        taken = take_back and self._claim.acquire(blocking=False)
-        value, exc = _outcome(self._job) if taken else self._done.get()
+    def result(self):
+        value, exc = _outcome(self._job) if self._claim.acquire(blocking=False) else self._done.get()
         if exc is not None:
             raise exc
         return value
@@ -116,8 +117,9 @@ class ReadAhead:
     """items, drawn one item ahead on a Helper's thread.
 
     Building it asks for item 1.  Taking item t asks the worker for
-    item t + 1, so the worker draws it while the caller uses item t.
-    Only the worker advances items.  An exception the worker meets,
+    item t + 1, so the worker draws it while the caller uses item t, or
+    the caller does when the worker has not begun (Helper.result): items
+    are drawn one at a time, in order.  An exception met drawing an item,
     StopIteration once the items run out included, is raised where the
     caller takes that item and at every take after it.  Leaving the
     with block joins the worker, whether the run returned or raised;

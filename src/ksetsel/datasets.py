@@ -246,7 +246,7 @@ def apply_label_noise(dataset: Dataset, spec: LabelNoiseSpec) -> Dataset:
     )
 
 
-def _read_idx_header(raw: bytes, path, expected_magic: int, dims: int) -> tuple[tuple[int, ...], int]:
+def _read_idx_header(raw: np.ndarray, path, expected_magic: int, dims: int) -> tuple[tuple[int, ...], int]:
     header_bytes = 4 * (1 + dims)
     if len(raw) < header_bytes:
         raise IdxTruncatedError(
@@ -263,10 +263,8 @@ def _read_idx_header(raw: bytes, path, expected_magic: int, dims: int) -> tuple[
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Read a u8 image/label IDX pair into a flat Dataset whose u8 features mean pixel / 255."""
-    with open(images_path, "rb") as fh:
-        raw_images = fh.read()
-    with open(labels_path, "rb") as fh:
-        raw_labels = fh.read()
+    raw_images, raw_labels = (np.fromfile(path, dtype=np.uint8) for path in (images_path, labels_path))
+    raw_images.flags.writeable = False  # the pixels are a view of it, read whole at load time
 
     (count, rows, cols), offset = _read_idx_header(raw_images, images_path, IDX_IMAGE_MAGIC, 3)
     if rows == 0 or cols == 0:
@@ -290,9 +288,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         )
     if count == 0:
         raise DataError(f"{images_path}: empty dataset")
-    # A read-only view of the file bytes: the images are held once, as u8.
-    pixels = np.frombuffer(raw_images, dtype=np.uint8, offset=offset).reshape(count, rows * cols)
-    labels = np.frombuffer(raw_labels, dtype=np.uint8, offset=label_offset).astype(np.int64)
+    pixels = raw_images[offset:].reshape(count, rows * cols)  # the images are held once, as u8
+    labels = raw_labels[label_offset:].astype(np.int64)
     num_classes = int(labels.max()) + 1
     return Dataset(features=pixels, true_labels=labels, assigned_labels=labels.copy(), num_classes=num_classes)
 

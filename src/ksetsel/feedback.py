@@ -17,8 +17,8 @@ iterated: stream_epochs builds one epoch at a time, dump_stream_csv
 writes each risk vector as it arrives, and load_stream_csv reads a
 dumped stream back as a list of risk vectors.  run_simulate reads
 stream_epochs one epoch ahead on a worker thread, so theta_{t+1} is
-drawn while the selectors use theta_t; a stream is only ever advanced
-by that one thread, so its floats do not change.
+drawn while the selectors use theta_t; a stream is advanced one epoch
+at a time, in order, on whichever thread, so its floats do not change.
 
 A planted epoch costs one normal draw of n values, scaled, shifted by
 the per-sample means and clipped in place; the means vector is rebuilt

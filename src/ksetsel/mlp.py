@@ -17,36 +17,37 @@ before made, so a scoring thread holds at most one hidden-sized
 epoch, not once per batch (its LearnerSpec checked itself when built),
 and its SGD step scales the gradients it owns in place.
 
-Scoring rows that span two or more chunks runs on two threads: a
-ReadAhead worker scores every other chunk while the caller scores the
-rest.  The chunk boundaries are fixed by SCORE_CHUNK alone, and a
-row's bits can depend on the row count of the GEMM it is scored in,
-so the chunk size is part of the output contract and a chunk is never
-split between threads.
+mlp reaches a second thread one way only, ahead.helper: a worker where
+there is a spare CPU and no BLAS pool beside it, never in a fork_map
+child; without one, all runs on the caller.  A job the worker has not
+begun when the caller wants its result runs on the caller too.
+
+Scoring rows that span two or more chunks hands every other chunk to
+the worker while the caller scores the rest.  The chunk boundaries are
+fixed by SCORE_CHUNK alone, and a row's bits can depend on the row
+count of the GEMM it is scored in, so the chunk size is part of the
+output contract and a chunk is never split between threads.
 
 Training splits each batch's w1 work by contiguous column halves when
-ahead.helper finds a spare CPU (never in a fork_map child, nor beside a
-BLAS pool of more than one thread), the hidden width is a multiple of
-32 and a batch's x @ w1 has at least SPLIT_MULADDS multiply-adds: the
-caller takes the first half of x @ w1, the b1 add and relu, x.T @
-d_hidden and the w1 and b1 steps, and one helper thread the second, in
-one round trip per batch; the caller keeps the w2 GEMMs, softmax,
-error, d_hidden and the w2 and b2 steps, and reads the next batch's
-rows while the helper ends its half.  A second half the helper has not
-started by the time the caller has done both runs on the caller too,
-so a busy second CPU costs about what the serial loop does.  Every
-element is the same operation on the same values as in the serial
-loop, and with OpenBLAS 0.3.31 a GEMM over a half of a width that is
-a multiple of 32 gives each column the bits of the whole-width GEMM,
-unless just one of the two takes OpenBLAS's small-matrix path (about
-1e6 multiply-adds or fewer); the halves of an odd width differ even
-then (784 x 255 at batch 32).  SPLIT_MULADDS >= 2e6 keeps each half off
-that path, so the weights are bitwise the serial loop's.  It also keeps
-batches whose round trip costs more than the split saves on one
-thread: on 2 vCPUs, at batch 32, the split read 0.85x at 256 x 256
-(2.1e6 multiply-adds), about 1.05x at 320 x 256 (2.6e6), 1.15x at
-384 x 256 (3.1e6) and 1.15-1.4x above, while a blobs batch (16 x 128)
-has 6.6e4.  A short last batch runs whole on the caller.
+there is a worker, the hidden width is a multiple of 32 and a batch's
+x @ w1 has at least SPLIT_MULADDS multiply-adds: the caller takes the
+first half of x @ w1, the b1 add and relu, x.T @ d_hidden and the w1
+and b1 steps, and the worker the second, in one round trip per batch;
+the caller keeps the w2 GEMMs, softmax, error, d_hidden and the w2 and
+b2 steps, and reads the next batch's rows while the worker ends its
+half.  Every element is the same operation on the same values as in
+the serial loop, and with OpenBLAS 0.3.31 a GEMM over a half of a
+width that is a multiple of 32 gives each column the bits of the
+whole-width GEMM, unless just one of the two takes OpenBLAS's
+small-matrix path (about 1e6 multiply-adds or fewer); the halves of an
+odd width differ even then (784 x 255 at batch 32).  SPLIT_MULADDS >=
+2e6 keeps each half off that path, so the weights are bitwise the
+serial loop's.  It also keeps batches whose round trip costs more than
+the split saves on one thread: on 2 vCPUs, at batch 32, the split read
+0.85x at 256 x 256 (2.1e6 multiply-adds), about 1.05x at 320 x 256
+(2.6e6), 1.15x at 384 x 256 (3.1e6) and 1.15-1.4x above, while a blobs
+batch (16 x 128) has 6.6e4.  A short last batch runs whole on the
+caller.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ahead import Helper, ReadAhead, helper
+from .ahead import Helper, helper
 from .datasets import Dataset, float_rows
 from .errors import DivergenceError, InputError, ParameterError
 from .feedback import Prediction
@@ -351,7 +352,7 @@ def _w1_round(parts: list[tuple], pool: Helper | None, lr: float, last, x, pre, 
     _w1_part(parts[0], lr, last, x, pre, hidden)
     value = then() if then else None
     if pool:
-        pool.result(take_back=True)
+        pool.result()
     return value
 
 
@@ -392,26 +393,25 @@ def predict_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Argmax labels and their probabilities; ties go to the smaller class.
 
     x is float rows, or u8 rows meaning value / 255, scored in chunks of
-    SCORE_CHUNK rows.  When x spans two or more chunks, a ReadAhead
-    worker (the thread of an ahead.Helper) scores every
-    other chunk (the second, fourth, ...) as its one item while this
-    thread scores the rest, then takes that item: the worker is joined
-    before this returns or raises, and its exception is raised here.
-    Each chunk is the same computation on the same rows whichever
-    thread runs it, so the result does not depend on the split.
+    SCORE_CHUNK rows.  When x spans two or more chunks and ahead.helper
+    gives a worker, the worker scores every other chunk (the second,
+    fourth, ...) as one job while this thread scores the rest, then
+    takes its result: the worker is joined before this returns or
+    raises, and its exception is raised here.  Each chunk is the same
+    computation on the same rows whichever thread runs it, so the
+    result does not depend on the split.
     """
     chunk = SCORE_CHUNK
     x = _check_width(model, x)
     labels = np.empty(x.shape[0], dtype=np.int64)
     conf = np.empty(x.shape[0], dtype=np.float64)
     starts = range(0, x.shape[0], chunk)
-    if len(starts) < 2:
-        _score_chunks(model, x, starts, chunk, labels, conf)
-        return labels, conf
-    odd = (_score_chunks(model, x, part, chunk, labels, conf) for part in (starts[1::2],))
-    with ReadAhead(odd) as worker:
-        _score_chunks(model, x, starts[::2], chunk, labels, conf)
-        next(worker)
+    with (len(starts) > 1 and helper()) or nullcontext() as pool:
+        if pool:
+            pool.submit(_score_chunks, model, x, starts[1::2], chunk, labels, conf)
+        _score_chunks(model, x, starts[::2] if pool else starts, chunk, labels, conf)
+        if pool:
+            pool.result()
     return labels, conf
 
 

@@ -267,7 +267,7 @@ def init_selection(n: int, k: int, seed: int | np.random.Generator) -> KSetSelec
     rng = np.random.default_rng(seed)
     idx = rng.choice(n, size=k, replace=False)
     idx.sort()
-    return KSetSelection(idx.astype(np.int64))
+    return KSetSelection(idx)  # rng.choice gives int64 indices, which KSetSelection keeps without a copy
 
 
 def accumulate(cum: CumulativeRisk, theta: RiskVector) -> CumulativeRisk:

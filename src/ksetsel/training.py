@@ -16,14 +16,14 @@ a full forward pass.  In every mode epoch 1 takes one
 seeded uniformly random k-set because no feedback exists yet.
 
 FPL's perturbation does not depend on feedback, so run_epochs draws
-each one an epoch ahead on a ReadAhead's worker thread
-while the main thread picks, runs the feedback and folds.  Each
-generator is drawn from by one thread only, in its original order, so
-every output is the same as with the draws inline.  The picks,
-random's k-sets, the folds and the train_epoch and predict_batch calls
-themselves stay on the main thread; each of those two calls may hand
-part of its work to one worker of its own, which changes no bit (see
-mlp).
+each one an epoch ahead on a ReadAhead's worker thread, or on the main
+thread if the worker has not begun it when it is taken, while the main
+thread picks, runs the feedback and folds.  Draws come one at a time,
+in their original order, so every output is the same as inline.  The
+picks, random's k-sets, the folds and the train_epoch and predict_batch
+calls themselves stay on the main thread; each of those two calls may
+hand part of its work to one worker of its own, which changes no bit
+(see mlp).
 
 Wall time is recorded but is the one column outside the determinism
 contract: with a fixed config and seed everything else is

@@ -1,4 +1,4 @@
-"""ReadAhead and fork_map, and the rule that no other module starts a thread or a process."""
+"""Helper, ReadAhead and fork_map, and the rule that no other module starts a thread or a process."""
 
 import ast
 import os
@@ -538,7 +538,7 @@ def test_no_spare_cpu_places_nothing(monkeypatch, fake_host, why):
 
 
 class TestTakeBack:
-    """result(take_back=True) runs a job the worker has not started on the caller, and waits for one it has."""
+    """result() runs a job the worker has not started on the caller, and waits for one it has."""
 
     def test_a_job_the_worker_has_not_started_runs_on_the_caller_and_the_worker_skips_it(self, monkeypatch):
         go, ran = threading.Event(), []
@@ -546,7 +546,7 @@ class TestTakeBack:
         pool = ahead.Helper(None)
         with pool:
             pool.submit(lambda: ran.append(threading.current_thread()) or 7)
-            assert pool.result(take_back=True) == 7
+            assert pool.result() == 7
             go.set()
         assert ran == [threading.main_thread()]
 
@@ -562,7 +562,7 @@ class TestTakeBack:
             pool.submit(job)
             assert started.wait(timeout=20)
             go.set()
-            assert pool.result(take_back=True) is pool._thread
+            assert pool.result() is pool._thread
 
     def test_a_taken_back_job_raises_its_own_exception_here(self, monkeypatch):
         go = threading.Event()
@@ -570,7 +570,7 @@ class TestTakeBack:
         with ahead.Helper(None) as pool:
             pool.submit(int, "x")
             with pytest.raises(ValueError, match="invalid literal"):
-                pool.result(take_back=True)
+                pool.result()
             go.set()
 
 

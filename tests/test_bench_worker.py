@@ -17,7 +17,7 @@ import pytest
 
 import ksetsel
 import ksetsel.cli  # noqa: F401  (trace_targets reads ksetsel.cli)
-from ksetsel import mlp
+from ksetsel import ahead, mlp
 from ksetsel.cli import EXIT_OK, main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -109,12 +109,18 @@ def test_traced_calls_stay_on_the_main_thread(monkeypatch, tmp_path):
     simulated = [name for name, _ in calls].count("selection.fpl_select")
     assert main(["train", "--config", str(train)]) == EXIT_OK
     trained = [name for name, _ in calls].count("selection.fpl_select") - simulated
-    # 9000 training rows are three scoring chunks, so predict_batch hands one of them to its worker thread
-    scored_on = []
+    # 9000 training rows are three scoring chunks, so predict_batch hands one of them to a worker thread; a
+    # worker on any host, and this thread's first chunk waits until it has begun, so the job is not taken back
+    monkeypatch.setattr(mlp, "helper", lambda: ahead.helper() or ahead.Helper(None))
+    scored_on, worker_began = [], threading.Event()
     real_forward = mlp._forward
 
     def forward(*args, **kwargs):
         scored_on.append(threading.current_thread())
+        if threading.current_thread() is threading.main_thread():
+            assert worker_began.wait(timeout=20), "the scoring worker did not begin"
+        else:
+            worker_began.set()
         return real_forward(*args, **kwargs)
 
     monkeypatch.setattr(mlp, "_forward", forward)

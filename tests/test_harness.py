@@ -1048,7 +1048,10 @@ class TestLockstepSimulate:
 
 
 class TestReadAheadStream:
-    """simulate draws each seed's generated stream one epoch ahead on a worker thread, joined when the seed ends."""
+    """simulate draws each seed's generated stream one epoch ahead on a worker thread, joined when the seed ends.
+
+    An item the worker has not started by the time simulate takes it is drawn on this thread instead.
+    """
 
     def tracked_stream(self, monkeypatch, fail_at=None, error=None):
         real, threads = harness.stream_epochs, []
@@ -1070,7 +1073,7 @@ class TestReadAheadStream:
         run_simulate(sim_cfg(tmp_path, epochs=epochs))
         assert threading.active_count() == before
         assert len(threads) == 3 * epochs
-        assert threading.main_thread() not in threads and not any(t.is_alive() for t in threads)
+        assert not any(t.is_alive() for t in threads if t is not threading.main_thread())
 
     def test_outputs_do_not_depend_on_thread_timing(self, tmp_path):
         # Threads switch every microsecond in the second run, so the draws interleave with the picks at random.

@@ -237,8 +237,15 @@ class TestPredictBatch:
         assert peak <= 1.25 * m * hidden * 8
 
 
+ON_LINUX = pytest.mark.skipif(sys.platform != "linux", reason="ahead.helper gives a worker on Linux only")
+
+
 class TestScoringWorker:
-    """x of two or more chunks: a ReadAhead worker scores every other chunk, joined before predict_batch ends."""
+    """x of two or more chunks: a worker from ahead.helper scores every other chunk, joined before predict_batch ends."""
+
+    @pytest.fixture(autouse=True)
+    def helped(self, fake_host):
+        fake_host(cpus=2, threads=1)  # a spare CPU on any Linux host, and the test process's BLAS pool let through
 
     @staticmethod
     def rows(dtype, m, d, seed):
@@ -269,6 +276,20 @@ class TestScoringWorker:
         monkeypatch.setattr(mlp, "_forward", recorded)
         return calls
 
+    @pytest.fixture
+    def worker_first(self, monkeypatch):
+        """This thread's chunks wait until the worker has begun its own, so its job is never taken back."""
+        real, begun = mlp._score_chunks, threading.Event()
+
+        def ordered(*args):
+            if threading.current_thread() is threading.main_thread():
+                assert begun.wait(timeout=20), "the worker did not begin its chunks"
+            else:
+                begun.set()
+            real(*args)
+
+        monkeypatch.setattr(mlp, "_score_chunks", ordered)
+
     def assert_matches_reference(self, monkeypatch, model, x, chunk):
         monkeypatch.setattr(mlp, "SCORE_CHUNK", chunk)
         labels, conf = predict_batch(model, x)
@@ -289,7 +310,8 @@ class TestScoringWorker:
         model.w2 *= 50.0  # far-apart logits: some confidences reach 1.0
         self.assert_matches_reference(monkeypatch, model, self.rows(dtype, m, 9, 3), chunk)
 
-    def test_worker_scores_every_other_chunk(self, monkeypatch, scored_on):
+    @ON_LINUX
+    def test_worker_scores_every_other_chunk(self, monkeypatch, worker_first, scored_on):
         before = threading.active_count()
         monkeypatch.setattr(mlp, "SCORE_CHUNK", 7)
         predict_batch(init_mlp(9, 6, 3, seed=0), self.rows("u8", 23, 9, 1))
@@ -301,6 +323,7 @@ class TestScoringWorker:
         assert [rows for _, rows in on_worker] == [7, 2]
         assert len({thread for thread, _ in on_worker}) == 1 and not on_worker[0][0].is_alive()
 
+    @ON_LINUX
     def test_worker_scores_its_chunks_without_waiting_for_the_caller(self, monkeypatch):
         # The caller's first chunk waits until the worker has scored all three of its chunks,
         # which a worker that scores one chunk per step of the caller never does.
@@ -320,18 +343,54 @@ class TestScoringWorker:
         predict_batch(init_mlp(9, 6, 3, seed=0), self.rows("u8", 40, 9, 1))
         assert worker_chunks == [7, 7, 5]  # rows 7-14, 21-28 and 35-40
 
-    def test_one_chunk_starts_no_thread(self, monkeypatch, scored_on):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a one-chunk call started a thread")
+    def test_chunks_a_worker_has_not_started_are_scored_here_with_the_same_bits(self, monkeypatch, scored_on):
+        go = threading.Event()
+        monkeypatch.setattr(ahead, "_nudge", lambda cpu: go.wait(timeout=20))  # the worker starts no job in the call
 
-        monkeypatch.setattr(mlp, "ReadAhead", no_thread)
+        class Stalled(ahead.Helper):
+            def __exit__(self, *exc):
+                go.set()
+                super().__exit__(*exc)
+
+        monkeypatch.setattr(mlp, "helper", lambda: Stalled(None))
+        self.assert_matches_reference(monkeypatch, init_mlp(9, 6, 3, seed=0), self.rows("u8", 23, 9, 1), 7)
+        main = threading.main_thread()
+        # rows 0-7 and 14-21, then the worker's 7-14 and 21-23, all on this thread
+        assert scored_on == [(main, 7), (main, 7), (main, 7), (main, 2)]
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch, scored_on):
+        def no_thread(thread):
+            raise AssertionError(f"a one-chunk call started {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         monkeypatch.setattr(mlp, "SCORE_CHUNK", 7)
         model = init_mlp(9, 6, 3, seed=0)
         for m in (0, 1, 7):
             predict_batch(model, self.rows("u8", m, 9, 1))
         assert [thread for thread, _ in scored_on] == [threading.main_thread()] * 2  # m = 0 scores nothing
 
-    def test_the_worker_scores_under_the_callers_errstate(self, monkeypatch):
+    @pytest.mark.skipif(sys.platform != "linux", reason="forks on Linux")
+    @pytest.mark.parametrize("why", ["one usable CPU", "in a fork_map child"])
+    def test_many_chunks_without_a_spare_cpu_start_no_thread(self, monkeypatch, fake_host, why):
+        def no_thread(thread):
+            raise AssertionError(f"predict_batch started {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        monkeypatch.setattr(mlp, "SCORE_CHUNK", 7)
+        model, x = init_mlp(9, 6, 3, seed=0), self.rows("u8", 30, 9, 1)  # five chunks
+        if why == "one usable CPU":
+            fake_host(cpus=1)
+            scored = [(os.getpid(), predict_batch(model, x))]
+        else:  # the fixture's two CPUs make fork_map fork, and a child owns its one CPU
+            scored = fork_map(lambda _: (os.getpid(), predict_batch(model, x)), [0, 1])
+            assert os.getpid() not in {pid for pid, _ in scored}
+        ref_labels, ref_conf = ref_predict_batch(model, x, 7)
+        for _, (labels, conf) in scored:
+            np.testing.assert_array_equal(labels, ref_labels)
+            np.testing.assert_array_equal(conf.view(np.int64), ref_conf.view(np.int64))
+
+    @ON_LINUX
+    def test_the_worker_scores_under_the_callers_errstate(self, monkeypatch, worker_first):
         # an inf weight makes every chunk's matmul warn; a RuntimeWarning on the worker would fail the test
         monkeypatch.setattr(mlp, "SCORE_CHUNK", 4)
         model = init_mlp(4, 8, 3, seed=0)
@@ -340,8 +399,9 @@ class TestScoringWorker:
             labels, _ = predict_batch(model, self.rows("float", 9, 4, 1))
         assert labels.shape == (9,)
 
+    @ON_LINUX
     @pytest.mark.parametrize("on_worker", [True, False])
-    def test_chunk_error_reaches_the_caller_and_leaves_no_thread(self, monkeypatch, on_worker):
+    def test_chunk_error_reaches_the_caller_and_leaves_no_thread(self, monkeypatch, worker_first, on_worker):
         real = mlp._forward
 
         def failing(model, x, keep_pre=False):

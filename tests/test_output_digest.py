@@ -1,6 +1,6 @@
 """scripts/output_digest.py: one digest per config plus a total, a loud exit on a failing config,
-the same digests at 1 and 2 BLAS threads, and digests equal to the ones tests/golden/digests.txt
-records for this host's numpy build."""
+the same digests at 1 and 2 BLAS threads and on one usable CPU, and digests equal to the ones
+tests/golden/digests.txt records for this host's numpy build."""
 
 import importlib.util
 import os
@@ -45,11 +45,19 @@ def read_golden() -> dict[str, dict[str, str]]:
     return golden
 
 
-def run_script(threads: int) -> subprocess.CompletedProcess:
+def run_script(threads: int, one_cpu: bool = False) -> subprocess.CompletedProcess:
+    """The script over src at threads BLAS threads; with one_cpu, its affinity cut to one of this process's CPUs."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
-    return subprocess.run(
-        [sys.executable, str(SCRIPT), str(ROOT / "src")], capture_output=True, text=True, env=env, timeout=300
-    )
+    mask = os.sched_getaffinity(0) if one_cpu else None
+    if one_cpu:
+        os.sched_setaffinity(0, {min(mask)})  # the child inherits the mask of the thread that starts it
+    try:
+        return subprocess.run(
+            [sys.executable, str(SCRIPT), str(ROOT / "src")], capture_output=True, text=True, env=env, timeout=300
+        )
+    finally:
+        if one_cpu:
+            os.sched_setaffinity(0, mask)
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +106,11 @@ def test_two_blas_threads_print_the_same_digests(digest_run):
     two = run_script(2)
     assert two.returncode == 0, two.stderr
     assert two.stdout == digest_run.stdout
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="cuts the script's CPU affinity")
+def test_one_usable_cpu_prints_the_same_digests(digest_run):
+    # on one CPU fork_map, the split training and the scoring all run inline on the calling thread
+    one = run_script(1, one_cpu=True)
+    assert one.returncode == 0, one.stderr
+    assert one.stdout == digest_run.stdout

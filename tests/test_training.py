@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -279,7 +280,11 @@ class TestRunEpochs:
 
 
 class TestWorkerThread:
-    """run_epochs draws FPL's perturbations one epoch ahead on one worker thread and joins it when the run ends."""
+    """run_epochs draws FPL's perturbations one epoch ahead on one worker thread and joins it when the run ends.
+
+    A draw the worker has not started by the time the loop takes it is
+    drawn on this thread instead (Helper.result).
+    """
 
     @pytest.fixture
     def drawn_on(self, monkeypatch):
@@ -293,27 +298,32 @@ class TestWorkerThread:
         monkeypatch.setattr(training, "sample_perturbation", recorded)
         return threads
 
-    def assert_one_worker(self, threads, draws):
+    def assert_joined(self, threads, draws):
+        """draws draws, each on this thread or on one worker thread, which is joined."""
         assert len(threads) == draws
-        assert len(set(threads)) == 1 and threads[0] is not threading.main_thread()
-        assert not threads[0].is_alive()
+        workers = set(threads) - {threading.main_thread()}
+        assert len(workers) <= 1 and not any(worker.is_alive() for worker in workers)
 
     def test_train_selective_joins_its_worker(self, drawn_on):
         before = threading.active_count()
         train_selective(small_noisy_dataset(), None, Strategy.FPL, 4, SelectorConfig(30), LearnerSpec(4))
         assert threading.active_count() == before
-        self.assert_one_worker(drawn_on, 3)
+        self.assert_joined(drawn_on, 3)
 
     def test_select_sequence_joins_its_worker(self, drawn_on):
         before = threading.active_count()
         select_sequence(uniform_risks(20, 5, 0), Strategy.FPL, SelectorConfig(k=4, eta=1.0))
         assert threading.active_count() == before
-        self.assert_one_worker(drawn_on, 4)
+        self.assert_joined(drawn_on, 4)
 
     def test_feedback_error_joins_the_worker(self, drawn_on):
         risks = uniform_risks(20, 6, 0)
 
         def feedback(epoch, picks):
+            if epoch == 2:  # wait until epoch 3's draw, asked for at epoch 2's pick, has begun: on the worker
+                deadline = time.monotonic() + 20
+                while len(drawn_on) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.001)
             if epoch == 3:
                 raise InputError("feedback failed at epoch 3")
             return risks[epoch - 1], None, float("nan"), float("nan")
@@ -322,8 +332,9 @@ class TestWorkerThread:
         with pytest.raises(InputError, match=r"^feedback failed at epoch 3$"):
             run_epochs([Strategy.FPL, Strategy.GREEDY], SelectorConfig(k=4, eta=1.0), 20, 6, feedback)
         assert threading.active_count() == before
-        # epochs 2 to 4: epoch 4's was asked for at epoch 3 and is drawn before the join
-        assert len(drawn_on) == 3 and not drawn_on[0].is_alive()
+        # epochs 2 to 4: epoch 4's was asked for at epoch 3 and is drawn on the worker before the join
+        self.assert_joined(drawn_on, 3)
+        assert drawn_on[1] is drawn_on[2] is not threading.main_thread()
 
     def test_one_epoch_draws_nothing_and_leaves_no_thread(self, drawn_on):
         before = threading.active_count()
