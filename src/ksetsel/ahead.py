@@ -1,4 +1,4 @@
-"""The package's concurrency: Helper, ReadAhead and fork_map, and where their workers run.
+"""The package's concurrency: Helper, the one worker class, and fork_map, and where their workers run.
 
 A Helper is one worker thread that runs the jobs its caller hands it;
 a job it has not started when the caller asks for its result runs on
@@ -6,11 +6,12 @@ the caller instead, so no caller waits on a worker that has not begun.
 helper() is the one way mlp reaches a second thread: it gives
 train_epoch one to take half of each batch's w1 work, and predict_batch
 one to score every other chunk, unless OS threads Python did not start,
-a BLAS pool's among them, run beside it.  ReadAhead serves iterators:
-it draws FPL's perturbations and simulate's stream one item, an epoch,
-ahead on one.  fork_map runs independent training runs side by side in
-forked children: ablate's, grid's and validate-risk's.  What a child
-writes to its in-memory file is all its parent knows of its items.
+a BLAS pool's among them, run beside it.  ReadAhead is a Helper with
+one standing job, next(items): it draws FPL's perturbations and
+simulate's stream one item, an epoch, ahead.  fork_map runs
+independent training runs side by side in forked children: ablate's,
+grid's and validate-risk's.  What a child writes to its in-memory file
+is all its parent knows of its items.
 
 Each worker moves once, as it starts, to a usable CPU its caller is
 not on, and fork_map's child i to usable CPU i: its affinity is set to
@@ -34,6 +35,7 @@ import queue
 import signal
 import sys
 import threading
+import time
 import warnings
 from collections.abc import Callable, Iterator
 from typing import BinaryIO, NoReturn
@@ -56,9 +58,10 @@ class Helper:
     no futures keep a round trip short, since train_epoch pays one per
     SGD batch: on a ThreadPoolExecutor's futures a split idx epoch took
     about 15% longer.  Leaving the with block lets a job the worker has
-    started finish, then joins the thread, whether the caller returned
-    or raised.  The thread is a daemon, so one never joined cannot keep
-    the interpreter from exiting.
+    started finish, joins the thread, whether the caller returned or
+    raised, and waits (up to 1 s) until /proc/self/task drops it, so no
+    later _os_threads counts it.  The thread is a daemon, so one never
+    joined cannot keep the interpreter from exiting.
     """
 
     def __init__(self, cpu: int | None):
@@ -90,10 +93,13 @@ class Helper:
     def __exit__(self, *exc) -> None:
         self._jobs.put(None)
         self._thread.join()
+        deadline = time.monotonic() + 1.0  # the kernel may list a joined thread a moment longer
+        while os.path.exists(f"/proc/self/task/{self._thread.native_id}") and time.monotonic() < deadline:
+            time.sleep(0.0001)
 
 
 def _outcome(job: Callable) -> tuple:
-    """(job's value, None), or (None, the exception it raised)."""
+    """(job's value, None), or (None, the exception it raised): how a Helper's worker and a fork_map child capture a job."""
     try:
         return job(), None
     except BaseException as exc:
@@ -113,8 +119,8 @@ def helper() -> Helper | None:
     return Helper(cpu) if threads is not None and threads <= threading.active_count() else None
 
 
-class ReadAhead:
-    """items, drawn one item ahead on a Helper's thread.
+class ReadAhead(Helper):
+    """items, drawn one item ahead: a Helper whose one standing job is next(items).
 
     Building it asks for item 1.  Taking item t asks the worker for
     item t + 1, so the worker draws it while the caller uses item t, or
@@ -127,27 +133,21 @@ class ReadAhead:
     """
 
     def __init__(self, items: Iterator):
+        super().__init__(_spare_cpu())
         self._items = items
-        self._worker = Helper(_spare_cpu())
-        self._worker.submit(next, items)
         self._failed: Exception | None = None
+        self.submit(next, items)
 
     def __next__(self):
         if self._failed is not None:
             raise self._failed
         try:
-            item = self._worker.result()
+            item = self.result()
         except Exception as exc:  # the draw's own failure: no draw is asked for after it
             self._failed = exc
             raise
-        self._worker.submit(next, self._items)
+        self.submit(next, self._items)
         return item
-
-    def __enter__(self) -> "ReadAhead":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._worker.__exit__(*exc)
 
 
 _in_child = False  # set in a fork_map child, which owns one CPU: _usable_cpus gives it none
@@ -302,10 +302,7 @@ def _child(fn: Callable, items: list, indices: range, file: BinaryIO, mask, cpu:
         with file:
             for index in indices:
                 with warnings.catch_warnings(record=True) as caught:
-                    try:
-                        result, exc = fn(items[index]), None
-                    except BaseException as raised:
-                        result, exc = None, raised
+                    result, exc = _outcome(functools.partial(fn, items[index]))
                 shown = [(w.message, w.category, w.filename, w.lineno) for w in caught]
                 try:
                     record = pickle.dumps((result, exc, shown))

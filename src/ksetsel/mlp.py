@@ -296,7 +296,8 @@ def train_epoch(
     splits = model.hidden % 32 == 0 and size * model.dim * model.hidden >= SPLIT_MULADDS and order.shape[0] >= size
     with (splits and helper()) or nullcontext() as pool:
         split = order.shape[0] - order.shape[0] % size if pool else 0  # full batches only: a short last one runs whole
-        _sgd(model, dataset, order[:split], labels[:split], learner, pool)
+        if pool:
+            _sgd(model, dataset, order[:split], labels[:split], learner, pool)
         _sgd(model, dataset, order[split:], labels[split:], learner, None)
     for name in ("w1", "b1", "w2", "b2"):
         if not np.isfinite(getattr(model, name)).all():

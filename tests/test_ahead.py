@@ -261,6 +261,22 @@ def test_the_first_failing_item_in_item_order_is_raised(forked, tmp_path):
     assert_reaped({pid for path in tmp_path.iterdir() for pid in logged_pids(path)})
 
 
+@pytest.mark.parametrize("run", ["forked", "inline"])
+def test_a_system_exit_reaches_the_caller_with_its_class_and_code_in_item_order(fake_host, forked, run):
+    # Children run items 0, 3 / 1, 4 / 2: items 2 and 3 exit in different children, and item 2 comes first in item order.
+    if run == "inline":
+        fake_host(cpus=1)
+
+    def run_item(item):
+        if item >= 2:
+            sys.exit(item)
+        return item
+
+    with pytest.raises(SystemExit) as caught:
+        fork_map(run_item, range(5))
+    assert type(caught.value) is SystemExit and caught.value.code == 2
+
+
 def test_warnings_are_raised_again_in_item_order_then_the_error(forked):
     def run(item):
         time.sleep(0.05 * (3 - item % 3))  # later children finish first
@@ -509,6 +525,54 @@ def test_a_process_with_a_blas_pool_gets_no_helper(threads, helped):
     assert proc.stdout.split() == [str(helped)]
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+def test_a_joined_helpers_thread_is_not_listed_once_its_with_block_ends(monkeypatch):
+    # The kernel may list a thread in /proc/self/task a moment after join returns; here it does for three reads.
+    lingering, listdir, exists = [3], os.listdir, os.path.exists
+    pool = ahead.Helper(None)
+    tid = str(pool._thread.native_id)
+    task = f"/proc/self/task/{tid}"
+
+    def listed():
+        if exists(task):
+            return True
+        if pool._thread.is_alive() or not lingering[0]:
+            return False
+        lingering[0] -= 1
+        return True
+
+    def tasks(path):
+        ids = listdir(path)
+        return ids + [tid] if path == "/proc/self/task" and tid not in ids and listed() else ids
+
+    monkeypatch.setattr(ahead.os, "listdir", tasks)
+    monkeypatch.setattr(ahead.os.path, "exists", lambda path: listed() if path == task else exists(path))
+    with pool:
+        pool.submit(int, "1")
+        assert pool.result() == 1
+    assert tid not in os.listdir("/proc/self/task")  # so no later _os_threads counts it
+
+
+@TWO_CPUS
+def test_a_helper_is_given_every_time_right_after_one_is_joined():
+    code = (
+        "from ksetsel import ahead\n"
+        "refused = 0\n"
+        "for _ in range(2000):\n"
+        "    pool = ahead.helper()\n"
+        "    refused += pool is None\n"
+        "    if pool is not None:\n"
+        "        with pool:\n"
+        "            pool.submit(int, '1')\n"
+        "            pool.result()\n"
+        "print(refused)\n"
+    )
+    src = str(Path(ksetsel.__file__).parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["0"]
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the CPU mask")
 @pytest.mark.parametrize("why", ["one usable CPU", "no sched_setaffinity", "in a fork_map child", "unreadable CPU"])
 def test_no_spare_cpu_places_nothing(monkeypatch, fake_host, why):
@@ -572,6 +636,31 @@ class TestTakeBack:
             with pytest.raises(ValueError, match="invalid literal"):
                 pool.result()
             go.set()
+
+
+@pytest.mark.parametrize("taken_back", [False, True])
+def test_a_helper_jobs_system_exit_reaches_the_caller_with_its_class_and_code(monkeypatch, taken_back):
+    go, ran_on = threading.Event(), []
+    if taken_back:
+        monkeypatch.setattr(ahead, "_nudge", lambda cpu: go.wait(timeout=20))  # the worker has not started yet
+    else:
+        go.set()
+
+    def exits(code):
+        ran_on.append(threading.current_thread())
+        sys.exit(code)
+
+    with ahead.Helper(None) as pool:
+        pool.submit(exits, 4)
+        if not taken_back:
+            deadline = time.monotonic() + 20
+            while not ran_on and time.monotonic() < deadline:  # the worker has begun the job
+                time.sleep(0.001)
+        with pytest.raises(SystemExit) as caught:
+            pool.result()
+        go.set()
+    assert type(caught.value) is SystemExit and caught.value.code == 4
+    assert ran_on == [threading.main_thread() if taken_back else pool._thread]
 
 
 def test_a_helper_job_runs_under_the_callers_errstate():

@@ -679,6 +679,24 @@ class TestSplitTraining:
         model = init_mlp(16, 128, 10, seed=1)
         train_epoch(model, data, KSetSelection(np.arange(300)), LearnerSpec(128, 0.05, 32), np.random.default_rng(2))
 
+    def test_an_epoch_without_a_helper_is_one_pass_with_the_serial_loops_bits(self, monkeypatch):
+        passes, sgd = [], mlp._sgd
+
+        def counted(model, data, order, *rest):
+            passes.append(order.shape[0])
+            sgd(model, data, order, *rest)
+
+        monkeypatch.setattr(mlp, "_sgd", counted)
+        data = make_blobs(300, 16, 10, separation=6.0, seed=0)
+        sel, learner = init_selection(300, 7 * 32 + 5, seed=1), LearnerSpec(128, 0.05, 32)
+        model = init_mlp(16, 128, 10, seed=2)
+        reference = model.copy()
+        train_epoch(model, data, sel, learner, np.random.default_rng(3))
+        self.serial_epoch(reference, data, sel, learner, seed=3)
+        assert passes == [7 * 32 + 5]
+        for name in ("w1", "b1", "w2", "b2"):
+            np.testing.assert_array_equal(getattr(model, name).view(np.int64), getattr(reference, name).view(np.int64))
+
     @pytest.mark.skipif(
         sys.platform != "linux" or not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
         reason="forks on Linux with two or more usable CPUs",
