@@ -286,29 +286,52 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     return ExperimentConfig(**fields)
 
 
-def _suffixed(out: str, tag: str) -> str:
-    p = Path(out)
-    return str(p.with_name(f"{p.stem}_{tag}{p.suffix or '.csv'}"))
+_INPUT_KEYS = ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels", "csv_path", "csv_test_path", "stream_csv")
 
 
-def _require_out(cfg: ExperimentConfig, *also: str) -> str:
-    """cfg.out, once its directory and those of the path keys in also that are set are known to exist."""
+def _require_out(cfg: ExperimentConfig, *writes: str) -> str:
+    """cfg.out, once no file in writes lies in a missing directory or resolves to an input key's file or another write.
+
+    writes are the run's outputs (see _written), checked before it
+    reads or writes anything; an unset one is skipped.
+    """
     if not cfg.out:
         raise ConfigError(f"mode {cfg.mode!r} needs an output path (out = ... or --out)")
-    for key in ("out", *also):
-        path = getattr(cfg, key)
-        if path and not Path(path).parent.is_dir():
+    named = {key: getattr(cfg, key) for key in _INPUT_KEYS if getattr(cfg, key)}
+    seen = {Path(path).resolve(): key for key, path in named.items()}
+    for key in writes:
+        path = _written(cfg, key)
+        if not path:
+            continue
+        if not Path(path).parent.is_dir():
             raise ConfigError(f"{key} = {path}: directory {Path(path).parent} does not exist")
+        other = seen.setdefault(Path(path).resolve(), key)
+        if other != key:
+            raise ConfigError(f"{key} = {path} would write over {other} = {named[other]}")
+        named[key] = path
     return cfg.out
 
 
-def _run_seeds(cfg: ExperimentConfig, out: str, run_seed):
+def _written(cfg: ExperimentConfig, key: str) -> str | None:
+    """The file an output key names: cfg's path field key, or for "out_<tag>" out with _<tag> after its stem (.csv if no suffix)."""
+    if not key.startswith("out_"):
+        return getattr(cfg, key)
+    out = Path(cfg.out)
+    return str(out.with_name(f"{out.stem}_{key[4:]}{out.suffix or '.csv'}"))
+
+
+def _metrics_keys(cfg: ExperimentConfig) -> tuple[str, ...]:
+    """The output keys of _run_seeds' metrics CSVs, in selector order: out for one selector, out_<selector> for several."""
+    return ("out",) if len(cfg.selectors) == 1 else tuple(f"out_{strategy.value}" for strategy in cfg.selectors)
+
+
+def _run_seeds(cfg: ExperimentConfig, run_seed):
     """Run every selector one seed at a time, then write each selector's metrics CSV.
 
     run_seed(seed, strategies) builds the seed's inputs, runs every
     strategy on them and returns each one's metrics, seeded by
-    (strategy, seed) alone; the inputs die when it returns.  The CSV is
-    `out` for one selector, `out_<selector>.csv` for several.  Returns
+    (strategy, seed) alone; the inputs die when it returns.  The CSVs
+    are _metrics_keys' files.  Returns
     ({strategy: [metrics per seed]}, {strategy: path}).
     """
     runs: dict[Strategy, list] = {strategy: [] for strategy in cfg.selectors}
@@ -316,8 +339,8 @@ def _run_seeds(cfg: ExperimentConfig, out: str, run_seed):
         for seed_runs, metrics in zip(runs.values(), run_seed(seed, list(runs))):
             seed_runs.append(metrics)
     paths = {}
-    for strategy, seed_runs in runs.items():
-        paths[strategy] = out if len(cfg.selectors) == 1 else _suffixed(out, strategy.value)
+    for (strategy, seed_runs), key in zip(runs.items(), _metrics_keys(cfg)):
+        paths[strategy] = _written(cfg, key)
         rows = ((seed, *dataclasses.astuple(m)) for seed, metrics in zip(cfg.seeds, seed_runs) for m in metrics)
         write_table(paths[strategy], _METRICS_COLUMNS, rows)
     return runs, paths
@@ -350,14 +373,14 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
     theta_{t+1} is drawn while the selectors use theta_t, and a
     generated stream holds at most these two at once.  dump_stream
     writes the first seed's source one row per epoch as it is drawn,
-    never holding the whole stream; its directory must exist, like
-    out's, and both are checked first.
+    never holding the whole stream; it and the metrics CSVs are
+    checked first, as _require_out checks every output.
     Each selector's report is one BoundReport for (n, k, T) and the
     mean over seeds of best_total / (kT) as alpha: the lines `bounds`
     prints for those values, then that selector's mean regret and
     average risk.
     """
-    out = _require_out(cfg, "dump_stream")
+    _require_out(cfg, *_metrics_keys(cfg), "dump_stream")
     if cfg.stream_spec is None:
         replay = load_stream_csv(cfg.stream_csv)
         n, epochs, source = replay[0].n, len(replay), lambda seed: ((theta, None) for theta in replay)
@@ -378,7 +401,7 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
         best_totals.append(seen.best_total)
         return metrics
 
-    runs, paths = _run_seeds(cfg, out, run_seed)
+    runs, paths = _run_seeds(cfg, run_seed)
     report = BoundReport.ceilings(n, k, epochs, float(np.mean([total / (k * epochs) for total in best_totals])))
     reports = {
         strategy: dataclasses.replace(
@@ -430,7 +453,7 @@ def _noisy_copy(train: Dataset, cfg: ExperimentConfig, seed: int) -> Dataset:
     return apply_label_noise(train, dataclasses.replace(cfg.noise, seed=seed))
 
 
-def _train_seeds(cfg: ExperimentConfig, out: str) -> dict[Strategy, list[tuple[float, float]]]:
+def _train_seeds(cfg: ExperimentConfig) -> dict[Strategy, list[tuple[float, float]]]:
     """Train every selector per seed; returns {strategy: [last-10 (test acc, precision) per seed]}.
 
     A seed's selectors train on its one noisy copy, side by side in
@@ -449,7 +472,7 @@ def _train_seeds(cfg: ExperimentConfig, out: str) -> dict[Strategy, list[tuple[f
 
         return fork_map(run, strategies)
 
-    runs, _ = _run_seeds(cfg, out, run_seed)
+    runs, _ = _run_seeds(cfg, run_seed)
     return {strategy: [_last10(metrics) for metrics in seed_runs] for strategy, seed_runs in runs.items()}
 
 
@@ -476,11 +499,11 @@ class TrainModeResult:
 
 def run_train(cfg: ExperimentConfig) -> TrainModeResult:
     """Train the chosen selector across seeds; write metrics and a summary."""
-    out = _require_out(cfg)
+    out = _require_out(cfg, "out", "out_summary")
     if len(cfg.selectors) != 1:
         raise ConfigError("train mode takes exactly one selector")
-    summary = dict(zip(cfg.seeds, _train_seeds(cfg, out)[cfg.selectors[0]]))
-    summary_path = _suffixed(out, "summary")
+    summary = dict(zip(cfg.seeds, _train_seeds(cfg)[cfg.selectors[0]]))
+    summary_path = _written(cfg, "out_summary")
     summary_rows = ((seed, acc, prec) for seed, (acc, prec) in sorted(summary.items()))
     write_table(summary_path, ("run_seed", "last10_test_acc", "last10_label_precision"), summary_rows)
     return TrainModeResult(
@@ -514,10 +537,10 @@ class AblateResult:
 
 def run_ablate(cfg: ExperimentConfig) -> AblateResult:
     """Train every listed selector on identically corrupted data."""
-    out = _require_out(cfg)
+    out = _require_out(cfg, *_metrics_keys(cfg), "out")
     if len(cfg.selectors) < 2:
         raise ConfigError("ablate mode needs at least two selectors")
-    last10 = _train_seeds(cfg, out)
+    last10 = _train_seeds(cfg)
     mean_acc = {s: float(np.mean([acc for acc, _ in last10[s]])) for s in cfg.selectors}
     mean_prec = {s: float(np.mean([prec for _, prec in last10[s]])) for s in cfg.selectors}
 
@@ -593,7 +616,7 @@ def run_grid_search(cfg: ExperimentConfig) -> GridResult:
     ahead.fork_map.  Largest validation accuracy wins, first in scan
     order on ties.  A split with no validation row is a DataError.
     """
-    out = _require_out(cfg)
+    out = _require_out(cfg, "out")
     if cfg.noise_rate_estimate is None:
         raise ConfigError("grid mode needs noise_rate_estimate")
     fractions = k_fraction_grid(cfg.noise_rate_estimate)
@@ -652,7 +675,7 @@ def run_validate_risk(cfg: ExperimentConfig) -> ValidateRiskResult:
     risk.  Runs are seeded like train's.  A seed's fractions run through
     ahead.fork_map, so only one seed's noisy copy is ever alive.
     """
-    out = _require_out(cfg)
+    out = _require_out(cfg, "out")
     train_base, _ = _load_base_datasets(cfg, with_test=False)
     k = cfg.resolve_k(train_base.n)
 

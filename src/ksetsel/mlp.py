@@ -68,7 +68,6 @@ from .selection import KSetSelection
 __all__ = [
     "LearnerSpec",
     "MlpModel",
-    "Gradients",
     "EvalReport",
     "init_mlp",
     "forward",
@@ -122,14 +121,6 @@ class MlpModel:
 
     def copy(self) -> "MlpModel":
         return MlpModel(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
-
-
-@dataclass
-class Gradients:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
 
 
 def init_mlp(dim: int, hidden: int, num_classes: int, seed: int) -> MlpModel:
@@ -207,11 +198,11 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return forward_batch(model, x[None, :])[0]
 
 
-def _gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> Gradients:
+def _gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> MlpModel:
     """batch_gradients without its checks: x float64 (m >= 1, d), int64 labels in range."""
     pre, hidden, err = _forward(model, x, keep_pre=True)
     d_hidden = _backprop(model, pre, err, labels)
-    return Gradients(
+    return MlpModel(
         w1=x.T @ d_hidden,
         b1=d_hidden.sum(axis=0),
         w2=hidden.T @ err,
@@ -229,8 +220,8 @@ def _backprop(model: MlpModel, pre: np.ndarray, probs: np.ndarray, labels: np.nd
     return d_hidden
 
 
-def batch_gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> Gradients:
-    """Mean cross-entropy gradient over a batch of assigned labels."""
+def batch_gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> MlpModel:
+    """Mean cross-entropy gradient over a batch of assigned labels, as an MlpModel of model's shapes."""
     x = _check_rows(model, x)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (x.shape[0],):
@@ -241,20 +232,20 @@ def batch_gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> Gradi
     return _gradients(model, x, labels)
 
 
-def backward(model: MlpModel, x: np.ndarray, label: int) -> Gradients:
-    """Exact gradient of -ln p[label] for one sample."""
+def backward(model: MlpModel, x: np.ndarray, label: int) -> MlpModel:
+    """Exact gradient of -ln p[label] for one sample, as an MlpModel of model's shapes."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise InputError(f"expected a single sample of shape ({model.dim},), got {x.shape}")
     return batch_gradients(model, x[None, :], np.array([label]))
 
 
-def sgd_step(model: MlpModel, grads: Gradients, learner: LearnerSpec) -> None:
-    """model -= learner.lr * grads; grads are left as they were."""
-    _step(model, Gradients(grads.w1.copy(), grads.b1.copy(), grads.w2.copy(), grads.b2.copy()), learner.lr)
+def sgd_step(model: MlpModel, grads: MlpModel, learner: LearnerSpec) -> None:
+    """model -= learner.lr * grads, grads being an MlpModel of model's shapes; grads are left as they were."""
+    _step(model, grads.copy(), learner.lr)
 
 
-def _step(model: MlpModel, grads: Gradients, lr: float) -> None:
+def _step(model: MlpModel, grads: MlpModel, lr: float) -> None:
     """model -= lr * grads with no temporary: grads, which the caller owns and drops, become lr * grads."""
     for w, g in ((model.w1, grads.w1), (model.b1, grads.b1), (model.w2, grads.w2), (model.b2, grads.b2)):
         _descend(w, g, lr)
@@ -298,7 +289,8 @@ def train_epoch(
         split = order.shape[0] - order.shape[0] % size if pool else 0  # full batches only: a short last one runs whole
         if pool:
             _sgd(model, dataset, order[:split], labels[:split], learner, pool)
-        _sgd(model, dataset, order[split:], labels[split:], learner, None)
+        if split < order.shape[0]:
+            _sgd(model, dataset, order[split:], labels[split:], learner, None)
     for name in ("w1", "b1", "w2", "b2"):
         if not np.isfinite(getattr(model, name)).all():
             raise DivergenceError(f"training diverged: {name} is no longer finite at learning rate {learner.lr}")

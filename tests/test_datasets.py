@@ -287,6 +287,19 @@ class TestLoadIdx:
         # The message states expected and actual byte counts.
         assert str(len(raw)) in str(exc.value) and str(len(raw) - 5) in str(exc.value)
 
+    def test_truncated_labels(self, tmp_path):
+        ipath, lpath, *_ = self.make_pair(tmp_path)
+        lpath.write_bytes(lpath.read_bytes()[:-3])
+        with pytest.raises(IdxTruncatedError) as exc:
+            load_idx(ipath, lpath)
+        assert str(exc.value) == f"{lpath}: expected 28 bytes for 20 labels, got 25"
+
+    def test_an_empty_pair_is_a_data_error_naming_the_images(self, tmp_path):
+        ipath, lpath, *_ = self.make_pair(tmp_path, count=0)
+        with pytest.raises(DataError) as exc:
+            load_idx(ipath, lpath)
+        assert type(exc.value) is DataError and str(exc.value) == f"{ipath}: empty dataset"
+
     def test_truncated_header(self, tmp_path):
         ipath, lpath, *_ = self.make_pair(tmp_path)
         ipath.write_bytes(b"\x00\x00\x08")

@@ -1261,6 +1261,19 @@ class TestRunValidateRisk:
                 expected.append((k, Strategy.NAIVE, risks))
         assert runs == expected
 
+    @pytest.mark.parametrize("host", [force_fork, force_inline], ids=["forked", "inline"])
+    def test_a_run_without_label_noise_exits_one_and_writes_no_csv(self, tmp_path, capsys, fake_host, host):
+        # every sample is clean, so the first fraction, 0.2, needs noisy samples there are none of
+        host(fake_host)
+        path = tmp_path / "run.cfg"
+        out = tmp_path / "out" / "vr.csv"
+        path.write_text(f"n = 120\ndim = 4\nclasses = 3\nhidden = 8\nepochs = 2\nk = 30\nout = {out}\n")
+        out.parent.mkdir()
+        assert main(["validate-risk", "--config", str(path)]) == EXIT_CONFIG
+        message = "cannot build a k=30 selection with clean fraction 0.2: 120 clean and 0 noisy samples available"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(out.parent.iterdir()) == []
+
     def test_emits_no_k_equals_n_warning(self, tmp_path):
         cfg = tiny_train_cfg(tmp_path, mode="validate-risk", out=str(tmp_path / "vr.csv"), seeds=(0,), epochs=2)
         with warnings.catch_warnings(record=True) as caught:
@@ -1838,6 +1851,19 @@ class TestCli:
         assert capsys.readouterr().err == f"data error: {csv_path}: row {bad_row + 2}: features must be finite\n"
         assert not (tmp_path / "m.csv").exists()
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [("dim = 1\nclasses = 50\n", "could not place 50 centers at separation 8.0 in 1-d"),
+         ("dim = 2\nseparation = 1e308\n", "separation 1e+308 too large for 2-d placement")],
+        ids=["crowded", "overflow"],
+    )
+    def test_blob_centers_that_cannot_be_placed_exit_one_and_write_no_csv(self, tmp_path, capsys, lines, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(lines + f"n = 100\nk = 10\nepochs = 2\nout = {tmp_path / 'm.csv'}\n")
+        assert main(["train", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
     def test_ablate_repeated_selector_counts_once(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text(
@@ -1851,3 +1877,45 @@ class TestCli:
         _, rows = read_rows(tmp_path / "cmp.csv")
         assert [row.split(",")[0] for row in rows] == ["naive", "fpl"]
         assert sum(row.endswith(",1") for row in rows) == 1
+
+
+class TestNoRunWritesOverItsFiles:
+    """A run refuses, before it reads or writes anything, an output that resolves to an input or to another output."""
+
+    @pytest.mark.parametrize(
+        "mode, lines, message",
+        [("train", "dataset = csv\ncsv_path = {tmp}/d.csv\nout = ./d.csv\n",
+          "out = ./d.csv would write over csv_path = {tmp}/d.csv"),
+         ("ablate", "dataset = csv\ncsv_path = m_fpl.csv\nselectors = fpl, naive\nout = m.csv\n",
+          "out_fpl = m_fpl.csv would write over csv_path = m_fpl.csv"),
+         ("simulate", "stream = csv\nstream_csv = s.csv\nout = s.csv\n",
+          "out = s.csv would write over stream_csv = s.csv"),
+         ("simulate", "stream = planted\nn = 60\ndump_stream = x.csv\nout = x.csv\n",
+          "dump_stream = x.csv would write over out = x.csv")],
+        ids=["train-out-is-data", "ablate-selector-csv-is-data", "simulate-out-is-replay", "simulate-dump-is-out"],
+    )
+    def test_a_clash_exits_one_naming_both_paths_and_leaves_every_file_as_it_was(
+        self, tmp_path, capsys, monkeypatch, mode, lines, message
+    ):
+        def no_run(*args):
+            raise AssertionError("the run read or drew its inputs")
+
+        for name in ("load_csv_dataset", "load_stream_csv", "stream_epochs", "make_blobs", "run_epochs", "train_selective"):
+            monkeypatch.setattr(harness, name, no_run)
+        monkeypatch.chdir(tmp_path)
+        save_csv_dataset(make_blobs(60, 3, 2, separation=6.0, seed=0), "d.csv")
+        save_csv_dataset(make_blobs(60, 3, 2, separation=6.0, seed=1), "m_fpl.csv")
+        dump_stream_csv([RiskVector(np.linspace(0.0, 1.0, 60))] * 3, "s.csv")
+        Path("run.cfg").write_text(lines.format(tmp=tmp_path) + "k = 12\nepochs = 3\nhidden = 4\n")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert main([mode, "--config", "run.cfg"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message.format(tmp=tmp_path)}\n"
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_several_selectors_write_beside_out_so_out_may_be_the_dump(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        path = tmp_path / "run.cfg"
+        path.write_text(f"stream = planted\nn = 60\nk = 12\nepochs = 3\nselectors = fpl, naive\ndump_stream = {out}\n")
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert len(load_stream_csv(out)) == 3
+        assert read_rows(tmp_path / "x_fpl.csv")[0] == read_rows(tmp_path / "x_naive.csv")[0] == METRICS_HEADER

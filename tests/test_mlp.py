@@ -697,6 +697,18 @@ class TestSplitTraining:
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(model, name).view(np.int64), getattr(reference, name).view(np.int64))
 
+    def test_a_split_epoch_of_whole_batches_is_one_pass_with_the_serial_loops_bits(self, helpers, monkeypatch):
+        # every idx epoch is whole batches (k 36,000 at batch 32): no short last batch, so no second pass
+        passes, sgd = [], mlp._sgd
+
+        def counted(model, data, order, labels, learner, pool):
+            passes.append((order.shape[0], pool is not None))
+            sgd(model, data, order, labels, learner, pool)
+
+        monkeypatch.setattr(mlp, "_sgd", counted)
+        self.assert_bitwise_serial(784, 256, 32, 5 * 32, helpers, asked=1)
+        assert passes == [(5 * 32, True)]
+
     @pytest.mark.skipif(
         sys.platform != "linux" or not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
         reason="forks on Linux with two or more usable CPUs",
