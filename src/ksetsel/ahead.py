@@ -23,11 +23,21 @@ its own fork_map runs inline.  With one usable CPU, or without
 os.sched_setaffinity, nothing moves and helper() gives none.  Every
 gate and placement reads the process's OS threads through _os_threads
 and its CPUs through _usable_cpus.
+
+one_blas_thread holds numpy's OpenBLAS at one thread for the span of a
+run, so its GEMMs give the same bits whatever OPENBLAS_NUM_THREADS the
+caller set: at more threads OpenBLAS may split a large GEMM between
+them, which changes its bits.  It reaches the library through the
+symbols numpy's scipy-openblas build exports, looked up at the first
+run; where they are not found it changes nothing.  A pool the caller
+started keeps its threads, so helper() and fork_map still see them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
+import ctypes
 import functools
 import os
 import pickle
@@ -40,7 +50,7 @@ import warnings
 from collections.abc import Callable, Iterator
 from typing import BinaryIO, NoReturn
 
-__all__ = ["Helper", "ReadAhead", "fork_map", "helper"]
+__all__ = ["Helper", "ReadAhead", "fork_map", "helper", "one_blas_thread"]
 
 
 class Helper:
@@ -148,6 +158,41 @@ class ReadAhead(Helper):
             raise
         self.submit(next, self._items)
         return item
+
+
+@functools.cache
+def _blas_threads() -> tuple[Callable, Callable] | None:
+    """(get, set) of numpy's OpenBLAS thread count, from its scipy-openblas symbols; None where they are not found."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        blas = ctypes.CDLL(_multiarray_umath.__file__)  # its symbol lookup reaches the BLAS it links
+        get, set_ = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """numpy's OpenBLAS at one thread inside the with block (or the function it decorates), the caller's count restored on exit.
+
+    The count comes back whether the block returned or raised.  Where
+    _blas_threads finds no symbols, nothing is set.
+    """
+    calls = _blas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    count = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(count)
 
 
 _in_child = False  # set in a fork_map child, which owns one CPU: _usable_cpus gives it none

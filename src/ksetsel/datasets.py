@@ -20,8 +20,9 @@ IDX ingestion reads the classic big-endian image/label binary pair
 a distinct error for a wrong magic, a truncated payload, and an
 image/label count mismatch.  The pixels stay u8, an eighth of their
 float64 size: a u8 feature matrix means value / 255, and `rows` casts
-and scales only the rows a caller asks for (float64 cast, then
-division by 255.0, so every row is bitwise the float64 pixel / 255).
+and scales only the rows a caller asks for, in the float dtype it asks
+for (float64 unless told otherwise): a cast, then division by 255 in
+that dtype, so every row is bitwise the pixel / 255 of that dtype.
 """
 
 from __future__ import annotations
@@ -62,15 +63,15 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 
-def float_rows(features: np.ndarray, index=slice(None), out: np.ndarray | None = None) -> np.ndarray:
-    """features[index] as float64 values: float rows as they are, u8 rows cast and divided by 255.0.
+def float_rows(features: np.ndarray, index=slice(None), out: np.ndarray | None = None, dtype=np.float64) -> np.ndarray:
+    """features[index] as dtype values: float rows cast unless they are dtype already, u8 rows cast and divided by 255.
 
-    A u8 result goes into out when given, so a caller that scores chunk
-    after chunk reuses one buffer.
+    A u8 result goes into out (of dtype) when given, so a caller that
+    scores chunk after chunk reuses one buffer.
     """
     if features.dtype != np.uint8:
-        return features[index]
-    return np.divide(features[index], 255.0, out=out)
+        return features[index].astype(dtype, copy=False)
+    return np.divide(features[index], 255.0, out=out, dtype=dtype)
 
 
 @dataclass
@@ -104,9 +105,9 @@ class Dataset:
         """All (n, d) float64 values: features itself, or a whole scaled copy of u8 features."""
         return self.features if self.features.dtype == np.float64 else self.rows()
 
-    def rows(self, index=slice(None), out: np.ndarray | None = None) -> np.ndarray:
-        """The float64 values of features[index]; see float_rows."""
-        return float_rows(self.features, index, out)
+    def rows(self, index=slice(None), out: np.ndarray | None = None, dtype=np.float64) -> np.ndarray:
+        """The dtype values of features[index]; see float_rows."""
+        return float_rows(self.features, index, out, dtype)
 
     @property
     def n(self) -> int:

@@ -13,7 +13,9 @@ Per-epoch metric CSVs share one schema:
 Fields that do not apply (test accuracy in pure simulations, say) are
 written as nan.  wall_ms sits last and is the one column excluded
 from the determinism contract; everything before it is byte-identical
-across reruns of the same config.
+across reruns of the same config.  Each mode that trains runs under
+ahead.one_blas_thread, so its bits do not depend on the caller's BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ahead import ReadAhead, fork_map
+from .ahead import ReadAhead, fork_map, one_blas_thread
 from .analytics import BoundReport
 from .datasets import Dataset, LabelNoiseSpec, apply_label_noise, load_csv_dataset, load_idx, make_blobs
 from .errors import ConfigError, DataError, ParameterError
@@ -497,6 +499,7 @@ class TrainModeResult:
         ]
 
 
+@one_blas_thread()
 def run_train(cfg: ExperimentConfig) -> TrainModeResult:
     """Train the chosen selector across seeds; write metrics and a summary."""
     out = _require_out(cfg, "out", "out_summary")
@@ -535,6 +538,7 @@ class AblateResult:
         return out + [f"comparison: {self.csv_path}"]
 
 
+@one_blas_thread()
 def run_ablate(cfg: ExperimentConfig) -> AblateResult:
     """Train every listed selector on identically corrupted data."""
     out = _require_out(cfg, *_metrics_keys(cfg), "out")
@@ -606,6 +610,7 @@ class GridResult:
         ]
 
 
+@one_blas_thread()
 def run_grid_search(cfg: ExperimentConfig) -> GridResult:
     """Tune eta_coefficient and k on a noisy validation split.
 
@@ -664,6 +669,7 @@ class ValidateRiskResult:
         return out + [f"curves: {self.csv_path}"]
 
 
+@one_blas_thread()
 def run_validate_risk(cfg: ExperimentConfig) -> ValidateRiskResult:
     """Train on fixed selections of known label precision.
 

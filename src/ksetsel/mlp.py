@@ -6,13 +6,19 @@ not overflow.  Backward is the exact analytic gradient of the
 cross-entropy loss -ln p[assigned]; for the softmax layer that is the
 familiar (probs - onehot) error signal pushed back through the relu.
 
-Everything is float64 and seeded; two runs from the same seed produce
-bitwise-identical parameters.  Inputs may also be u8 rows meaning
-value / 255 (an IDX Dataset's features): training converts the rows
-of each batch, and scoring converts one chunk at a time into a buffer
-each scoring thread reuses, so no whole float64 copy of the inputs is
-made.  The forward pass writes each step into the array the step
-before made, so a scoring thread holds at most one hidden-sized
+Every step computes in the dtype of the model it is given: init_mlp
+draws float64 weights, and a run (training.train_selective) trains
+and scores a float32 copy of them, while the reference functions
+(forward, backward, batch_gradients, sgd_step) keep a float64 model
+float64.  Everything is seeded; two runs from the same seed produce
+bitwise-identical parameters.  Float rows are cast to the model's
+dtype one batch or chunk at a time; u8 rows mean value / 255 (an IDX
+Dataset's features): training converts the rows of each batch, and
+scoring converts one chunk at a time into a buffer of the model's
+dtype that each scoring thread reuses, so no whole float copy of the
+inputs is made.  Confidences come back as float64 whatever the
+model's dtype.  The forward pass writes each step into the array the
+step before made, so a scoring thread holds at most one hidden-sized
 (chunk, h) temporary per chunk; training checks its inputs once per
 epoch, not once per batch (its LearnerSpec checked itself when built),
 and its SGD step scales the gradients it owns in place.
@@ -38,16 +44,18 @@ b2 steps, and reads the next batch's rows while the worker ends its
 half.  Every element is the same operation on the same values as in
 the serial loop, and with OpenBLAS 0.3.31 a GEMM over a half of a
 width that is a multiple of 32 gives each column the bits of the
-whole-width GEMM, unless just one of the two takes OpenBLAS's
-small-matrix path (about 1e6 multiply-adds or fewer); the halves of an
-odd width differ even then (784 x 255 at batch 32).  SPLIT_MULADDS >=
-2e6 keeps each half off that path, so the weights are bitwise the
-serial loop's.  It also keeps batches whose round trip costs more than
-the split saves on one thread: on 2 vCPUs, at batch 32, the split read
-0.85x at 256 x 256 (2.1e6 multiply-adds), about 1.05x at 320 x 256
-(2.6e6), 1.15x at 384 x 256 (3.1e6) and 1.15-1.4x above, while a blobs
-batch (16 x 128) has 6.6e4.  A short last batch runs whole on the
-caller.
+whole-width GEMM, in float64 and float32 alike, unless just one of the
+two takes OpenBLAS's small-matrix path (about 1e6 multiply-adds or
+fewer: the float32 halves of 784 x 64 at batch 32 differ); the halves
+of an odd width differ even then (784 x 255 at batch 32).
+SPLIT_MULADDS >= 2e6 keeps each half off that path, so the weights are
+bitwise the serial loop's.  It also keeps batches whose round trip
+costs more than the split saves on one thread.  In float32 on 2 vCPUs,
+at batch 32 and d 784, over 36,000-row idx epochs, the split read
+0.86x at h 96 (2.4e6 multiply-adds), 0.97x at h 128 (3.2e6), 1.05x at
+h 160 (4.0e6), 1.12x at h 192 (4.8e6) and 1.14-1.32x at h 256-384,
+while a blobs batch (16 x 128) has 6.6e4.  A short last batch runs
+whole on the caller.
 """
 
 from __future__ import annotations
@@ -81,7 +89,7 @@ __all__ = [
 ]
 
 SCORE_CHUNK = 4096  # rows per scoring GEMM, part of the output contract (see above)
-SPLIT_MULADDS = 3 << 20  # a batch's x @ w1 multiply-adds from which training splits its w1 work (see above)
+SPLIT_MULADDS = 4_000_000  # a batch's x @ w1 multiply-adds from which training splits its w1 work (see above)
 
 
 @dataclass(frozen=True)
@@ -119,8 +127,17 @@ class MlpModel:
     def num_classes(self) -> int:
         return self.w2.shape[1]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The float dtype the model computes in: its weights'."""
+        return self.w1.dtype
+
+    def astype(self, dtype) -> "MlpModel":
+        """A copy with every parameter cast to dtype."""
+        return MlpModel(self.w1.astype(dtype), self.b1.astype(dtype), self.w2.astype(dtype), self.b2.astype(dtype))
+
     def copy(self) -> "MlpModel":
-        return MlpModel(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
+        return self.astype(self.dtype)
 
 
 def init_mlp(dim: int, hidden: int, num_classes: int, seed: int) -> MlpModel:
@@ -139,9 +156,9 @@ def init_mlp(dim: int, hidden: int, num_classes: int, seed: int) -> MlpModel:
 
 
 def _check_width(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """x as (m, d) rows: u8 rows as they are (value / 255), any other rows as float64."""
+    """x as (m, d) rows: u8 rows (value / 255) and float rows as they are, any other rows as float64."""
     x = np.asarray(x)
-    if x.dtype != np.uint8:
+    if x.dtype != np.uint8 and x.dtype.kind != "f":  # float rows are cast a batch or chunk at a time
         x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.dim:
         raise InputError(f"expected inputs of shape (m, {model.dim}), got {x.shape}")
@@ -149,7 +166,7 @@ def _check_width(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def _check_rows(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    return float_rows(_check_width(model, x))
+    return float_rows(_check_width(model, x), dtype=model.dtype)
 
 
 def _check_labels(model: MlpModel, labels: np.ndarray) -> None:
@@ -165,7 +182,7 @@ def _softmax(z: np.ndarray) -> None:
 
 
 def _forward(model: MlpModel, x: np.ndarray, keep_pre: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pre-activation, hidden, probabilities) for checked float64 rows x.
+    """(pre-activation, hidden, probabilities) for checked rows x of the model's dtype.
 
     Each step writes into the array the previous one made.  The relu
     overwrites the pre-activation unless keep_pre, which the gradient
@@ -199,7 +216,7 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def _gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> MlpModel:
-    """batch_gradients without its checks: x float64 (m >= 1, d), int64 labels in range."""
+    """batch_gradients without its checks: x of the model's dtype (m >= 1, d), int64 labels in range."""
     pre, hidden, err = _forward(model, x, keep_pre=True)
     d_hidden = _backprop(model, pre, err, labels)
     return MlpModel(
@@ -252,8 +269,8 @@ def _step(model: MlpModel, grads: MlpModel, lr: float) -> None:
 
 
 def _descend(w: np.ndarray, grad: np.ndarray, lr: float) -> None:
-    """w -= lr * grad in place, grad becoming lr * grad."""
-    grad *= lr
+    """w -= lr * grad in place, grad becoming lr * grad, lr rounded to grad's dtype whatever its own type."""
+    grad *= grad.dtype.type(lr)  # a numpy float64 lr would make a float32 product in float64 and round it after
     w -= grad
 
 
@@ -310,16 +327,16 @@ def _sgd(
     worker ends its half, and does the rest of the batch alone.  The
     copies go back into w1 whether the pass returns or raises.
     """
-    h, size, lr = model.hidden, learner.batch_size, learner.lr
+    h, size, lr, dtype = model.hidden, learner.batch_size, learner.lr, model.dtype
     cuts = [slice(0, h // 2), slice(h // 2, h)] if pool else [slice(0, h)]
     parts = [(np.ascontiguousarray(model.w1[:, cols]), model.b1[cols], cols) for cols in cuts]  # w1 itself when whole
-    pre, hidden = np.empty((size, h)), np.empty((size, h))
+    pre, hidden = np.empty((size, h), dtype), np.empty((size, h), dtype)
     last = None  # the previous batch's rows and hidden-layer error, whose w1 and b1 step is the next round's
-    x = dataset.rows(order[:size])
+    x = dataset.rows(order[:size], dtype=dtype)
     try:
         for start in range(0, order.shape[0], size):
             m = x.shape[0]
-            upcoming = functools.partial(dataset.rows, order[start + size : start + 2 * size])
+            upcoming = functools.partial(dataset.rows, order[start + size : start + 2 * size], dtype=dtype)
             x_next = _w1_round(parts, pool, lr, last, x, pre[:m], hidden[:m], then=upcoming)
             err = _output(model, hidden[:m])
             d_hidden = _backprop(model, pre[:m], err, labels[start : start + m])
@@ -369,13 +386,15 @@ def _score_chunks(
 ) -> None:
     """Score the chunk-row chunks of checked rows x that begin at starts into labels and conf.
 
-    u8 rows are converted into one (chunk, d) float64 buffer that every
+    Float rows are cast to the model's dtype a chunk at a time; u8 rows
+    are converted into one (chunk, d) buffer of that dtype that every
     chunk reuses.
     """
-    buf = np.empty((min(chunk, x.shape[0]), x.shape[1])) if x.dtype == np.uint8 else None
+    dtype = model.dtype
+    buf = np.empty((min(chunk, x.shape[0]), x.shape[1]), dtype) if x.dtype == np.uint8 else None
     for start in starts:
         stop = min(start + chunk, x.shape[0])
-        rows = float_rows(x, slice(start, stop), None if buf is None else buf[: stop - start])
+        rows = float_rows(x, slice(start, stop), None if buf is None else buf[: stop - start], dtype)
         probs = _forward(model, rows)[2]
         part = probs.argmax(axis=1)
         labels[start:stop] = part

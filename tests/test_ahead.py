@@ -723,3 +723,60 @@ def test_only_ahead_reads_the_processs_threads_and_cpus():
     sources = sorted(Path(ksetsel.__file__).parent.glob("*.py"))
     assert len(sources) > 5
     assert [path.name for path in sources if reads_host(path)] == ["ahead.py"]
+
+
+NO_BLAS_SYMBOLS = pytest.mark.skipif(ahead._blas_threads() is None, reason="numpy's BLAS exports no thread-count symbols")
+
+
+@NO_BLAS_SYMBOLS
+def test_a_run_holds_blas_at_one_thread_and_gives_the_callers_count_back_whether_it_returned_or_raised(tmp_path):
+    # in a child process: a count of 2 starts a BLAS thread this process would then count in _os_threads
+    code = (
+        "import sys\n"
+        "from ksetsel import ahead, cli, training\n"
+        "get, set_ = ahead._blas_threads()\n"
+        "set_(2)\n"
+        "real, seen = training.train_epoch, []\n"
+        "def spied(*args):\n"
+        "    seen.append(get())\n"
+        "    return real(*args)\n"
+        "def broken(*args):\n"
+        "    seen.append(get())\n"
+        "    raise RuntimeError('mid-run')\n"
+        "training.train_epoch = spied\n"
+        "print(cli.main(['train', '--config', sys.argv[1]]), get())\n"
+        "training.train_epoch = broken\n"
+        "try:\n"
+        "    cli.main(['train', '--config', sys.argv[1]])\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc, get())\n"
+        "print(*seen)\n"
+    )
+    config = tmp_path / "run.cfg"
+    config.write_text(f"out = {tmp_path / 'm.csv'}\nn = 60\ndim = 4\nhidden = 8\nepochs = 2\nk_frac = 0.5\n")
+    src = str(Path(ksetsel.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code, str(config)], env=env, capture_output=True, text=True, check=True)
+    # after the run's own report: its exit code, the raise, and the count each epoch saw (two, then the one that raised)
+    assert out.stdout.splitlines()[-3:] == ["0 2", "mid-run 2", "1 1 1"]
+
+
+@NO_BLAS_SYMBOLS
+def test_a_run_without_the_blas_symbols_sets_nothing_and_writes_the_same_bytes(tmp_path, monkeypatch):
+    from ksetsel.cli import main
+
+    get, set_ = ahead._blas_threads()
+    sets = []
+    found = (get, lambda count: sets.append(count) or set_(count))
+    config = "n = 60\ndim = 4\nhidden = 8\nepochs = 3\nk_frac = 0.5\nseeds = 0, 1\n"
+    written = []
+    with ahead.one_blas_thread():  # both runs at the pinned count, so only the lookup differs between them
+        for run, calls in (("found", found), ("not-found", None)):
+            monkeypatch.setattr(ahead, "_blas_threads", lambda: calls)
+            (tmp_path / run).mkdir()
+            (tmp_path / run / "run.cfg").write_text(config + f"out = {tmp_path / run / 'm.csv'}\n")
+            assert main(["train", "--config", str(tmp_path / run / "run.cfg")]) == 0
+            written.append([line.rsplit(",", 1)[0] for line in (tmp_path / run / "m.csv").read_text().splitlines()])
+    assert sets == [1, 1]  # the found run's pin and restore; the other run set nothing
+    assert written[0] == written[1]

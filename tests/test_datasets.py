@@ -245,6 +245,24 @@ class TestLoadIdx:
             np.testing.assert_array_equal(got.view(np.int64), reference[index].view(np.int64))
         np.testing.assert_array_equal(out.view(np.int64), reference[40:47].view(np.int64))
 
+    def test_float32_rows_are_bitwise_the_float32_pixels_over_255(self, tmp_path):
+        ipath, lpath, images, _ = self.make_pair(tmp_path, count=50, rows=5, cols=5)
+        data = load_idx(ipath, lpath)
+        reference = images.reshape(50, 25).astype(np.float32) / np.float32(255.0)
+        out = np.full((7, 25), np.nan, dtype=np.float32)
+        reads = [
+            (slice(None), data.rows(dtype=np.float32)),
+            (np.array([49, 3, 3, 0]), data.rows(np.array([49, 3, 3, 0]), dtype=np.float32)),
+            (slice(40, 47), data.rows(slice(40, 47), out=out, dtype=np.float32)),
+        ]
+        for index, got in reads:
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got.view(np.int32), reference[index].view(np.int32))
+        np.testing.assert_array_equal(out.view(np.int32), reference[40:47].view(np.int32))
+        floats = Dataset(features=data.samples, true_labels=data.true_labels, assigned_labels=data.true_labels,
+                         num_classes=data.num_classes)
+        np.testing.assert_array_equal(floats.rows([3, 1], dtype=np.float32), data.samples[[3, 1]].astype(np.float32))
+
     def test_operations_keep_u8_storage(self, tmp_path):
         ipath, lpath, images, _ = self.make_pair(tmp_path)
         data = load_idx(ipath, lpath)

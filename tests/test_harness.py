@@ -1251,6 +1251,7 @@ class TestRunValidateRisk:
                     np.sort(np.concatenate([clean, rng.choice(noisy_idx, size=k - n_clean, replace=False)]))
                 )
                 model = mlp.init_mlp(noisy.dim, cfg.hidden, noisy.num_classes, int(streams[0].generate_state(1)[0]))
+                model = model.astype(np.float32)  # a run's learner computes in float32
                 shuffle_rng = np.random.default_rng(streams[1])
                 risks = []
                 for _ in range(cfg.epochs):

@@ -45,12 +45,13 @@ def ref_forward(model, x):
 
 
 def ref_predict_batch(model, x, chunk):
-    """One chunk after another on this thread; u8 rows are divided by 255 a chunk at a time."""
+    """One chunk after another on this thread, in the model's dtype; u8 rows are divided by 255 a chunk at a time."""
     labels = np.empty(x.shape[0], dtype=np.int64)
     conf = np.empty(x.shape[0], dtype=np.float64)
+    dtype = model.w1.dtype
     for start in range(0, x.shape[0], chunk):
-        rows = x[start : start + chunk]
-        probs = ref_forward(model, rows.astype(np.float64) / 255.0 if rows.dtype == np.uint8 else rows)[2]
+        rows = x[start : start + chunk].astype(dtype)
+        probs = ref_forward(model, rows / dtype.type(255.0) if x.dtype == np.uint8 else rows)[2]
         part = probs.argmax(axis=1)
         labels[start : start + chunk] = part
         conf[start : start + chunk] = probs[np.arange(probs.shape[0]), part]
@@ -65,6 +66,11 @@ def ref_batch_gradients(model, x, labels):
     d_hidden = err @ model.w2.T
     d_hidden[pre <= 0.0] = 0.0
     return {"w1": x.T @ d_hidden, "b1": d_hidden.sum(axis=0), "w2": hidden.T @ err, "b2": err.sum(axis=0)}
+
+
+def bits(a):
+    """a's bits, as unsigned integers of its width: equal arrays of these are bitwise equal."""
+    return a.view(f"u{a.itemsize}")
 
 
 def loss_at(model, x, label):
@@ -236,6 +242,19 @@ class TestPredictBatch:
             tracemalloc.stop()
         assert peak <= 1.25 * m * hidden * 8
 
+    def test_a_float32_model_scores_float32_rows_with_one_hidden_sized_temporary(self):
+        m, d, hidden = 2000, 64, 128
+        model = init_mlp(d, hidden, 10, seed=0).astype(np.float32)
+        x = np.random.default_rng(1).normal(size=(m, d)).astype(np.float32)
+        predict_batch(model, x)
+        tracemalloc.start()
+        try:
+            predict_batch(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * m * hidden * 4  # no whole float64 copy of the rows
+
 
 ON_LINUX = pytest.mark.skipif(sys.platform != "linux", reason="ahead.helper gives a worker on Linux only")
 
@@ -309,6 +328,12 @@ class TestScoringWorker:
         model = init_mlp(9, 6, 3, seed=2)
         model.w2 *= 50.0  # far-apart logits: some confidences reach 1.0
         self.assert_matches_reference(monkeypatch, model, self.rows(dtype, m, 9, 3), chunk)
+
+    @pytest.mark.parametrize("dtype", ["u8", "float"])
+    @pytest.mark.parametrize("m", [4096 + 517, 3 * 4096 + 517])
+    def test_a_float32_model_at_idx_width_matches_reference(self, monkeypatch, switchy, dtype, m):
+        model = init_mlp(784, 16, 10, seed=0).astype(np.float32)
+        self.assert_matches_reference(monkeypatch, model, self.rows(dtype, m, 784, 1), 4096)
 
     @ON_LINUX
     def test_worker_scores_every_other_chunk(self, monkeypatch, worker_first, scored_on):
@@ -611,23 +636,29 @@ class TestSplitTraining:
 
     @staticmethod
     def serial_epoch(model, data, sel, learner, seed):
-        """The _gradients + _step loop, batch after batch, on the order train_epoch draws."""
+        """The _gradients + _step loop, batch after batch, on the order train_epoch draws, in the model's dtype."""
         order = sel.indices[np.random.default_rng(seed).permutation(sel.k)]
         for start in range(0, order.shape[0], learner.batch_size):
             batch = order[start : start + learner.batch_size]
-            mlp._step(model, mlp._gradients(model, data.rows(batch), data.assigned_labels[batch]), learner.lr)
+            rows = data.rows(batch, dtype=model.dtype)
+            mlp._step(model, mlp._gradients(model, rows, data.assigned_labels[batch]), learner.lr)
 
-    def assert_bitwise_serial(self, d, hidden, batch_size, k, helpers, asked):
+    def assert_bitwise_serial(self, d, hidden, batch_size, k, helpers, asked, dtype=np.float64):
+        """One epoch of a dtype model gives the serial loop's weights, and then its scores, bit for bit."""
         data = self.idx_like(400, d, seed=hidden)
         sel = init_selection(400, k, seed=1)
         learner = LearnerSpec(hidden=hidden, lr=0.05, batch_size=batch_size)
-        model = init_mlp(d, hidden, 10, seed=2)
+        model = init_mlp(d, hidden, 10, seed=2).astype(dtype)
         reference = model.copy()
         train_epoch(model, data, sel, learner, rng=np.random.default_rng(3))
         self.serial_epoch(reference, data, sel, learner, seed=3)
         assert len(helpers) == asked
         for name in ("w1", "b1", "w2", "b2"):
-            np.testing.assert_array_equal(getattr(model, name).view(np.int64), getattr(reference, name).view(np.int64))
+            assert getattr(model, name).dtype == dtype
+            np.testing.assert_array_equal(bits(getattr(model, name)), bits(getattr(reference, name)))
+        if dtype != np.float64:
+            for scored, ref in zip(predict_batch(model, data.features), predict_batch(reference, data.features)):
+                np.testing.assert_array_equal(bits(scored), bits(ref))
 
     @pytest.mark.parametrize("switch_s", [None, 1e-6])
     def test_idx_width_at_batch_32_with_a_short_last_batch(self, helpers, switch_s):
@@ -639,6 +670,15 @@ class TestSplitTraining:
             self.assert_bitwise_serial(784, 256, 32, 5 * 32 + 7, helpers, asked=1)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("hidden", [256, 128])
+    def test_a_float32_epoch_at_idx_width_and_batch_32_gives_the_serial_loops_bits(self, helpers, monkeypatch, hidden):
+        # 784 x 128 at batch 32 (3.2e6 multiply-adds) is below SPLIT_MULADDS, so it is let through to split here
+        monkeypatch.setattr(mlp, "SPLIT_MULADDS", min(mlp.SPLIT_MULADDS, 32 * 784 * hidden))
+        self.assert_bitwise_serial(784, hidden, 32, 5 * 32 + 7, helpers, asked=1, dtype=np.float32)
+
+    def test_a_float32_odd_hidden_width_stays_serial(self, helpers):
+        self.assert_bitwise_serial(784, 255, 32, 5 * 32 + 7, helpers, asked=0, dtype=np.float32)
 
     def test_halves_a_busy_helper_has_not_started_run_on_this_thread_with_the_same_bits(self, monkeypatch):
         go = threading.Event()
@@ -776,3 +816,65 @@ class TestEvaluate:
         predicted, conf = predict_batch(model, np.zeros((4, 2)))
         assert predicted.tolist() == [0, 0, 0, 0]
         np.testing.assert_allclose(conf, np.full(4, 1 / 3))
+
+
+class TestFloat32:
+    """A float32 model, a run's, computes in float32 throughout: no step promotes an array to float64."""
+
+    @staticmethod
+    def float_arrays(value):
+        """Every float array in value, looking into tuples, lists and MlpModels."""
+        if isinstance(value, np.ndarray):
+            return [value] if np.issubdtype(value.dtype, np.floating) else []
+        if isinstance(value, MlpModel):
+            value = (value.w1, value.b1, value.w2, value.b2)
+        if isinstance(value, (tuple, list)):
+            return [array for item in value for array in TestFloat32.float_arrays(item)]
+        return []
+
+    def test_every_array_training_and_scoring_make_is_float32(self, monkeypatch, fake_host):
+        fake_host(cpus=2, threads=1)  # a worker for the split and the scoring chunks where the host has two CPUs
+        seen = []
+
+        def spied(name):
+            real = getattr(mlp, name)
+
+            def call(*args):
+                value = real(*args)
+                seen.extend((name, array.dtype) for array in self.float_arrays((args, value)))
+                return value
+
+            monkeypatch.setattr(mlp, name, call)
+
+        for name in ("_forward", "_output", "_backprop", "_descend", "_w1_part"):
+            spied(name)
+        monkeypatch.setattr(mlp, "SPLIT_MULADDS", 1)
+        monkeypatch.setattr(mlp, "SCORE_CHUNK", 64)
+        idx = TestSplitTraining.idx_like(200, 784, seed=1)
+        blobs = make_blobs(200, 784, 10, separation=6.0, seed=2)  # float64 rows, cast a batch or chunk at a time
+        for data in (idx, blobs):
+            model = init_mlp(784, 64, 10, seed=3).astype(np.float32)
+            train_epoch(model, data, init_selection(200, 3 * 32 + 5, seed=4), LearnerSpec(64, 0.01, 32),
+                        np.random.default_rng(5))
+            predict_batch(model, data.features)
+            forward_batch(model, data.features[:3])
+        assert {name for name, _ in seen} == {"_forward", "_output", "_backprop", "_descend", "_w1_part"}
+        assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
+
+    def test_the_learning_rates_python_or_numpy_type_gives_the_same_bits(self):
+        data, sel = make_blobs(300, 16, 4, separation=6.0, seed=0), init_selection(300, 200, seed=1)
+        trained = []
+        for lr in (0.05, np.float64(0.05), np.float32(0.05)):
+            model = init_mlp(16, 32, 4, seed=2).astype(np.float32)
+            train_epoch(model, data, sel, LearnerSpec(32, lr, 32), np.random.default_rng(3))
+            trained.append(model)
+        for model in trained[1:]:
+            for name in ("w1", "b1", "w2", "b2"):
+                np.testing.assert_array_equal(bits(getattr(model, name)), bits(getattr(trained[0], name)))
+
+    def test_astype_rounds_each_parameter_once(self):
+        model = init_mlp(7, 5, 3, seed=9)
+        single = model.astype(np.float32)
+        assert single.dtype == np.float32 and model.dtype == np.float64
+        for name in ("w1", "b1", "w2", "b2"):
+            np.testing.assert_array_equal(bits(getattr(single, name)), bits(getattr(model, name).astype(np.float32)))

@@ -12,7 +12,7 @@ from ksetsel import training
 from ksetsel.datasets import LabelNoiseSpec, apply_label_noise, make_blobs
 from ksetsel.analytics import SelectionTrace, regret
 from ksetsel.errors import InputError, ParameterError
-from ksetsel.mlp import LearnerSpec
+from ksetsel.mlp import LearnerSpec, init_mlp
 from ksetsel.selection import RiskVector, SelectorConfig, Strategy, init_selection
 from ksetsel.training import run_epochs, select_sequence, train_selective
 
@@ -57,6 +57,16 @@ class TestTrainSelective:
         assert len(trained_on) == 16
         for a, b in zip(trained_on[:8], trained_on[8:]):
             np.testing.assert_array_equal(a.indices, b.indices)
+
+    def test_a_run_trains_a_float32_model_of_init_mlps_draws_rounded_once(self):
+        data = small_noisy_dataset()
+        # lr 0 leaves the model as it was built
+        model, _ = train_selective(data, None, Strategy.FPL, 2, SelectorConfig(k=30, seed=5), LearnerSpec(16, 0.0, 16))
+        init = np.random.SeedSequence(5).spawn(4)[0]
+        drawn = init_mlp(data.dim, 16, data.num_classes, seed=int(init.generate_state(1)[0]))
+        for name in ("w1", "b1", "w2", "b2"):
+            assert getattr(model, name).dtype == np.float32
+            np.testing.assert_array_equal(getattr(model, name), getattr(drawn, name).astype(np.float32))
 
     def test_deterministic_across_reruns(self):
         data = small_noisy_dataset()
